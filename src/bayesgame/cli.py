@@ -62,7 +62,7 @@ def _load_json(path) -> tuple[dict, str]:
 
 def _write_metadata(out_dir: Path, config_hash: str, seed: int) -> None:
     meta = {"config_sha256": config_hash, "seed": seed, "version": __version__}
-    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
 def _finite_prior(doc: dict, spec_n: int, seed: int) -> FinitePrior:
@@ -108,7 +108,7 @@ def cmd_solve(args) -> int:
         trace.to_csv(out_dir / "trace.csv")
 
     (out_dir / "profile.json").write_text(
-        json.dumps(profile_to_jsonable(profile), indent=2) + "\n"
+        json.dumps(profile_to_jsonable(profile), indent=2, allow_nan=False) + "\n"
     )
     _write_metadata(out_dir, config_hash, solver.seed)
     print(f"final residual: {residual:.6e}")
@@ -145,7 +145,7 @@ def cmd_probe(args) -> int:
     payload["warnings"] = warnings
     payload["config_sha256"] = config_hash
     payload["version"] = __version__
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     print(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -229,7 +229,9 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "results.csv")
-    (out_dir / "aggregate.json").write_text(json.dumps(result.to_json(), indent=2) + "\n")
+    (out_dir / "aggregate.json").write_text(
+        json.dumps(result.to_json(), indent=2, allow_nan=False) + "\n"
+    )
     _write_metadata(out_dir, config_hash, config.seed)
     for agg in result.aggregates:
         mean = "nan" if agg["mean_rmse"] is None else f"{agg['mean_rmse']:.4f}"

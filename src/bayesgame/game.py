@@ -57,10 +57,15 @@ class ActionSet:
 
 def project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
     """Euclidean projection onto the set (Frobenius norm for matrices)."""
-    point = np.asarray(point, dtype=float)
+    return _project(np.asarray(point, dtype=float), action_set)
+
+
+def _project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
+    """``project`` for a float array, unchecked; returns ``point`` itself if inside."""
     if not action_set.bounded:
         return point
-    norm = np.linalg.norm(point)
+    flat = point.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
     if norm <= action_set.radius:
         return point
     return point * (action_set.radius / norm)
@@ -156,10 +161,10 @@ def _check_w(w: np.ndarray, spec: GameSpec) -> np.ndarray:
     return w
 
 
-def _check_cd(c_d: np.ndarray, spec: GameSpec) -> np.ndarray:
+def _check_cd(c_d: np.ndarray, n: int) -> np.ndarray:
     c_d = np.asarray(c_d, dtype=float)
-    if c_d.shape != (spec.n,):
-        raise ValueError(f"c_d has shape {c_d.shape}, expected ({spec.n},)")
+    if c_d.shape != (n,):
+        raise ValueError(f"c_d has shape {c_d.shape}, expected ({n},)")
     if np.any(c_d < 0):
         raise ValueError("c_d must be nonnegative elementwise")
     return c_d
@@ -183,7 +188,7 @@ def adversary_cost(
     """Generator's targeting loss plus the Frobenius perturbation penalty."""
     w = _check_w(w, spec)
     Xbar = _check_xbar(Xbar, spec)
-    c_d = _check_cd(c_d, spec)
+    c_d = _check_cd(c_d, spec.n)
     margins = Xbar @ w
     if spec.adversary_loss is LossKind.QUADRATIC:
         per_instance = (margins - spec.z) ** 2
@@ -195,8 +200,11 @@ def adversary_cost(
 
 def grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Analytic gradient of ``learner_cost`` in ``w``."""
-    w = _check_w(w, spec)
-    Xbar = _check_xbar(Xbar, spec)
+    return _grad_learner_w(_check_w(w, spec), _check_xbar(Xbar, spec), spec)
+
+
+def _grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
+    """``grad_learner_w`` for float arrays of the game's shapes, unchecked."""
     if spec.learner_loss is LossKind.QUADRATIC:
         r = Xbar @ w - spec.y
         return 2.0 * (Xbar.T @ (spec.c_l * r)) + 2.0 * spec.reg_l * w
@@ -208,16 +216,19 @@ def grad_adversary_X(
     w: np.ndarray, Xbar: np.ndarray, c_d: np.ndarray, spec: GameSpec
 ) -> np.ndarray:
     """Analytic gradient of ``adversary_cost`` in ``Xbar`` (n-by-m)."""
-    w = _check_w(w, spec)
-    Xbar = _check_xbar(Xbar, spec)
-    c_d = _check_cd(c_d, spec)
+    w, Xbar, c_d = _check_w(w, spec), _check_xbar(Xbar, spec), _check_cd(c_d, spec.n)
+    return _grad_adversary_X(w, Xbar, c_d, spec)
+
+
+def _grad_adversary_X(w, Xbar, c_d, spec: GameSpec) -> np.ndarray:
+    """``grad_adversary_X`` for float arrays of the game's shapes, unchecked."""
     if spec.adversary_loss is LossKind.QUADRATIC:
         r = Xbar @ w - spec.z
         coef = 2.0 * c_d * r
     else:
         s = _sigmoid(-spec.z * (Xbar @ w))
         coef = c_d * (-spec.z) * s
-    return np.outer(coef, w) + 2.0 * (Xbar - spec.X)
+    return coef[:, None] * w + 2.0 * (Xbar - spec.X)
 
 
 # --------------------------------------------------------------------------
@@ -250,13 +261,17 @@ class FinitePrior:
     def num_atoms(self) -> int:
         return self.atoms.shape[0]
 
-    def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
+    def _check_dimension(self, n: int) -> None:
         if self.atoms.shape[1] != n:
             raise ValueError(f"prior atoms have dimension {self.atoms.shape[1]}, expected {n}")
+
+    def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
+        self._check_dimension(n)
         idx = rng.choice(self.num_atoms, size=num_samples, p=self.probs)
         return self.atoms[idx].copy()
 
-    def mean(self, n: int) -> np.ndarray:
+    def mean_vector(self, n: int) -> np.ndarray:
+        self._check_dimension(n)
         return self.probs @ self.atoms
 
 
@@ -315,11 +330,7 @@ Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
 
 def prior_mean(prior: Prior, n: int) -> np.ndarray:
     """Coordinatewise mean of the prior, clamped to be nonnegative."""
-    if isinstance(prior, FinitePrior):
-        mean = prior.mean(n)
-    else:
-        mean = prior.mean_vector(n)
-    return np.maximum(mean, 0.0)
+    return np.maximum(prior.mean_vector(n), 0.0)
 
 
 def sample_prior(prior: Prior, n: int, num_samples: int, seed: int) -> np.ndarray:
@@ -381,9 +392,5 @@ class StrategyProfile:
 
 
 def origin_profile(spec: GameSpec, K: int) -> StrategyProfile:
-    """Projection of the all-zero profile onto the action sets (the zero profile)."""
-    w = project(np.zeros(spec.m), spec.learner_set)
-    sigma = np.stack(
-        [project(np.zeros((spec.n, spec.m)), spec.adversary_set) for _ in range(K)]
-    )
-    return StrategyProfile(w=w, sigma=sigma)
+    """The all-zero profile, feasible since every action set contains the origin."""
+    return StrategyProfile(w=np.zeros(spec.m), sigma=np.zeros((K, spec.n, spec.m)))

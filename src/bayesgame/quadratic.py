@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, LossKind, Prior, _log1pexp, _sigmoid, project
+from .game import GameSpec, LossKind, Prior, _check_cd, _log1pexp, _sigmoid, project
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,6 @@ class AdamConfig:
             raise ValueError("batch_size must satisfy 1 <= batch_size <= total_samples")
 
 
-def _check_cd_vector(c_d: np.ndarray, n: int) -> np.ndarray:
-    c_d = np.asarray(c_d, dtype=float)
-    if c_d.shape != (n,):
-        raise ValueError(f"c_d has shape {c_d.shape}, expected ({n},)")
-    if np.any(c_d < 0):
-        raise ValueError("c_d must be nonnegative elementwise")
-    return c_d
-
-
 def best_response(
     w: np.ndarray, X: np.ndarray, z: np.ndarray, c_d: np.ndarray
 ) -> np.ndarray:
@@ -69,7 +60,7 @@ def best_response(
         raise ValueError(f"X has shape {X.shape}, incompatible with w of shape {w.shape}")
     if z.shape != (X.shape[0],):
         raise ValueError(f"z has shape {z.shape}, expected ({X.shape[0]},)")
-    c_d = _check_cd_vector(c_d, X.shape[0])
+    c_d = _check_cd(c_d, X.shape[0])
     coef = c_d * (X @ w - z) / (1.0 + (w @ w) * c_d)
     return X - np.outer(coef, w)
 

@@ -6,7 +6,7 @@ import pytest
 
 from bayesgame.cli import main
 from bayesgame.experiments import write_dataset_csv
-from bayesgame.game import ActionSet, FinitePrior, GameSpec
+from bayesgame.game import ActionSet, FinitePrior, GameSpec, StrategyProfile
 from bayesgame.serialize import (
     ConfigError,
     game_from_jsonable,
@@ -16,6 +16,7 @@ from bayesgame.serialize import (
     profile_from_jsonable,
     solver_config_from_jsonable,
 )
+from bayesgame.solvers import SolverTrace, TraceRecord
 
 
 def small_game(bounded=True):
@@ -107,6 +108,30 @@ class TestSolve:
         assert read_trace_without_walltime(a / "trace.csv") == read_trace_without_walltime(
             b / "trace.csv"
         )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_2_without_profile(self, tmp_path, capsys):
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg, bounded=False,
+                           solver={"max_iters": 500, "gamma": 50.0, "seed": 3, "trace_every": 100})
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "last finite residual" in capsys.readouterr().err
+        assert not (out / "profile.json").exists()
+
+    def test_non_finite_profile_is_not_written(self, tmp_path, monkeypatch, capsys):
+        def nan_solver(spec, prior, config):
+            w = np.full(spec.m, np.nan)
+            profile = StrategyProfile(w=w, sigma=np.zeros((2, spec.n, spec.m)))
+            return SolverTrace([TraceRecord(1, 0.5, None, 0.0)], profile, False)
+
+        monkeypatch.setattr("bayesgame.cli.pg_rbc", nan_solver)
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+        assert not (out / "profile.json").exists()
 
     def test_prg_ie_rejects_unbounded_sets(self, tmp_path, capsys):
         cfg = tmp_path / "game.json"

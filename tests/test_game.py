@@ -265,6 +265,14 @@ class TestPriors:
         finite = FinitePrior(atoms=np.array([[1.0, 0.0], [3.0, 2.0]]), probs=np.array([0.5, 0.5]))
         assert prior_mean(finite, 2) == pytest.approx([2.0, 1.0])
 
+    def test_finite_prior_mean_checks_dimension(self):
+        finite = FinitePrior(atoms=np.array([[1.0, 0.0], [3.0, 2.0]]), probs=np.array([0.5, 0.5]))
+        assert finite.mean_vector(2) == pytest.approx([2.0, 1.0])
+        with pytest.raises(ValueError, match="dimension 2, expected 3"):
+            finite.mean_vector(3)
+        with pytest.raises(ValueError, match="dimension"):
+            prior_mean(finite, 3)
+
 
 class TestGameSpecValidation:
     def test_negative_cl_rejected(self):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from bayesgame.solvers import (
     ConfigurationError,
     SolverConfig,
     SolverError,
+    SolverTrace,
+    TraceRecord,
     _extragradient_on_map,
     assumption_probe,
     epsilon_distance,
@@ -27,8 +32,10 @@ from bayesgame.solvers import (
 from conftest import (
     monotone_ball_game,
     random_finite_prior,
+    random_logistic_game,
     random_profile,
     random_quadratic_game,
+    single_atom_game,
 )
 
 
@@ -338,3 +345,195 @@ class TestTraceSerialization:
         trace = prg_ie(spec, prior, config)
         assert trace.converged
         assert trace.iterations[-1].residual <= 1e-9
+
+
+# --------------------------------------------------------------------------
+# The solver loops run unchecked kernels; these reference loops are the
+# per-call loop bodies they replaced, built on the public validating functions.
+# --------------------------------------------------------------------------
+
+
+def reference_residual(w, sigma, prior, spec):
+    """Natural-map residual (probe step 1), one public projection per block."""
+    t_w, t_sig = stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
+    total = float(np.sum((w - project(w - t_w, spec.learner_set)) ** 2))
+    for k in range(prior.num_atoms):
+        step = project(sigma[k] - t_sig[k], spec.adversary_set)
+        total += float(np.sum((sigma[k] - step) ** 2))
+    return total
+
+
+def is_trace_point(done, config):
+    return done == 1 or done % config.trace_every == 0 or done == config.max_iters
+
+
+def reference_pg_rbc(spec, prior, config):
+    K = prior.num_atoms
+    rng = np.random.default_rng(config.seed)
+    indices = rng.choice(K, size=config.max_iters, p=prior.probs)
+    w = project(np.zeros(spec.m), spec.learner_set)
+    sigma = np.stack([project(np.zeros((spec.n, spec.m)), spec.adversary_set) for _ in range(K)])
+    residuals = []
+    for t in range(config.max_iters):
+        gamma_t = config.gamma if t == 0 else config.gamma / t
+        j = indices[t]
+        w_next = project(w - gamma_t * grad_learner_w(w, sigma[j], spec), spec.learner_set)
+        sigma[j] = project(
+            sigma[j] - gamma_t * grad_adversary_X(w, sigma[j], prior.atoms[j], spec),
+            spec.adversary_set,
+        )
+        w = w_next
+        if is_trace_point(t + 1, config):
+            residuals.append(reference_residual(w, sigma, prior, spec))
+    return w, sigma, residuals
+
+
+def reference_prg_ie(spec, prior, config):
+    """prg_ie with the operator from the validating ``stacked_map`` at each step."""
+    K, gamma = prior.num_atoms, config.gamma
+    w_cur = w_til_prev = w_til = np.zeros(spec.m)
+    sig_cur = sig_til_prev = sig_til = np.zeros((K, spec.n, spec.m))
+    residuals = []
+    for t in range(1, config.max_iters + 1):
+        delta = 1.0 / t
+        w_ref = 2.0 * w_til - w_til_prev
+        sig_ref = 2.0 * sig_til - sig_til_prev
+        learner, adv = stacked_map(StrategyProfile(w=w_ref, sigma=sig_ref), prior, spec)
+        w_til_next = project(w_cur - gamma * learner, spec.learner_set)
+        sig_til_next = np.empty_like(sig_cur)
+        for k in range(K):
+            sig_til_next[k] = project(sig_cur[k] - gamma * adv[k], spec.adversary_set)
+        w_next = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
+        sig_next = (delta / 2.0) * sig_cur + (1.0 - delta) * sig_til_next
+        w_til_prev, sig_til_prev = w_til, sig_til
+        w_til, sig_til = w_til_next, sig_til_next
+        w_cur, sig_cur = w_next, sig_next
+        if is_trace_point(t, config):
+            residuals.append(reference_residual(w_cur, sig_cur, prior, spec))
+    return w_cur, sig_cur, residuals
+
+
+def with_balls(spec, learner_radius, adversary_radius):
+    return dataclasses.replace(
+        spec,
+        learner_set=ActionSet.l2_ball(learner_radius),
+        adversary_set=ActionSet.l2_ball(adversary_radius),
+    )
+
+
+def equivalence_games():
+    fixture = monotone_ball_game()
+    ball, free, single = single_atom_game()
+    logistic = random_logistic_game(np.random.default_rng(5), 8, 4)
+    logistic_prior = random_finite_prior(np.random.default_rng(6), 8, 3)
+    return {
+        "fixture": fixture,
+        "fixture-tight-balls": (with_balls(fixture[0], 0.05, 0.1), fixture[1]),
+        "k1-ball": (ball, single),
+        "k1-free": (free, single),
+        "logistic-ball": (with_balls(logistic, 1.0, 2.0), logistic_prior),
+        "logistic-free": (logistic, logistic_prior),
+    }
+
+
+GAMES = equivalence_games()
+
+
+class TestUncheckedLoopsMatchReference:
+    """The loops are bit-identical to the per-call reference loops."""
+
+    @staticmethod
+    def assert_same(trace, reference):
+        w, sigma, residuals = reference
+        assert np.array_equal(trace.final_profile.w, w)
+        assert np.array_equal(trace.final_profile.sigma, sigma)
+        assert [rec.residual for rec in trace.iterations] == residuals
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_pg_rbc(self, name):
+        spec, prior = GAMES[name]
+        config = SolverConfig(max_iters=400, gamma=0.5, seed=4, trace_every=50,
+                              strong_monotonicity=2.0)
+        self.assert_same(pg_rbc(spec, prior, config), reference_pg_rbc(spec, prior, config))
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (spec, _) in GAMES.items() if spec.learner_set.bounded)
+    )
+    def test_prg_ie(self, name):
+        spec, prior = GAMES[name]
+        config = SolverConfig(max_iters=300, gamma=4e-3, trace_every=50, lipschitz=2.0)
+        self.assert_same(prg_ie(spec, prior, config), reference_prg_ie(spec, prior, config))
+
+    def test_equilibrium_residual(self):
+        for spec, prior in GAMES.values():
+            profile = random_profile(np.random.default_rng(8), spec, prior.num_atoms, scale=3.0)
+            assert equilibrium_residual(profile, prior, spec) == reference_residual(
+                profile.w, profile.sigma, prior, spec
+            )
+
+
+class TestBoundaryValidation:
+    """With no checks inside the loops, bad input is still rejected at entry."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda spec, prior: pg_rbc(spec, prior, SolverConfig(max_iters=5, gamma=0.5)),
+            lambda spec, prior: prg_ie(spec, prior, SolverConfig(max_iters=5, gamma=1e-3)),
+            lambda spec, prior: extragradient_reference(spec, prior, tol=1e-8),
+        ],
+        ids=["pg_rbc", "prg_ie", "extragradient_reference"],
+    )
+    def test_prior_of_wrong_dimension(self, run):
+        spec, _ = monotone_ball_game()
+        wrong_n = FinitePrior(atoms=np.full((2, spec.n + 1), 0.1), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="atoms"):
+            run(spec, wrong_n)
+
+    def test_public_gradients_validate(self):
+        spec, prior = monotone_ball_game()
+        Xbar = spec.X.copy()
+        with pytest.raises(ValueError, match="w"):
+            grad_learner_w(np.zeros(spec.m + 1), Xbar, spec)
+        with pytest.raises(ValueError, match="w"):
+            grad_adversary_X(np.zeros(spec.m + 1), Xbar, prior.atoms[0], spec)
+        negative = prior.atoms[0].copy()
+        negative[0] = -0.1
+        with pytest.raises(ValueError, match="c_d"):
+            grad_adversary_X(np.zeros(spec.m), Xbar, negative, spec)
+
+
+class TestDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pg_rbc_divergence_raises(self):
+        spec = dataclasses.replace(
+            monotone_ball_game()[0],
+            learner_set=ActionSet.unconstrained(),
+            adversary_set=ActionSet.unconstrained(),
+        )
+        prior = monotone_ball_game()[1]
+        config = SolverConfig(max_iters=500, gamma=50.0, seed=3, trace_every=100,
+                              strong_monotonicity=2.0)
+        with pytest.raises(SolverError, match=r"t=\d+.*last finite residual \d"):
+            pg_rbc(spec, prior, config)
+
+    @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 1e-3)],
+                             ids=["pg_rbc", "prg_ie"])
+    def test_non_finite_first_trace_point(self, solver, gamma):
+        spec, prior = monotone_ball_game()
+        y = spec.y.copy()
+        y[0] = np.nan
+        spec = dataclasses.replace(spec, y=y)
+        config = SolverConfig(max_iters=20, gamma=gamma, trace_every=5, lipschitz=2.0,
+                              strong_monotonicity=2.0)
+        with pytest.raises(SolverError, match="t=1: residual nan, last finite residual None"):
+            solver(spec, prior, config)
+
+    def test_trace_json_is_strict(self):
+        profile = StrategyProfile(w=np.zeros(1), sigma=np.zeros((1, 1, 1)))
+        records = [TraceRecord(1, 0.5, float("nan"), 0.1), TraceRecord(2, float("inf"), 1.0, 0.2)]
+        payload = json.loads(json.dumps(SolverTrace(records, profile, False).to_json(),
+                                        allow_nan=False))
+        assert payload["iterations"][0]["error_to_reference"] is None
+        assert payload["iterations"][1]["residual"] is None
+        assert payload["final_residual"] is None

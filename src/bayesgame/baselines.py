@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .game import GameSpec, LossKind, Prior, prior_mean
+from .quadratic import _as_sample_matrix, _response_coef
 from .solvers import SolverConfig
 
 
@@ -39,13 +40,7 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
         raise ValueError("bayes_fp requires an unconstrained learner set")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    samples = np.asarray(c_d_samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.ndim != 2 or samples.shape[1] != spec.n or samples.shape[0] < 1:
-        raise ValueError(f"c_d samples must be a nonempty list of vectors of length {spec.n}")
-    if np.any(samples < 0):
-        raise ValueError("c_d samples must be nonnegative elementwise")
+    samples = _as_sample_matrix(c_d_samples, spec.n)
 
     X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l
     base_gram = X.T @ (c_l[:, None] * X)
@@ -57,8 +52,7 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     for _ in range(iterations):
         # transformed matrices are X - outer(kappa_s, w); fold the rank-one
         # corrections into the averaged normal equations directly
-        margins = X @ w
-        kappa = samples * (margins - z)[None, :] / (1.0 + (w @ w) * samples)
+        kappa = _response_coef(X @ w, z, w @ w, samples)
         kbar = kappa.mean(axis=0)
         u = X.T @ (c_l * kbar)
         quad = float(np.mean(np.sum(kappa * (c_l[None, :] * kappa), axis=1)))

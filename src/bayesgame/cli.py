@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
+    _PRESET_SIZES,
     BenchmarkConfig,
     ZRule,
     load_spambase,
@@ -156,17 +157,13 @@ def cmd_probe(args) -> int:
 
 
 def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
-    sizes = {
-        "desk": dict(train_n=200, test_n=200, repetitions=3, test_draws=100),
-        "paper": dict(train_n=500, test_n=500, repetitions=10, test_draws=500),
-    }
     params: dict = {}
     if args.scale:
-        params.update(sizes[args.scale])
+        params.update(_PRESET_SIZES[args.scale])
     for key in ("train_n", "test_n", "repetitions", "test_draws"):
         if key in doc and not args.scale:
             params[key] = doc[key]
-        params.setdefault(key, sizes["desk"][key])
+        params.setdefault(key, _PRESET_SIZES["desk"][key])
 
     priors_doc = doc.get("priors")
     if not isinstance(priors_doc, list) or not priors_doc:

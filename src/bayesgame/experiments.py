@@ -18,16 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import bayes_fp, nash_strategy, ridge_fit
-from .game import (
-    FinitePrior,
-    GameSpec,
-    GammaPrior,
-    GaussianPrior,
-    LogNormalPrior,
-    Prior,
-    sample_prior,
-)
-from .quadratic import AdamConfig, bayes_adam
+from .game import GameSpec, Prior, _prior_family, sample_prior
+from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam
 from .solvers import SolverConfig
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
@@ -179,11 +171,7 @@ def evaluate(
     w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
     z = z_rule.resolve(test.labels)
     draws = sample_prior(prior, len(test), test_draws, seed)
-    # transformed rows are x_i - coef_i * w_adv, so predictions shift by
-    # coef_i * (w_adv . w); no per-draw matrix materialization needed
-    margins_adv = test.features @ w_adv
-    coef = draws * (margins_adv - z)[None, :] / (1.0 + (w_adv @ w_adv) * draws)
-    preds = (test.features @ w)[None, :] - coef * (w_adv @ w)
+    preds = _perturbed_predictions(w, test.features, z, draws, w_adv)
     per_draw = np.sqrt(np.mean((preds - test.labels[None, :]) ** 2, axis=1))
     return float(per_draw.mean())
 
@@ -270,15 +258,9 @@ class BenchmarkResult:
 
 
 def prior_label(prior: Prior) -> tuple[str, str]:
-    if isinstance(prior, FinitePrior):
-        return "finite", f"K={prior.num_atoms}"
-    if isinstance(prior, GaussianPrior):
-        return "gaussian", f"mean={prior.mean:g},std={prior.std:g}"
-    if isinstance(prior, GammaPrior):
-        return "gamma", f"shape={prior.shape:g},scale={prior.scale:g}"
-    if isinstance(prior, LogNormalPrior):
-        return "lognormal", f"mu={prior.mu:g},sigma={prior.sigma:g}"
-    raise TypeError(f"unknown prior type {type(prior)!r}")
+    """The prior's family name and its parameters as printed in result rows."""
+    family, entry = _prior_family(prior)
+    return family, entry.label.format(p=prior)
 
 
 def derive_seed(base: int, *tags) -> int:
@@ -442,17 +424,20 @@ def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> B
     return BenchmarkResult(rows=selected_rows, aggregates=aggregates)
 
 
+# The size presets, also read by ``bayesgame benchmark --scale``.
+_PRESET_SIZES = {
+    "desk": dict(train_n=200, test_n=200, repetitions=3, test_draws=100),
+    "paper": dict(train_n=500, test_n=500, repetitions=10, test_draws=500),
+}
+
+
 def desk_config(priors, seed: int = 0, **overrides) -> BenchmarkConfig:
     """Desk-scale preset: 200/200 split, 3 repetitions, 100 test draws."""
-    base = dict(train_n=200, test_n=200, repetitions=3, test_draws=100,
-                prior_grid=tuple(priors), seed=seed)
-    base.update(overrides)
-    return BenchmarkConfig(**base)
+    base = dict(_PRESET_SIZES["desk"], prior_grid=tuple(priors), seed=seed)
+    return BenchmarkConfig(**{**base, **overrides})
 
 
 def paper_config(priors, seed: int = 0, **overrides) -> BenchmarkConfig:
     """Full protocol preset: 500/500 split, 10 repetitions, 500 test draws."""
-    base = dict(train_n=500, test_n=500, repetitions=10, test_draws=500,
-                prior_grid=tuple(priors), seed=seed)
-    base.update(overrides)
-    return BenchmarkConfig(**base)
+    base = dict(_PRESET_SIZES["paper"], prior_grid=tuple(priors), seed=seed)
+    return BenchmarkConfig(**{**base, **overrides})

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +100,8 @@ class GameSpec:
     the generator's targeted predictions, ``c_l`` the learner's nonnegative
     instance weights.  ``reg_l`` scales the learner's ridge penalty
     ``|w|^2``; the generator's perturbation penalty ``|X - Xbar|_F^2``
-    carries a fixed unit coefficient (``reg_d``), so generators are rescaled
-    through ``c_d`` rather than through the penalty.
+    carries a fixed unit coefficient, so generators are rescaled through
+    ``c_d`` rather than through the penalty.
     """
 
     X: np.ndarray
@@ -112,7 +113,6 @@ class GameSpec:
     learner_set: ActionSet = field(default_factory=ActionSet.unconstrained)
     adversary_set: ActionSet = field(default_factory=ActionSet.unconstrained)
     reg_l: float = 1.0
-    reg_d: float = 1.0
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -129,8 +129,6 @@ class GameSpec:
             raise ValueError("c_l must be nonnegative elementwise")
         if self.reg_l < 0:
             raise ValueError("reg_l must be nonnegative")
-        if self.reg_d != 1.0:
-            raise ValueError("reg_d is fixed to 1; rescale c_d instead")
         if self.learner_loss is LossKind.LOGISTIC:
             _check_signs(self.y, "y")
         if self.adversary_loss is LossKind.LOGISTIC:
@@ -170,15 +168,25 @@ def _check_cd(c_d: np.ndarray, n: int) -> np.ndarray:
     return c_d
 
 
+def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per-instance loss at the margins ``x.w`` against targets ``t``; unchecked, broadcasts."""
+    if kind is LossKind.QUADRATIC:
+        return (margins - t) ** 2
+    return _log1pexp(-t * margins)
+
+
+def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of ``_loss`` in the margins; unchecked, broadcasts."""
+    if kind is LossKind.QUADRATIC:
+        return 2.0 * (margins - t)
+    return -t * _sigmoid(-t * margins)
+
+
 def learner_cost(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> float:
     """Weighted empirical loss of the learner plus ridge penalty."""
     w = _check_w(w, spec)
     Xbar = _check_xbar(Xbar, spec)
-    margins = Xbar @ w
-    if spec.learner_loss is LossKind.QUADRATIC:
-        per_instance = (margins - spec.y) ** 2
-    else:
-        per_instance = _log1pexp(-spec.y * margins)
+    per_instance = _loss(spec.learner_loss, Xbar @ w, spec.y)
     return float(spec.c_l @ per_instance + spec.reg_l * (w @ w))
 
 
@@ -189,27 +197,24 @@ def adversary_cost(
     w = _check_w(w, spec)
     Xbar = _check_xbar(Xbar, spec)
     c_d = _check_cd(c_d, spec.n)
-    margins = Xbar @ w
-    if spec.adversary_loss is LossKind.QUADRATIC:
-        per_instance = (margins - spec.z) ** 2
-    else:
-        per_instance = _log1pexp(-spec.z * margins)
+    per_instance = _loss(spec.adversary_loss, Xbar @ w, spec.z)
     diff = Xbar - spec.X
     return float(c_d @ per_instance + np.sum(diff * diff))
 
 
 def grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Analytic gradient of ``learner_cost`` in ``w``."""
-    return _grad_learner_w(_check_w(w, spec), _check_xbar(Xbar, spec), spec)
+    w, Xbar = _check_w(w, spec), _check_xbar(Xbar, spec)
+    return _grad_learner_w(w, Xbar, Xbar @ w, spec)
 
 
-def _grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """``grad_learner_w`` for float arrays of the game's shapes, unchecked."""
-    if spec.learner_loss is LossKind.QUADRATIC:
-        r = Xbar @ w - spec.y
-        return 2.0 * (Xbar.T @ (spec.c_l * r)) + 2.0 * spec.reg_l * w
-    s = _sigmoid(-spec.y * (Xbar @ w))
-    return Xbar.T @ (spec.c_l * (-spec.y) * s) + 2.0 * spec.reg_l * w
+def _grad_learner_w(w, Xbar, margins, spec: GameSpec) -> np.ndarray:
+    """``grad_learner_w`` at each matrix of ``Xbar`` (shape (..., n, m)), unchecked.
+
+    ``margins`` is ``Xbar @ w``.  Returns shape (..., m).
+    """
+    coef = spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y)
+    return (coef[..., None, :] @ Xbar)[..., 0, :] + 2.0 * spec.reg_l * w
 
 
 def grad_adversary_X(
@@ -217,18 +222,16 @@ def grad_adversary_X(
 ) -> np.ndarray:
     """Analytic gradient of ``adversary_cost`` in ``Xbar`` (n-by-m)."""
     w, Xbar, c_d = _check_w(w, spec), _check_xbar(Xbar, spec), _check_cd(c_d, spec.n)
-    return _grad_adversary_X(w, Xbar, c_d, spec)
+    return _grad_adversary_X(w, Xbar, Xbar @ w, c_d, spec)
 
 
-def _grad_adversary_X(w, Xbar, c_d, spec: GameSpec) -> np.ndarray:
-    """``grad_adversary_X`` for float arrays of the game's shapes, unchecked."""
-    if spec.adversary_loss is LossKind.QUADRATIC:
-        r = Xbar @ w - spec.z
-        coef = 2.0 * c_d * r
-    else:
-        s = _sigmoid(-spec.z * (Xbar @ w))
-        coef = c_d * (-spec.z) * s
-    return coef[:, None] * w + 2.0 * (Xbar - spec.X)
+def _grad_adversary_X(w, Xbar, margins, c_d, spec: GameSpec) -> np.ndarray:
+    """``grad_adversary_X`` at each matrix of ``Xbar`` (shape (..., n, m)), unchecked.
+
+    ``margins`` is ``Xbar @ w`` and ``c_d`` has shape (..., n), one row per matrix.
+    """
+    coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
+    return coef[..., None] * w + 2.0 * (Xbar - spec.X)
 
 
 # --------------------------------------------------------------------------
@@ -326,6 +329,30 @@ class LogNormalPrior:
 
 
 Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
+
+
+class _Family(NamedTuple):
+    cls: type
+    fields: dict  # constructor field -> JSON array rank (0: a number)
+    label: str  # str.format template over the prior ``p``
+
+
+# The one table of prior families, keyed by their JSON name: labels, JSON
+# codecs and type dispatch all read it.
+_PRIOR_FAMILIES = {
+    "finite": _Family(FinitePrior, {"atoms": 2, "probs": 1}, "K={p.num_atoms}"),
+    "gaussian": _Family(GaussianPrior, {"mean": 0, "std": 0}, "mean={p.mean:g},std={p.std:g}"),
+    "gamma": _Family(GammaPrior, {"shape": 0, "scale": 0}, "shape={p.shape:g},scale={p.scale:g}"),
+    "lognormal": _Family(LogNormalPrior, {"mu": 0, "sigma": 0}, "mu={p.mu:g},sigma={p.sigma:g}"),
+}
+
+
+def _prior_family(prior: Prior) -> tuple[str, _Family]:
+    """The JSON name and table entry of the prior's family."""
+    for name, family in _PRIOR_FAMILIES.items():
+        if isinstance(prior, family.cls):
+            return name, family
+    raise TypeError(f"unknown prior type {type(prior)!r}")
 
 
 def prior_mean(prior: Prior, n: int) -> np.ndarray:

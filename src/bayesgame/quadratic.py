@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, LossKind, Prior, _check_cd, _log1pexp, _sigmoid, project
+from .game import GameSpec, LossKind, Prior, _check_cd, _loss, _loss_slope, project
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,17 @@ def best_response(
     if z.shape != (X.shape[0],):
         raise ValueError(f"z has shape {z.shape}, expected ({X.shape[0]},)")
     c_d = _check_cd(c_d, X.shape[0])
-    coef = c_d * (X @ w - z) / (1.0 + (w @ w) * c_d)
+    coef = _response_coef(X @ w, z, w @ w, c_d)
     return X - np.outer(coef, w)
+
+
+def _response_coef(margins, z, wsq, c_d):
+    """How far the best response moves each row along ``-w``: x_i - coef_i * w.
+
+    ``margins`` is ``X @ w`` and ``wsq`` is ``w @ w``; ``c_d`` is (n,) or a
+    stack of samples (S, n).  Unchecked.
+    """
+    return c_d * (margins - z) / (1.0 + wsq * c_d)
 
 
 def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -> float:
@@ -71,17 +80,19 @@ def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -
         raise ValueError("c_d_i must be nonnegative")
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    wsq = float(w @ w)
-    return float((x @ w + wsq * c_d_i * z) / (1.0 + wsq * c_d_i))
+    return float(_perturbed_predictions(w, x, z, c_d_i, w))
 
 
-def _perturbed_predictions(
-    w: np.ndarray, X: np.ndarray, z: np.ndarray, samples: np.ndarray
-) -> np.ndarray:
-    """Predictions on the transformed points for every sample, shape (S, n)."""
-    wsq = w @ w
-    margins = X @ w  # (n,)
-    return (margins[None, :] + wsq * samples * z[None, :]) / (1.0 + wsq * samples)
+def _perturbed_predictions(w, X, z, samples, w_adv) -> np.ndarray:
+    """Predictions ``Xbar @ w`` on the rows the best response to ``w_adv`` moves.
+
+    One row per sample: shape (S, n) for samples of shape (S, n).  The rows
+    are x_i - coef_i * w_adv, so predictions shift by coef_i * (w_adv . w).
+    Unchecked.
+    """
+    margins = X @ w
+    margins_adv = margins if w_adv is w else X @ w_adv
+    return margins - _response_coef(margins_adv, z, w_adv @ w_adv, samples) * (w_adv @ w)
 
 
 def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
@@ -111,11 +122,8 @@ def stochastic_objective(
     if w.shape != (spec.m,):
         raise ValueError(f"w has shape {w.shape}, expected ({spec.m},)")
     samples = _as_sample_matrix(c_d_samples, spec.n)
-    preds = _perturbed_predictions(w, spec.X, spec.z, samples)
-    if spec.learner_loss is LossKind.QUADRATIC:
-        losses = (preds - spec.y[None, :]) ** 2
-    else:
-        losses = _log1pexp(-spec.y[None, :] * preds)
+    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+    losses = _loss(spec.learner_loss, preds, spec.y)
     return float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
 
 
@@ -135,12 +143,9 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
     samples = _as_sample_matrix(batch, spec.n)
     S = samples.shape[0]
     denom = 1.0 + (w @ w) * samples  # (S, n)
-    preds = (spec.X @ w)[None, :] / denom + (w @ w) * samples * spec.z[None, :] / denom
-    if spec.learner_loss is LossKind.QUADRATIC:
-        dloss = 2.0 * (preds - spec.y[None, :])
-    else:
-        dloss = -spec.y[None, :] * _sigmoid(-spec.y[None, :] * preds)
-    weight = spec.c_l[None, :] * dloss / denom  # (S, n)
+    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+    dloss = _loss_slope(spec.learner_loss, preds, spec.y)
+    weight = spec.c_l * dloss / denom  # (S, n)
     grad_x_part = (weight.sum(axis=0) @ spec.X) / S
     w_coef = float(np.sum(weight * 2.0 * samples * (spec.z[None, :] - preds))) / S
     return grad_x_part + w_coef * w + 2.0 * spec.reg_l * w

@@ -10,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .game import (
+    _PRIOR_FAMILIES,
     ActionSet,
-    FinitePrior,
     GameSpec,
-    GammaPrior,
-    GaussianPrior,
-    LogNormalPrior,
     LossKind,
     Prior,
     StrategyProfile,
+    _prior_family,
 )
 from .solvers import SolverConfig
 
@@ -81,7 +79,6 @@ def game_to_jsonable(spec: GameSpec) -> dict:
         "learner_set": action_set_to_jsonable(spec.learner_set),
         "adversary_set": action_set_to_jsonable(spec.adversary_set),
         "reg_l": spec.reg_l,
-        "reg_d": spec.reg_d,
     }
 
 
@@ -95,6 +92,8 @@ def game_from_jsonable(obj, path: str = "game") -> GameSpec:
             losses[key] = LossKind(raw)
         except ValueError:
             raise ConfigError(f"{path}.{key}: unknown loss kind {raw!r}") from None
+    if _number(obj, "reg_d", path, default=1.0) != 1.0:
+        raise ConfigError(f"{path}.reg_d: fixed to 1; rescale c_d instead")
     try:
         return GameSpec(
             X=_array(obj, "X", path, 2),
@@ -110,7 +109,6 @@ def game_from_jsonable(obj, path: str = "game") -> GameSpec:
                 obj.get("adversary_set", {"kind": "unconstrained"}), f"{path}.adversary_set"
             ),
             reg_l=_number(obj, "reg_l", path, default=1.0),
-            reg_d=_number(obj, "reg_d", path, default=1.0),
         )
     except ConfigError:
         raise
@@ -119,35 +117,28 @@ def game_from_jsonable(obj, path: str = "game") -> GameSpec:
 
 
 def prior_to_jsonable(prior: Prior) -> dict:
-    if isinstance(prior, FinitePrior):
-        return {"family": "finite", "atoms": prior.atoms.tolist(), "probs": prior.probs.tolist()}
-    if isinstance(prior, GaussianPrior):
-        return {"family": "gaussian", "mean": prior.mean, "std": prior.std}
-    if isinstance(prior, GammaPrior):
-        return {"family": "gamma", "shape": prior.shape, "scale": prior.scale}
-    if isinstance(prior, LogNormalPrior):
-        return {"family": "lognormal", "mu": prior.mu, "sigma": prior.sigma}
-    raise TypeError(f"unknown prior type {type(prior)!r}")
+    name, family = _prior_family(prior)
+    doc = {"family": name}
+    for key, rank in family.fields.items():
+        value = getattr(prior, key)
+        doc[key] = value.tolist() if rank else value
+    return doc
 
 
 def prior_from_jsonable(obj, path: str = "prior") -> Prior:
-    family = _require(obj, "family", path)
+    name = _require(obj, "family", path)
+    family = _PRIOR_FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise ConfigError(f"{path}.family: unknown prior family {name!r}")
     try:
-        if family == "finite":
-            return FinitePrior(
-                atoms=_array(obj, "atoms", path, 2), probs=_array(obj, "probs", path, 1)
-            )
-        if family == "gaussian":
-            return GaussianPrior(mean=_number(obj, "mean", path), std=_number(obj, "std", path))
-        if family == "gamma":
-            return GammaPrior(shape=_number(obj, "shape", path), scale=_number(obj, "scale", path))
-        if family == "lognormal":
-            return LogNormalPrior(mu=_number(obj, "mu", path), sigma=_number(obj, "sigma", path))
+        return family.cls(**{
+            key: _array(obj, key, path, rank) if rank else _number(obj, key, path)
+            for key, rank in family.fields.items()
+        })
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"{path}.family: unknown prior family {family!r}")
 
 
 def profile_to_jsonable(profile: StrategyProfile) -> dict:

@@ -33,12 +33,10 @@ import numpy as np
 from .game import (
     FinitePrior,
     GameSpec,
-    LossKind,
     StrategyProfile,
     _grad_adversary_X,
     _grad_learner_w,
     _project,
-    _sigmoid,
     grad_adversary_X,  # noqa: F401 - perfbench's traced run rebinds these names here
     grad_learner_w,  # noqa: F401
     origin_profile,
@@ -124,7 +122,6 @@ class AssumptionDiagnostics:
     """Sampled estimates of the operator's regularity constants."""
 
     lambda_hat: float
-    min_quotient: float
     L_hat: float
     G_hat: float
     trials: int
@@ -148,28 +145,6 @@ def _check_profile(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec)
     prior._check_dimension(spec.n)
 
 
-def _learner_grads_all(w: np.ndarray, sigmas: np.ndarray, spec: GameSpec) -> np.ndarray:
-    """Learner gradient at (w, sigma^k) for every k, stacked as (K, m)."""
-    margins = sigmas @ w  # (K, n)
-    if spec.learner_loss is LossKind.QUADRATIC:
-        coef = 2.0 * spec.c_l * (margins - spec.y)
-    else:
-        coef = spec.c_l * (-spec.y) * _sigmoid(-spec.y * margins)
-    return np.einsum("kij,ki->kj", sigmas, coef) + 2.0 * spec.reg_l * w
-
-
-def _adversary_blocks(
-    w: np.ndarray, sigmas: np.ndarray, atoms: np.ndarray, spec: GameSpec
-) -> np.ndarray:
-    """Generator gradient block for every atom, stacked as (K, n, m)."""
-    margins = sigmas @ w  # (K, n)
-    if spec.adversary_loss is LossKind.QUADRATIC:
-        coef = 2.0 * atoms * (margins - spec.z)
-    else:
-        coef = atoms * (-spec.z) * _sigmoid(-spec.z * margins)
-    return coef[:, :, None] * w[None, None, :] + 2.0 * (sigmas - spec.X[None, :, :])
-
-
 def stacked_map(
     profile: StrategyProfile, prior: FinitePrior, spec: GameSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -184,8 +159,9 @@ def stacked_map(
 
 def _stacked_map(w, sigma, prior: FinitePrior, spec: GameSpec):
     """``stacked_map`` at (w, sigma), unchecked."""
-    learner = prior.probs @ _learner_grads_all(w, sigma, spec)
-    return learner, _adversary_blocks(w, sigma, prior.atoms, spec)
+    margins = sigma @ w  # (K, n)
+    learner = prior.probs @ _grad_learner_w(w, sigma, margins, spec)
+    return learner, _grad_adversary_X(w, sigma, margins, prior.atoms, spec)
 
 
 def equilibrium_residual(
@@ -285,7 +261,7 @@ def assumption_probe(
     K = prior.num_atoms
     probs = prior.probs
 
-    min_quotient = np.inf
+    lambda_hat = np.inf
     l_hat = 0.0
     g_hat = 0.0
     for _ in range(trials):
@@ -293,8 +269,9 @@ def assumption_probe(
         b = _random_feasible_profile(rng, spec, K)
         blocks = {}
         for key, prof in (("a", a), ("b", b)):
-            g_learner = _learner_grads_all(prof.w, prof.sigma, spec)
-            g_adv = _adversary_blocks(prof.w, prof.sigma, prior.atoms, spec)
+            margins = prof.sigma @ prof.w
+            g_learner = _grad_learner_w(prof.w, prof.sigma, margins, spec)
+            g_adv = _grad_adversary_X(prof.w, prof.sigma, margins, prior.atoms, spec)
             blocks[key] = (probs @ g_learner, g_adv)
             g_hat = max(
                 g_hat,
@@ -310,13 +287,12 @@ def assumption_probe(
         dtsig = blocks["a"][1] - blocks["b"][1]
         num = float(dw @ dtw + probs @ np.sum(dsig * dtsig, axis=(1, 2)))
         tnorm = float(dtw @ dtw + probs @ np.sum(dtsig * dtsig, axis=(1, 2)))
-        min_quotient = min(min_quotient, num / den)
+        lambda_hat = min(lambda_hat, num / den)
         l_hat = max(l_hat, np.sqrt(tnorm / den))
-    if not np.isfinite(min_quotient):
+    if not np.isfinite(lambda_hat):
         raise SolverError("all sampled profile pairs were duplicates")
     return AssumptionDiagnostics(
-        lambda_hat=float(min_quotient),
-        min_quotient=float(min_quotient),
+        lambda_hat=float(lambda_hat),
         L_hat=float(l_hat),
         G_hat=float(g_hat),
         trials=trials,
@@ -469,9 +445,10 @@ def pg_rbc(
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
         sig_j = sig_cur[j]
-        w_next = _project(w_cur - gamma_t * _grad_learner_w(w_cur, sig_j, spec), w_set)
+        margins = sig_j @ w_cur
+        w_next = _project(w_cur - gamma_t * _grad_learner_w(w_cur, sig_j, margins, spec), w_set)
         sig_cur[j] = _project(
-            sig_j - gamma_t * _grad_adversary_X(w_cur, sig_j, atoms[j], spec), sig_set
+            sig_j - gamma_t * _grad_adversary_X(w_cur, sig_j, margins, atoms[j], spec), sig_set
         )
         w_cur = w_next
 
@@ -503,27 +480,30 @@ def _extragradient_on_map(
     ``map_fn(w, sigma) -> (t_w, t_sigma)`` must return a fresh ``t_sigma``,
     which is overwritten.  Stops when the squared natural-map residual
     (probe step 1) drops to ``tol``.  Returns the profile and the number of
-    iterations taken.
+    iterations taken.  The map's value at each accepted point serves both the
+    residual check and the next iteration's first step, so an iteration
+    evaluates the map twice.
     """
-
-    def _residual(w, sigma):
-        return _natural_residual(w, sigma, *map_fn(w, sigma), 1.0, spec)
 
     def _step(w, sigma, t_w, t_sig):
         w_step = _project(w - gamma * t_w, spec.learner_set)
         return w_step, _projected_step(sigma, t_sig, gamma, spec.adversary_set)
 
     w, sigma = x0.w.copy(), x0.sigma.copy()
-    if _residual(w, sigma) <= tol:
-        return StrategyProfile(w=w, sigma=sigma), 0
-    for it in range(1, max_iters + 1):
-        w_half, sig_half = _step(w, sigma, *map_fn(w, sigma))
-        w, sigma = _step(w, sigma, *map_fn(w_half, sig_half))
-        if _residual(w, sigma) <= tol:
+    t_w, t_sig = map_fn(w, sigma)
+    for it in range(max_iters + 1):
+        # _natural_residual overwrites its t_sigma; the step needs the original
+        residual = _natural_residual(w, sigma, t_w, t_sig.copy(), 1.0, spec)
+        if residual <= tol:
             return StrategyProfile(w=w, sigma=sigma), it
+        if it == max_iters:
+            break
+        w_half, sig_half = _step(w, sigma, t_w, t_sig)
+        w, sigma = _step(w, sigma, *map_fn(w_half, sig_half))
+        t_w, t_sig = map_fn(w, sigma)
     raise SolverError(
         f"extragradient did not reach tol={tol:g} within {max_iters} iterations; "
-        f"last residual {_residual(w, sigma):.6e}"
+        f"last residual {residual:.6e}"
     )
 
 

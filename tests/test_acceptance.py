@@ -38,9 +38,7 @@ from bayesgame.quadratic import (
 )
 from bayesgame.solvers import (
     SolverConfig,
-    _adversary_blocks,
     _extragradient_on_map,
-    _learner_grads_all,
     assumption_probe,
     epsilon_distance,
     equilibrium_residual,
@@ -311,8 +309,10 @@ def test_criterion_7_invariant_suites():
     profile = StrategyProfile(
         w=rng.normal(size=4), sigma=rng.normal(size=(K, 6, 4))
     )
-    learner_dirs = _learner_grads_all(profile.w, profile.sigma, spec)  # (K, m)
-    adv_dirs = _adversary_blocks(profile.w, profile.sigma, atoms, spec)  # (K, n, m)
+    learner_dirs = np.stack([grad_learner_w(profile.w, s, spec) for s in profile.sigma])
+    adv_dirs = np.stack(
+        [grad_adversary_X(profile.w, s, a, spec) for s, a in zip(profile.sigma, atoms)]
+    )
     draws = 100_000
     counts = rng.multinomial(draws, probs)
     freq = counts / draws

@@ -74,6 +74,8 @@ class TestSerialize:
             game_from_jsonable({"y": [0.0], "z": [0.0], "c_l": [1.0]})
         with pytest.raises(ConfigError, match=r"prior\.family"):
             prior_from_jsonable({"family": "beta"})
+        with pytest.raises(ConfigError, match=r"prior\.family"):
+            prior_from_jsonable({"family": ["gaussian"]})
         with pytest.raises(ConfigError, match=r"solver\.gamma"):
             solver_config_from_jsonable({"max_iters": 10, "gamma": "fast"})
         with pytest.raises(ConfigError, match=r"game\.learner_set\.kind"):
@@ -81,6 +83,12 @@ class TestSerialize:
                 {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0],
                  "learner_set": {"kind": "box"}}
             )
+
+    def test_reg_d_fixed(self):
+        doc = {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0]}
+        assert game_from_jsonable(dict(doc, reg_d=1.0)).n == 1
+        with pytest.raises(ConfigError, match=r"game\.reg_d"):
+            game_from_jsonable(dict(doc, reg_d=2.0))
 
 
 class TestSolve:

@@ -279,10 +279,6 @@ class TestGameSpecValidation:
         with pytest.raises(ValueError, match="c_l"):
             GameSpec(X=np.ones((2, 2)), y=np.zeros(2), z=np.zeros(2), c_l=np.array([0.1, -0.1]))
 
-    def test_reg_d_fixed(self):
-        with pytest.raises(ValueError, match="reg_d"):
-            GameSpec(X=np.ones((1, 1)), y=np.zeros(1), z=np.zeros(1), c_l=np.ones(1), reg_d=2.0)
-
     def test_logistic_targets_must_be_signs(self):
         with pytest.raises(ValueError, match="y"):
             GameSpec(X=np.ones((2, 1)), y=np.array([0.0, 1.0]), z=np.ones(2),

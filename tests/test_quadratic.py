@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayesgame.baselines import ridge_fit
+from bayesgame.experiments import Dataset, ZRule, evaluate, rmse
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
     GameSpec,
+    GammaPrior,
     GaussianPrior,
     LossKind,
     grad_adversary_X,
     grad_learner_w,
     learner_cost,
+    sample_prior,
 )
 from bayesgame.quadratic import (
     AdamConfig,
@@ -95,6 +98,27 @@ class TestPerturbedPrediction:
     def test_equals_best_response_row_dot_w(self, x, w, z, c_d_i):
         row = best_response(w, x[None, :], np.array([z]), np.array([c_d_i]))[0]
         assert perturbed_prediction(w, x, z, c_d_i) == pytest.approx(float(row @ w), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "prior, draws",
+        [(FinitePrior(np.zeros((1, 6)), np.ones(1)), 3), (GammaPrior(1.0, 1.0), 1),
+         (GammaPrior(1.0, 1.0), 40)],
+        ids=["zero", "one", "many"],
+    )
+    def test_every_prediction_path_equals_best_response_dot_w(self, rng, prior, draws):
+        labels = rng.integers(0, 2, size=6).astype(float)
+        z = 1.0 - labels
+        spec = GameSpec(X=rng.normal(size=(6, 3)), y=labels, z=z, c_l=rng.random(6))
+        w = rng.normal(size=3)
+        samples = sample_prior(prior, 6, draws, seed=5)
+        rows = [best_response(w, spec.X, z, c) @ w for c in samples]
+        for c, row in zip(samples, rows):
+            got = [perturbed_prediction(w, x, z_i, c_i) for x, z_i, c_i in zip(spec.X, z, c)]
+            assert got == pytest.approx(row, rel=1e-12, abs=1e-12)
+        expected = np.mean([spec.c_l @ (row - labels) ** 2 for row in rows]) + w @ w
+        assert stochastic_objective(w, spec, samples) == pytest.approx(expected, rel=1e-12)
+        got = evaluate(w, Dataset(spec.X, labels), ZRule("flip"), prior, draws, seed=5)
+        assert got == pytest.approx(np.mean([rmse(row, labels) for row in rows]), rel=1e-12)
 
 
 class TestStochasticObjective:

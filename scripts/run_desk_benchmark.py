@@ -48,7 +48,9 @@ def main() -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.to_csv(out / "results.csv")
-    (out / "aggregate.json").write_text(json.dumps(result.to_json(), indent=2) + "\n")
+    (out / "aggregate.json").write_text(
+        json.dumps(result.to_json(), indent=2, allow_nan=False) + "\n"
+    )
     for agg in result.aggregates:
         mean = "nan" if agg["mean_rmse"] is None else f"{agg['mean_rmse']:.4f}"
         print(f"{agg['method']:<11} {agg['prior_params']:<24} rmse={mean} ({agg['config']})")

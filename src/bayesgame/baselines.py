@@ -52,7 +52,7 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     for _ in range(iterations):
         # transformed matrices are X - outer(kappa_s, w); fold the rank-one
         # corrections into the averaged normal equations directly
-        kappa = _response_coef(X @ w, z, w @ w, samples)
+        kappa, _ = _response_coef(X @ w, z, w @ w, samples)
         kbar = kappa.mean(axis=0)
         u = X.T @ (c_l * kbar)
         quad = float(np.mean(np.sum(kappa * (c_l[None, :] * kappa), axis=1)))

@@ -171,7 +171,7 @@ def evaluate(
     w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
     z = z_rule.resolve(test.labels)
     draws = sample_prior(prior, len(test), test_draws, seed)
-    preds = _perturbed_predictions(w, test.features, z, draws, w_adv)
+    preds, _ = _perturbed_predictions(w, test.features, z, draws, w_adv)
     per_draw = np.sqrt(np.mean((preds - test.labels[None, :]) ** 2, axis=1))
     return float(per_draw.mean())
 
@@ -309,7 +309,7 @@ def _train_method(method, params, spec, prior, config: BenchmarkConfig, train_se
             total_samples=config.adam_samples,
             seed=train_seed,
         )
-        w, _ = bayes_adam(spec, prior, adam)
+        w, _ = bayes_adam(spec, prior, adam, record_objective=False)
         return w
     raise ValueError(f"unknown method {method!r}")
 
@@ -336,7 +336,7 @@ def _run_cell(args) -> list[ResultRow]:
             epochs=config.adam_epochs,
             seed=derive_seed(config.seed, "testside", prior_idx, rep),
         )
-        adversary_w, _ = bayes_adam(test_spec, prior, adam)
+        adversary_w, _ = bayes_adam(test_spec, prior, adam, record_objective=False)
 
     rows = []
     for method in config.methods:

@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import GameSpec, LossKind, Prior, _check_cd, _loss, _loss_slope, project
+from .game import (
+    GameSpec,
+    LossKind,
+    Prior,
+    _check_cd,
+    _check_w,
+    _loss,
+    _loss_slope,
+    _project,
+    project,
+)
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ def best_response(
     if z.shape != (X.shape[0],):
         raise ValueError(f"z has shape {z.shape}, expected ({X.shape[0]},)")
     c_d = _check_cd(c_d, X.shape[0])
-    coef = _response_coef(X @ w, z, w @ w, c_d)
+    coef, _ = _response_coef(X @ w, z, w @ w, c_d)
     return X - np.outer(coef, w)
 
 
@@ -69,9 +79,15 @@ def _response_coef(margins, z, wsq, c_d):
     """How far the best response moves each row along ``-w``: x_i - coef_i * w.
 
     ``margins`` is ``X @ w`` and ``wsq`` is ``w @ w``; ``c_d`` is (n,) or a
-    stack of samples (S, n).  Unchecked.
+    stack of samples (S, n).  Returns ``(coef, denom)``: the damping
+    ``denom = 1 + |w|^2 c_d`` also divides the gradient's chain rule.
+    Unchecked.
     """
-    return c_d * (margins - z) / (1.0 + wsq * c_d)
+    denom = wsq * c_d
+    denom += 1.0
+    coef = c_d * (margins - z)
+    coef /= denom
+    return coef, denom
 
 
 def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -> float:
@@ -80,19 +96,23 @@ def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -
         raise ValueError("c_d_i must be nonnegative")
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    return float(_perturbed_predictions(w, x, z, c_d_i, w))
+    preds, _ = _perturbed_predictions(w, x, z, c_d_i, w)
+    return float(preds)
 
 
-def _perturbed_predictions(w, X, z, samples, w_adv) -> np.ndarray:
+def _perturbed_predictions(w, X, z, samples, w_adv):
     """Predictions ``Xbar @ w`` on the rows the best response to ``w_adv`` moves.
 
     One row per sample: shape (S, n) for samples of shape (S, n).  The rows
     are x_i - coef_i * w_adv, so predictions shift by coef_i * (w_adv . w).
+    Returns ``(preds, denom)`` with the damping of ``_response_coef``.
     Unchecked.
     """
     margins = X @ w
     margins_adv = margins if w_adv is w else X @ w_adv
-    return margins - _response_coef(margins_adv, z, w_adv @ w_adv, samples) * (w_adv @ w)
+    coef, denom = _response_coef(margins_adv, z, w_adv @ w_adv, samples)
+    coef *= w_adv @ w
+    return margins - coef, denom
 
 
 def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
@@ -108,6 +128,13 @@ def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
     return samples
 
 
+def _check_reduction(w, spec: GameSpec, c_d_samples) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the arguments of the reduced objective and its gradient."""
+    if spec.adversary_loss is not LossKind.QUADRATIC:
+        raise ValueError("the closed-form reduction requires a quadratic adversary loss")
+    return _check_w(w, spec), _as_sample_matrix(c_d_samples, spec.n)
+
+
 def stochastic_objective(
     w: np.ndarray, spec: GameSpec, c_d_samples
 ) -> float:
@@ -116,13 +143,13 @@ def stochastic_objective(
     Requires the generator's quadratic loss (the reduction's premise); the
     learner's loss may be quadratic or logistic.
     """
-    if spec.adversary_loss is not LossKind.QUADRATIC:
-        raise ValueError("the closed-form reduction requires a quadratic adversary loss")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.m,):
-        raise ValueError(f"w has shape {w.shape}, expected ({spec.m},)")
-    samples = _as_sample_matrix(c_d_samples, spec.n)
-    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+    w, samples = _check_reduction(w, spec, c_d_samples)
+    return _stochastic_objective(w, spec, samples)
+
+
+def _stochastic_objective(w, spec: GameSpec, samples) -> float:
+    """``stochastic_objective`` for a checked (S, n) sample matrix; unchecked."""
+    preds, _ = _perturbed_predictions(w, spec.X, spec.z, samples, w)
     losses = _loss(spec.learner_loss, preds, spec.y)
     return float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
 
@@ -135,37 +162,48 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
 
         d pred / d w = x_i/(1 + s a) + 2 a (z_i - pred) w / (1 + s a).
     """
-    if spec.adversary_loss is not LossKind.QUADRATIC:
-        raise ValueError("the closed-form reduction requires a quadratic adversary loss")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.m,):
-        raise ValueError(f"w has shape {w.shape}, expected ({spec.m},)")
-    samples = _as_sample_matrix(batch, spec.n)
+    w, samples = _check_reduction(w, spec, batch)
+    return _stochastic_gradient(w, spec, samples)
+
+
+def _stochastic_gradient(w, spec: GameSpec, samples) -> np.ndarray:
+    """``stochastic_gradient`` for a checked (S, n) sample matrix; unchecked.
+
+    The damping 1 + s a divides both the response and the chain rule, so it
+    is formed once.  The (S, n) temporaries are updated in place.
+    """
     S = samples.shape[0]
-    denom = 1.0 + (w @ w) * samples  # (S, n)
-    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
-    dloss = _loss_slope(spec.learner_loss, preds, spec.y)
-    weight = spec.c_l * dloss / denom  # (S, n)
+    preds, denom = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+    weight = _loss_slope(spec.learner_loss, preds, spec.y)
+    weight *= spec.c_l
+    weight /= denom
     grad_x_part = (weight.sum(axis=0) @ spec.X) / S
-    w_coef = float(np.sum(weight * 2.0 * samples * (spec.z[None, :] - preds))) / S
+    chain = weight * 2.0
+    chain *= samples
+    chain *= np.subtract(spec.z, preds, out=preds)
+    w_coef = float(chain.sum()) / S
     return grad_x_part + w_coef * w + 2.0 * spec.reg_l * w
 
 
 def bayes_adam(
-    spec: GameSpec, prior: Prior, config: AdamConfig
+    spec: GameSpec, prior: Prior, config: AdamConfig, *, record_objective: bool = True
 ) -> tuple[np.ndarray, list[float]]:
     """Minimize the reduced stochastic objective with Adam over sampled weights.
 
     Draws ``total_samples`` weight vectors once, then sweeps shuffled
     minibatches for ``epochs`` epochs with bias-corrected moment updates,
     projecting onto the learner's set after every step.  Returns the final
-    weights and the per-epoch objective evaluated on the full sample set.
-    Fully deterministic given the config seed.
+    weights and the per-epoch objective evaluated on the full sample set;
+    with ``record_objective=False`` that objective is never evaluated and
+    the list is empty.  Fully deterministic given the config seed, and the
+    weights do not depend on ``record_objective``.
     """
     if spec.adversary_loss is not LossKind.QUADRATIC:
         raise ValueError("bayes_adam requires a quadratic adversary loss")
     rng = np.random.default_rng(config.seed)
-    samples = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
+    samples = _as_sample_matrix(
+        np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0), spec.n
+    )
 
     w = project(np.zeros(spec.m), spec.learner_set)
     m1 = np.zeros(spec.m)
@@ -176,17 +214,18 @@ def bayes_adam(
         order = rng.permutation(config.total_samples)
         for lo in range(0, config.total_samples, config.batch_size):
             batch = samples[order[lo : lo + config.batch_size]]
-            g = stochastic_gradient(w, spec, batch)
+            g = _stochastic_gradient(w, spec, batch)
             step += 1
             m1 = config.beta1 * m1 + (1.0 - config.beta1) * g
             m2 = config.beta2 * m2 + (1.0 - config.beta2) * g * g
             m1_hat = m1 / (1.0 - config.beta1**step)
             m2_hat = m2 / (1.0 - config.beta2**step)
-            w = project(
+            w = _project(
                 w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.eps_hat),
                 spec.learner_set,
             )
-        trace.append(stochastic_objective(w, spec, samples))
+        if record_objective:
+            trace.append(_stochastic_objective(w, spec, samples))
     return w, trace
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bayesgame import quadratic
 from bayesgame.experiments import (
     BenchmarkConfig,
     Dataset,
@@ -20,8 +21,15 @@ from bayesgame.experiments import (
     split,
     write_dataset_csv,
 )
-from bayesgame.game import FinitePrior, GammaPrior, GaussianPrior, LogNormalPrior, sample_prior
-from bayesgame.quadratic import best_response
+from bayesgame.game import (
+    FinitePrior,
+    GameSpec,
+    GammaPrior,
+    GaussianPrior,
+    LogNormalPrior,
+    sample_prior,
+)
+from bayesgame.quadratic import AdamConfig, bayes_adam, best_response
 
 
 def synthetic_dataset(rng, rows=60, cols=57):
@@ -277,6 +285,34 @@ class TestBenchmark:
         base = run_benchmark(self.make_config(prior_grid=prior), data)
         twoeq = run_benchmark(self.make_config(prior_grid=prior, two_equilibria=True), data)
         assert base.rows[0].rmse != twoeq.rows[0].rmse
+
+    def test_sweep_evaluates_no_full_sample_objective(self, rng, monkeypatch):
+        # the Adam fits and the two-equilibria generator model discard the
+        # per-epoch objective, so the sweep must never compute it
+        features, labels = synthetic_dataset(rng)
+        data = Dataset(features, labels)
+        config = self.make_config(
+            prior_grid=(GaussianPrior(mean=1.0, std=1.0),), repetitions=1,
+            methods=("bayes-adam", "ridge"), two_equilibria=True,
+        )
+        plain = run_benchmark(config, data)
+        calls = []
+        for name in ("stochastic_objective", "_stochastic_objective"):
+            original = getattr(quadratic, name)
+
+            def counting(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(quadratic, name, counting)
+        counted = run_benchmark(config, data)
+        assert calls == []
+        assert counted.rows == plain.rows
+        # the counters do see the objective when it is recorded
+        adam = AdamConfig(batch_size=8, epochs=2, total_samples=16)
+        spec = GameSpec(X=features[:20], y=labels[:20], z=1.0 - labels[:20], c_l=np.ones(20))
+        bayes_adam(spec, GaussianPrior(mean=1.0, std=1.0), adam)
+        assert len(calls) == 2
 
     def test_paper_scale_config_expressible(self):
         config = paper_config([GaussianPrior(mean=1.0, std=1.0)])

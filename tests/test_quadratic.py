@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bayesgame import quadratic
 from bayesgame.baselines import ridge_fit
 from bayesgame.experiments import Dataset, ZRule, evaluate, rmse
 from bayesgame.game import (
@@ -13,9 +16,11 @@ from bayesgame.game import (
     GammaPrior,
     GaussianPrior,
     LossKind,
+    _loss_slope,
     grad_adversary_X,
     grad_learner_w,
     learner_cost,
+    project,
     sample_prior,
 )
 from bayesgame.quadratic import (
@@ -253,3 +258,124 @@ class TestBayesAdam:
             AdamConfig(batch_size=64, total_samples=32)
         with pytest.raises(ValueError, match="beta"):
             AdamConfig(beta1=1.5)
+
+
+def reference_adam(spec, prior, config):
+    """The Adam loop as written before the unchecked kernels, on the public functions."""
+    rng = np.random.default_rng(config.seed)
+    samples = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
+    w = project(np.zeros(spec.m), spec.learner_set)
+    m1 = np.zeros(spec.m)
+    m2 = np.zeros(spec.m)
+    step = 0
+    trace = []
+    for _ in range(config.epochs):
+        order = rng.permutation(config.total_samples)
+        for lo in range(0, config.total_samples, config.batch_size):
+            batch = samples[order[lo : lo + config.batch_size]]
+            g = stochastic_gradient(w, spec, batch)
+            step += 1
+            m1 = config.beta1 * m1 + (1.0 - config.beta1) * g
+            m2 = config.beta2 * m2 + (1.0 - config.beta2) * g * g
+            m1_hat = m1 / (1.0 - config.beta1**step)
+            m2_hat = m2 / (1.0 - config.beta2**step)
+            w = project(
+                w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.eps_hat),
+                spec.learner_set,
+            )
+        trace.append(stochastic_objective(w, spec, samples))
+    return w, trace
+
+
+def reference_gradient(w, spec, samples):
+    """The minibatch gradient as written before the fused kernel, one expression per term."""
+    S = samples.shape[0]
+    wsq = w @ w
+    denom = 1.0 + wsq * samples
+    margins = spec.X @ w
+    preds = margins - samples * (margins - spec.z) / (1.0 + wsq * samples) * wsq
+    weight = spec.c_l * _loss_slope(spec.learner_loss, preds, spec.y) / denom
+    grad_x_part = (weight.sum(axis=0) @ spec.X) / S
+    w_coef = float(np.sum(weight * 2.0 * samples * (spec.z[None, :] - preds))) / S
+    return grad_x_part + w_coef * w + 2.0 * spec.reg_l * w
+
+
+def small_reduction_game(rng, n, m, learner_loss, radius=None):
+    """A random game for the quadratic reduction, on a learner ball if ``radius``."""
+    if learner_loss is LossKind.LOGISTIC:
+        labels = rng.choice([-1.0, 1.0], size=n)
+    else:
+        labels = rng.normal(size=n)
+    kwargs = {} if radius is None else {"learner_set": ActionSet.l2_ball(radius)}
+    return GameSpec(
+        X=rng.normal(size=(n, m)), y=labels, z=rng.normal(size=n), c_l=rng.random(n),
+        reg_l=float(rng.uniform(0.1, 2.0)), learner_loss=learner_loss, **kwargs,
+    )
+
+
+class TestBayesAdamMatchesReference:
+    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("radius", [None, 0.3], ids=["unconstrained", "ball"])
+    @pytest.mark.parametrize("total, batch", [(40, 8), (37, 8)], ids=["full", "partial"])
+    def test_weights_and_trace_bit_identical(self, rng, learner_loss, radius, total, batch):
+        spec = small_reduction_game(rng, 7, 4, learner_loss, radius)
+        prior = GaussianPrior(mean=1.0, std=2.0)
+        config = AdamConfig(
+            learning_rate=0.1, batch_size=batch, epochs=4, total_samples=total, seed=3
+        )
+        w_ref, trace_ref = reference_adam(spec, prior, config)
+        w, trace = bayes_adam(spec, prior, config)
+        assert np.array_equal(w, w_ref)
+        assert trace == trace_ref
+        w_lean, trace_lean = bayes_adam(spec, prior, config, record_objective=False)
+        assert np.array_equal(w_lean, w_ref)
+        assert trace_lean == []
+
+
+class TestFusedKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([LossKind.QUADRATIC, LossKind.LOGISTIC]),
+        st.booleans(),
+    )
+    def test_fused_gradient_bit_identical(self, seed, learner_loss, bounded):
+        rng = np.random.default_rng(seed)
+        n, m, S = (int(v) for v in rng.integers(1, 7, size=3))
+        spec = small_reduction_game(rng, n, m, learner_loss, 0.5 if bounded else None)
+        batch = rng.random((S + 1, n)) * 3.0
+        batch[rng.random(S + 1) < 0.5] = 0.0
+        batch[0] = 0.0  # at least one all-zero row
+        w = rng.normal(size=m)
+        expected = stochastic_gradient(w, spec, batch)
+        assert np.array_equal(quadratic._stochastic_gradient(w, spec, batch), expected)
+        assert np.array_equal(reference_gradient(w, spec, batch), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([LossKind.QUADRATIC, LossKind.LOGISTIC]),
+        st.floats(0.01, 1.0),
+    )
+    def test_every_adam_iterate_stays_in_the_ball(self, seed, learner_loss, radius):
+        rng = np.random.default_rng(seed)
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        spec = small_reduction_game(rng, n, m, learner_loss, radius)
+        # the zero atom puts all-zero rows into the batches
+        prior = FinitePrior(atoms=np.stack([np.zeros(n), 3.0 * rng.random(n)]),
+                            probs=np.array([0.5, 0.5]))
+        config = AdamConfig(learning_rate=0.5, batch_size=3, epochs=3, total_samples=10,
+                            seed=int(rng.integers(1000)))
+        project_kernel = quadratic._project
+        iterates = []
+
+        def recording_project(point, action_set):
+            out = project_kernel(point, action_set)
+            iterates.append(out)
+            return out
+
+        with mock.patch.object(quadratic, "_project", recording_project):
+            w, _ = bayes_adam(spec, prior, config, record_objective=False)
+        assert len(iterates) == 3 * 4  # ceil(10 / 3) steps per epoch
+        assert all(np.linalg.norm(v) <= radius + 1e-12 for v in iterates)
+        assert np.array_equal(w, iterates[-1])

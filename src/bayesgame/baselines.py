@@ -17,7 +17,7 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("X must be a matrix with n, m >= 1")
     if y.shape != (X.shape[0],):
         raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     m = X.shape[1]
     return np.linalg.solve(X.T @ X + alpha * np.eye(m), X.T @ y)

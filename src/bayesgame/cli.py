@@ -52,8 +52,12 @@ def _load_json(path) -> tuple[dict, str]:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+
+    def reject_constant(token):  # json.loads accepts NaN, Infinity and -Infinity
+        raise ConfigError(f"{path}: non-finite number {token} is not allowed")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):

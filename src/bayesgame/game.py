@@ -38,8 +38,8 @@ class ActionSet:
         if self.kind not in ("unconstrained", "l2_ball"):
             raise ValueError(f"unknown action set kind {self.kind!r}")
         if self.kind == "l2_ball":
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("l2_ball radius must be positive")
+            if self.radius is None or not 0 < self.radius < math.inf:
+                raise ValueError("l2_ball radius must be positive and finite")
         elif self.radius is not None:
             raise ValueError("unconstrained set takes no radius")
 
@@ -57,19 +57,24 @@ class ActionSet:
 
 
 def project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
-    """Euclidean projection onto the set (Frobenius norm for matrices)."""
-    return _project(np.asarray(point, dtype=float), action_set)
+    """Euclidean projection onto the set (Frobenius norm for matrices); a new array."""
+    return _project(np.array(point, dtype=float), action_set)
 
 
 def _project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
-    """``project`` for a float array, unchecked; returns ``point`` itself if inside."""
+    """``project`` of a float array in place, unchecked; returns ``point``.
+
+    Callers pass a temporary or a buffer they own: ``point`` is scaled only
+    when it lies outside the ball.
+    """
     if not action_set.bounded:
         return point
     flat = point.ravel(order="K")
     norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
     if norm <= action_set.radius:
         return point
-    return point * (action_set.radius / norm)
+    point *= action_set.radius / norm
+    return point
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -125,10 +130,9 @@ class GameSpec:
                 raise ValueError(f"{name} must have length n={n}, got shape {v.shape}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "X", X)
-        if np.any(self.c_l < 0):
-            raise ValueError("c_l must be nonnegative elementwise")
-        if self.reg_l < 0:
-            raise ValueError("reg_l must be nonnegative")
+        _check_weights(self.c_l, "c_l")
+        if not 0 <= self.reg_l < math.inf:
+            raise ValueError("reg_l must be nonnegative and finite")
         if self.learner_loss is LossKind.LOGISTIC:
             _check_signs(self.y, "y")
         if self.adversary_loss is LossKind.LOGISTIC:
@@ -163,9 +167,14 @@ def _check_cd(c_d: np.ndarray, n: int) -> np.ndarray:
     c_d = np.asarray(c_d, dtype=float)
     if c_d.shape != (n,):
         raise ValueError(f"c_d has shape {c_d.shape}, expected ({n},)")
-    if np.any(c_d < 0):
-        raise ValueError("c_d must be nonnegative elementwise")
+    _check_weights(c_d, "c_d")
     return c_d
+
+
+def _check_weights(values: np.ndarray, name: str) -> None:
+    """Reject negative, NaN and infinite weights (``min`` is NaN if any entry is)."""
+    if values.size and not 0 <= values.min() <= values.max() < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite elementwise")
 
 
 def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -225,13 +234,23 @@ def grad_adversary_X(
     return _grad_adversary_X(w, Xbar, Xbar @ w, c_d, spec)
 
 
-def _grad_adversary_X(w, Xbar, margins, c_d, spec: GameSpec) -> np.ndarray:
+def _grad_adversary_X(w, Xbar, margins, c_d, spec: GameSpec, out=None, scratch=None):
     """``grad_adversary_X`` at each matrix of ``Xbar`` (shape (..., n, m)), unchecked.
 
     ``margins`` is ``Xbar @ w`` and ``c_d`` has shape (..., n), one row per matrix.
+    The gradient is written into ``out`` and ``scratch`` is overwritten, both
+    of ``Xbar``'s shape and allocated when not given; neither may alias ``Xbar``.
     """
+    if out is None:
+        out = np.empty_like(Xbar)
+    if scratch is None:
+        scratch = np.empty_like(Xbar)
     coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
-    return coef[..., None] * w + 2.0 * (Xbar - spec.X)
+    np.multiply(coef[..., None], w, out=out)
+    np.subtract(Xbar, spec.X, out=scratch)
+    scratch *= 2.0
+    out += scratch
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -251,12 +270,11 @@ class FinitePrior:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
             raise ValueError("probs must have one entry per atom")
-        if np.any(probs <= 0):
+        if not np.all(probs > 0):
             raise ValueError("atom probabilities must be strictly positive")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
-        if np.any(atoms < 0):
-            raise ValueError("atoms must be nonnegative elementwise")
+        _check_weights(atoms, "atoms")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
 
@@ -286,8 +304,8 @@ class GaussianPrior:
     std: float
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise ValueError("std must be positive")
+        if not (math.isfinite(self.mean) and 0 < self.std < math.inf):
+            raise ValueError("mean must be finite and std positive and finite")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.normal(self.mean, self.std, size=(num_samples, n))
@@ -302,8 +320,8 @@ class GammaPrior:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("gamma shape and scale must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("gamma shape and scale must be positive and finite")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size=(num_samples, n))
@@ -318,8 +336,8 @@ class LogNormalPrior:
     sigma: float
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("lognormal sigma must be positive")
+        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
+            raise ValueError("lognormal mu must be finite and sigma positive and finite")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=(num_samples, n))

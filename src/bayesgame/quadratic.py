@@ -10,6 +10,7 @@ nonconvex) stochastic objective in ``w`` over draws of the uncertain weights
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .game import (
     Prior,
     _check_cd,
     _check_w,
+    _check_weights,
     _loss,
     _loss_slope,
     _project,
@@ -41,12 +43,12 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.eps_hat <= 0:
-            raise ValueError("eps_hat must be positive")
+        if not 0 < self.eps_hat < math.inf:
+            raise ValueError("eps_hat must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.total_samples < 1:
@@ -92,8 +94,8 @@ def _response_coef(margins, z, wsq, c_d):
 
 def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -> float:
     """Prediction on the transformed point: equals (best-response row) . w."""
-    if c_d_i < 0:
-        raise ValueError("c_d_i must be nonnegative")
+    if not 0 <= c_d_i < math.inf:
+        raise ValueError("c_d_i must be nonnegative and finite")
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
     preds, _ = _perturbed_predictions(w, x, z, c_d_i, w)
@@ -123,8 +125,7 @@ def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
         raise ValueError(
             f"c_d samples must be a nonempty list of vectors of length {n}"
         )
-    if np.any(samples < 0):
-        raise ValueError("c_d samples must be nonnegative elementwise")
+    _check_weights(samples, "c_d samples")
     return samples
 
 

@@ -74,10 +74,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be nonnegative and finite")
+        for name in ("lipschitz", "strong_monotonicity"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
 
@@ -157,11 +161,12 @@ def stacked_map(
     return _stacked_map(profile.w, profile.sigma, prior, spec)
 
 
-def _stacked_map(w, sigma, prior: FinitePrior, spec: GameSpec):
-    """``stacked_map`` at (w, sigma), unchecked."""
+def _stacked_map(w, sigma, prior: FinitePrior, spec: GameSpec, out=None, scratch=None):
+    """``stacked_map`` at (w, sigma), unchecked; ``out`` and ``scratch`` as in
+    ``game._grad_adversary_X``, which writes the generator blocks into ``out``."""
     margins = sigma @ w  # (K, n)
     learner = prior.probs @ _grad_learner_w(w, sigma, margins, spec)
-    return learner, _grad_adversary_X(w, sigma, margins, prior.atoms, spec)
+    return learner, _grad_adversary_X(w, sigma, margins, prior.atoms, spec, out, scratch)
 
 
 def equilibrium_residual(
@@ -175,7 +180,7 @@ def equilibrium_residual(
     A fixed probe step keeps values comparable across runs; for unconstrained
     sets this equals gamma_probe^2 times the squared operator norm.
     """
-    if gamma_probe <= 0:
+    if not gamma_probe > 0:
         raise ValueError("gamma_probe must be positive")
     t_w, t_sig = stacked_map(profile, prior, spec)
     return _natural_residual(profile.w, profile.sigma, t_w, t_sig, gamma_probe, spec)
@@ -200,8 +205,8 @@ def _projected_step(sigma, t_sig, gamma, action_set):
     """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``t_sig``."""
     np.multiply(gamma, t_sig, out=t_sig)
     np.subtract(sigma, t_sig, out=t_sig)
-    for k, block in enumerate(t_sig):
-        t_sig[k] = _project(block, action_set)  # a no-op copy when the block is inside
+    for block in t_sig:
+        _project(block, action_set)  # scales the block in place if outside the ball
     return t_sig
 
 
@@ -221,26 +226,23 @@ def epsilon_distance(
 # --------------------------------------------------------------------------
 
 
-def _random_feasible_point(rng: np.random.Generator, shape, action_set) -> np.ndarray:
-    point = rng.standard_normal(shape)
+def _random_feasible_point(rng: np.random.Generator, out: np.ndarray, action_set) -> None:
+    """Draw a feasible point into the contiguous float array ``out``."""
+    rng.standard_normal(out=out)
     if action_set.bounded:
         # uniform over the ball: direction times radius * U^(1/d)
-        d = point.size
-        norm = np.linalg.norm(point)
+        flat = out.ravel()
+        norm = math.sqrt(flat.dot(flat))
         if norm == 0:
-            return np.zeros(shape)
-        return point * (action_set.radius * rng.random() ** (1.0 / d) / norm)
-    return point
+            return
+        out *= action_set.radius * rng.random() ** (1.0 / out.size) / norm
 
 
-def _random_feasible_profile(
-    rng: np.random.Generator, spec: GameSpec, K: int
-) -> StrategyProfile:
-    w = _random_feasible_point(rng, (spec.m,), spec.learner_set)
-    sigma = np.stack(
-        [_random_feasible_point(rng, (spec.n, spec.m), spec.adversary_set) for _ in range(K)]
-    )
-    return StrategyProfile(w=w, sigma=sigma)
+def _draw_feasible_profile(rng: np.random.Generator, spec: GameSpec, w, sigma) -> None:
+    """Draw a feasible profile into the buffers ``w`` (m,) and ``sigma`` (K, n, m)."""
+    _random_feasible_point(rng, w, spec.learner_set)
+    for block in sigma:
+        _random_feasible_point(rng, block, spec.adversary_set)
 
 
 def assumption_probe(
@@ -258,35 +260,43 @@ def assumption_probe(
     if trials < 2:
         raise ValueError("trials must be >= 2")
     rng = np.random.default_rng(seed)
-    K = prior.num_atoms
     probs = prior.probs
+    # the pair's profiles and operator values, reused by every trial
+    w = np.empty((2, spec.m))
+    sigma = np.empty((2, prior.num_atoms, spec.n, spec.m))
+    t_w = np.empty((2, spec.m))
+    t_sig = np.empty_like(sigma)
+    scratch = np.empty_like(sigma[0])
+
+    def weighted_dot(u, v) -> float:  # sum_k p_k <u_k, v_k>
+        return probs @ np.sum(np.multiply(u, v, out=scratch), axis=(1, 2))
 
     lambda_hat = np.inf
     l_hat = 0.0
     g_hat = 0.0
     for _ in range(trials):
-        a = _random_feasible_profile(rng, spec, K)
-        b = _random_feasible_profile(rng, spec, K)
-        blocks = {}
-        for key, prof in (("a", a), ("b", b)):
-            margins = prof.sigma @ prof.w
-            g_learner = _grad_learner_w(prof.w, prof.sigma, margins, spec)
-            g_adv = _grad_adversary_X(prof.w, prof.sigma, margins, prior.atoms, spec)
-            blocks[key] = (probs @ g_learner, g_adv)
+        for i in (0, 1):
+            _draw_feasible_profile(rng, spec, w[i], sigma[i])
+        for i in (0, 1):
+            margins = sigma[i] @ w[i]
+            g_learner = _grad_learner_w(w[i], sigma[i], margins, spec)
+            _grad_adversary_X(w[i], sigma[i], margins, prior.atoms, spec, t_sig[i], scratch)
+            t_w[i] = probs @ g_learner
+            np.multiply(t_sig[i], t_sig[i], out=scratch)
             g_hat = max(
                 g_hat,
                 float(np.max(np.linalg.norm(g_learner, axis=1))),
-                float(np.max(np.sqrt(np.sum(g_adv * g_adv, axis=(1, 2))))),
+                float(np.max(np.sqrt(np.sum(scratch, axis=(1, 2))))),
             )
-        dw = a.w - b.w
-        dsig = a.sigma - b.sigma
-        den = float(dw @ dw + probs @ np.sum(dsig * dsig, axis=(1, 2)))
+        dw = w[0] - w[1]
+        dsig = np.subtract(sigma[0], sigma[1], out=sigma[0])
+        den = float(dw @ dw + weighted_dot(dsig, dsig))
         if den < 1e-24:
             continue  # duplicate pair: quotient undefined
-        dtw = blocks["a"][0] - blocks["b"][0]
-        dtsig = blocks["a"][1] - blocks["b"][1]
-        num = float(dw @ dtw + probs @ np.sum(dsig * dtsig, axis=(1, 2)))
-        tnorm = float(dtw @ dtw + probs @ np.sum(dtsig * dtsig, axis=(1, 2)))
+        dtw = t_w[0] - t_w[1]
+        dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
+        num = float(dw @ dtw + weighted_dot(dsig, dtsig))
+        tnorm = float(dtw @ dtw + weighted_dot(dtsig, dtsig))
         lambda_hat = min(lambda_hat, num / den)
         l_hat = max(l_hat, np.sqrt(tnorm / den))
     if not np.isfinite(lambda_hat):
@@ -365,9 +375,12 @@ def prg_ie(
         )
 
     start = time.perf_counter()
-    w_cur, sig_cur = init.w.copy(), init.sigma.copy()
+    w_cur, sig_cur = init.w, init.sigma
     w_til_prev, sig_til_prev = init.w.copy(), init.sigma.copy()
     w_til, sig_til = init.w.copy(), init.sigma.copy()
+    # sigma-sized buffers, reused every iteration: the reflected point, the
+    # next projected point (first the map's generator blocks) and a scratch
+    sig_ref, sig_til_next, scratch = (np.empty_like(sig_cur) for _ in range(3))
     gamma = config.gamma
 
     records: list[TraceRecord] = []
@@ -375,18 +388,20 @@ def prg_ie(
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
-        sig_ref = 2.0 * sig_til - sig_til_prev
+        np.multiply(2.0, sig_til, out=sig_ref)
+        sig_ref -= sig_til_prev
 
-        learner, adv = _stacked_map(w_ref, sig_ref, prior, spec)
+        learner, adv = _stacked_map(w_ref, sig_ref, prior, spec, sig_til_next, scratch)
         w_til_next = _project(w_cur - gamma * learner, spec.learner_set)
-        sig_til_next = _projected_step(sig_cur, adv, gamma, spec.adversary_set)
+        _projected_step(sig_cur, adv, gamma, spec.adversary_set)
 
-        w_next = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
-        sig_next = (delta / 2.0) * sig_cur + (1.0 - delta) * sig_til_next
+        w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
+        sig_cur *= delta / 2.0
+        sig_cur += np.multiply(1.0 - delta, sig_til_next, out=scratch)
 
-        w_til_prev, sig_til_prev = w_til, sig_til
-        w_til, sig_til = w_til_next, sig_til_next
-        w_cur, sig_cur = w_next, sig_next
+        w_til_prev, w_til = w_til, w_til_next
+        # the old sig_til_prev becomes the next iteration's free buffer
+        sig_til_prev, sig_til, sig_til_next = sig_til, sig_til_next, sig_til_prev
 
         if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
             profile = StrategyProfile(w=w_cur, sigma=sig_cur)
@@ -437,8 +452,9 @@ def pg_rbc(
     rng = np.random.default_rng(config.seed)
     indices = rng.choice(K, size=config.max_iters, p=prior.probs)
 
-    w_cur, sig_cur = init.w.copy(), init.sigma.copy()
+    w_cur, sig_cur = init.w, init.sigma
     atoms, w_set, sig_set = prior.atoms, spec.learner_set, spec.adversary_set
+    step, scratch = np.empty_like(sig_cur[0]), np.empty_like(sig_cur[0])  # block-sized
     records: list[TraceRecord] = []
     converged = False
     for t in range(config.max_iters):
@@ -447,9 +463,10 @@ def pg_rbc(
         sig_j = sig_cur[j]
         margins = sig_j @ w_cur
         w_next = _project(w_cur - gamma_t * _grad_learner_w(w_cur, sig_j, margins, spec), w_set)
-        sig_cur[j] = _project(
-            sig_j - gamma_t * _grad_adversary_X(w_cur, sig_j, margins, atoms[j], spec), sig_set
-        )
+        _grad_adversary_X(w_cur, sig_j, margins, atoms[j], spec, step, scratch)
+        step *= gamma_t
+        sig_j -= step
+        _project(sig_j, sig_set)  # block j of sig_cur, updated in place
         w_cur = w_next
 
         done = t + 1
@@ -462,7 +479,7 @@ def pg_rbc(
 
     return SolverTrace(
         iterations=records,
-        final_profile=StrategyProfile(w=w_cur.copy(), sigma=sig_cur.copy()),
+        final_profile=StrategyProfile(w=w_cur, sigma=sig_cur),
         converged=converged,
     )
 
@@ -516,7 +533,7 @@ def extragradient_reference(
     iterates until the squared natural-map residual falls to ``tol``.  Raises
     ``SolverError`` (naming the last residual) on non-convergence.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)

@@ -180,6 +180,22 @@ class TestSolve:
         assert rc == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                              (-float("inf"), "-Infinity")])
+    @pytest.mark.parametrize("solver", [None, {"max_iters": 50, "gamma": 0.6,
+                                               "strong_monotonicity": 2.0}],
+                             ids=["probed", "override"])
+    def test_non_finite_json_tokens_rejected(self, tmp_path, capsys, value, token, solver):
+        cfg = tmp_path / "nan.json"
+        doc = write_solve_config(cfg, solver=solver)
+        doc["game"]["learner_set"]["radius"] = value
+        cfg.write_text(json.dumps(doc))  # json.dumps writes the bare token
+        assert token in cfg.read_text()
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"non-finite number {token}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestProbe:
     def test_probe_outputs_json(self, tmp_path, capsys):

@@ -286,3 +286,54 @@ class TestGameSpecValidation:
         GameSpec(X=np.ones((2, 1)), y=np.array([-1.0, 1.0]), z=np.ones(2),
                  c_l=np.ones(2), learner_loss=LossKind.LOGISTIC,
                  adversary_loss=LossKind.LOGISTIC)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteRejected:
+    """NaN fails every sign check (``nan < 0`` is false), and infinities fail too."""
+
+    @pytest.mark.parametrize("radius", [NAN, INF, -INF])
+    def test_ball_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            ActionSet.l2_ball(radius)
+
+    @pytest.mark.parametrize("field, value", [("c_l", np.array([0.1, NAN])),
+                                              ("c_l", np.array([INF, 0.1])),
+                                              ("reg_l", NAN), ("reg_l", INF)])
+    def test_game_spec(self, field, value):
+        kwargs = dict(X=np.ones((2, 2)), y=np.zeros(2), z=np.zeros(2), c_l=np.full(2, 0.1))
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            GameSpec(**kwargs)
+
+    @pytest.mark.parametrize("atoms, probs, match", [
+        ([[0.1, NAN]], [1.0], "atoms"),
+        ([[0.1, INF]], [1.0], "atoms"),
+        ([[0.1, 0.2], [0.3, 0.4]], [NAN, 0.5], "probabilities"),
+        ([[0.1, 0.2], [0.3, 0.4]], [NAN, NAN], "probabilities"),
+    ])
+    def test_finite_prior(self, atoms, probs, match):
+        with pytest.raises(ValueError, match=match):
+            FinitePrior(atoms=np.array(atoms), probs=np.array(probs))
+
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianPrior(mean=NAN, std=1.0),
+        lambda: GaussianPrior(mean=0.0, std=NAN),
+        lambda: GammaPrior(shape=NAN, scale=1.0),
+        lambda: GammaPrior(shape=1.0, scale=INF),
+        lambda: LogNormalPrior(mu=INF, sigma=1.0),
+        lambda: LogNormalPrior(mu=0.0, sigma=NAN),
+    ])
+    def test_parametric_priors(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("bad", [NAN, INF])
+    def test_public_gradient_cd(self, bad):
+        spec = tiny_spec()
+        with pytest.raises(ValueError, match="c_d"):
+            grad_adversary_X(np.ones(1), spec.X, np.array([bad]), spec)
+        with pytest.raises(ValueError, match="c_d"):
+            adversary_cost(np.ones(1), spec.X, np.array([bad]), spec)

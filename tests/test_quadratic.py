@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayesgame import quadratic
-from bayesgame.baselines import ridge_fit
+from bayesgame.baselines import bayes_fp, ridge_fit
 from bayesgame.experiments import Dataset, ZRule, evaluate, rmse
 from bayesgame.game import (
     ActionSet,
@@ -379,3 +379,42 @@ class TestFusedKernelProperties:
         assert len(iterates) == 3 * 4  # ceil(10 / 3) steps per epoch
         assert all(np.linalg.norm(v) <= radius + 1e-12 for v in iterates)
         assert np.array_equal(w, iterates[-1])
+
+
+class TestNonFiniteSamplesRejected:
+    """``c_d`` samples with NaN or inf fail at every entry of the quadratic route."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", [
+        lambda spec, s: stochastic_objective(np.ones(spec.m), spec, s),
+        lambda spec, s: stochastic_gradient(np.ones(spec.m), spec, s),
+        lambda spec, s: bayes_fp(spec, s, 2),
+        lambda spec, s: best_response(np.ones(spec.m), spec.X, spec.z, s[0]),
+    ], ids=["stochastic_objective", "stochastic_gradient", "bayes_fp", "best_response"])
+    def test_sample_matrix(self, rng, entry, bad):
+        spec = random_quadratic_game(rng, 3, 2)
+        samples = np.array([[bad, 0.1, 0.2], [0.3, 0.1, 0.2]])
+        with pytest.raises(ValueError, match="c_d"):
+            entry(spec, samples)
+
+    def test_prior_draw_in_bayes_adam(self, rng):
+        spec = random_quadratic_game(rng, 3, 2)
+
+        class NanPrior(GaussianPrior):
+            def draw(self, rng, n, num_samples):
+                draws = super().draw(rng, n, num_samples)
+                draws[0, 0] = float("nan")  # np.maximum(nan, 0) stays nan
+                return draws
+
+        with pytest.raises(ValueError, match="c_d"):
+            bayes_adam(spec, NanPrior(1.0, 1.0), AdamConfig(epochs=1, total_samples=8,
+                                                            batch_size=4))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_scalar_weight_and_adam_config(self, bad):
+        with pytest.raises(ValueError, match="c_d_i"):
+            perturbed_prediction(np.ones(2), np.ones(2), 0.0, bad)
+        with pytest.raises(ValueError, match="learning_rate"):
+            AdamConfig(learning_rate=bad)
+        with pytest.raises(ValueError, match="eps_hat"):
+            AdamConfig(eps_hat=bad)

@@ -3,7 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bayesgame import solvers
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -315,10 +318,11 @@ class TestAssumptionProbe:
     def test_duplicate_pairs_skipped(self, monkeypatch):
         spec, prior = monotone_ball_game()
         fixed = random_profile(np.random.default_rng(0), spec, prior.num_atoms)
-        monkeypatch.setattr(
-            "bayesgame.solvers._random_feasible_profile",
-            lambda rng, s, k: fixed.copy(),
-        )
+
+        def draw_fixed(rng, s, w, sigma):
+            w[...], sigma[...] = fixed.w, fixed.sigma
+
+        monkeypatch.setattr("bayesgame.solvers._draw_feasible_profile", draw_fixed)
         with pytest.raises(SolverError, match="duplicate"):
             assumption_probe(spec, prior, trials=5, seed=0)
 
@@ -586,3 +590,160 @@ class TestDivergence:
         assert payload["iterations"][0]["error_to_reference"] is None
         assert payload["iterations"][1]["residual"] is None
         assert payload["final_residual"] is None
+
+
+# --------------------------------------------------------------------------
+# The probe draws into reused buffers; this is the loop it replaced, on
+# freshly allocated profiles and the public operator.
+# --------------------------------------------------------------------------
+
+
+def reference_probe(spec, prior, trials, seed):
+    rng = np.random.default_rng(seed)
+    probs = prior.probs
+
+    def point(shape, action_set):
+        p = rng.standard_normal(shape)
+        if not action_set.bounded:
+            return p
+        norm = np.linalg.norm(p)
+        return p * (action_set.radius * rng.random() ** (1.0 / p.size) / norm)
+
+    def profile():
+        w = point((spec.m,), spec.learner_set)
+        sigma = np.stack([point((spec.n, spec.m), spec.adversary_set)
+                          for _ in range(prior.num_atoms)])
+        return StrategyProfile(w=w, sigma=sigma)
+
+    lambda_hat, l_hat, g_hat = np.inf, 0.0, 0.0
+    for _ in range(trials):
+        a, b = profile(), profile()
+        maps = []
+        for prof in (a, b):
+            t_w, t_sig = stacked_map(prof, prior, spec)
+            learner = np.stack([grad_learner_w(prof.w, s, spec) for s in prof.sigma])
+            g_hat = max(g_hat, float(np.max(np.linalg.norm(learner, axis=1))),
+                        float(np.max(np.sqrt(np.sum(t_sig * t_sig, axis=(1, 2))))))
+            maps.append((t_w, t_sig))
+        dw, dsig = a.w - b.w, a.sigma - b.sigma
+        den = float(dw @ dw + probs @ np.sum(dsig * dsig, axis=(1, 2)))
+        if den < 1e-24:
+            continue
+        dtw, dtsig = maps[0][0] - maps[1][0], maps[0][1] - maps[1][1]
+        num = float(dw @ dtw + probs @ np.sum(dsig * dtsig, axis=(1, 2)))
+        tnorm = float(dtw @ dtw + probs @ np.sum(dtsig * dtsig, axis=(1, 2)))
+        lambda_hat = min(lambda_hat, num / den)
+        l_hat = max(l_hat, np.sqrt(tnorm / den))
+    return lambda_hat, l_hat, g_hat
+
+
+def desk_shaped_game(n=200, m=57, K=16, seed=3):
+    """A game of the desk benchmark's shape: 0/1 features and labels, wide balls."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, m)) < 0.3) * rng.random((n, m))
+    y = (rng.random(n) < 0.4).astype(float)
+    spec = GameSpec(X=X, y=y, z=1.0 - y, c_l=np.full(n, 0.1),
+                    learner_set=ActionSet.l2_ball(1.0),
+                    adversary_set=ActionSet.l2_ball(2.0 * float(np.linalg.norm(X))))
+    atoms = np.maximum(rng.normal(1.0, 4.0, size=(K, n)), 0.0)
+    return spec, FinitePrior(atoms=atoms, probs=np.full(K, 1.0 / K))
+
+
+@pytest.mark.parametrize("name", sorted(GAMES) + ["desk-shaped"])
+def test_probe_matches_reference(name):
+    spec, prior = desk_shaped_game() if name == "desk-shaped" else GAMES[name]
+    trials = 4 if name == "desk-shaped" else 20
+    diag = assumption_probe(spec, prior, trials=trials, seed=3)
+    assert (diag.lambda_hat, diag.L_hat, diag.G_hat) == reference_probe(spec, prior, trials, 3)
+
+
+# --------------------------------------------------------------------------
+# The loops write into buffers they own and project in place.
+# --------------------------------------------------------------------------
+
+
+class TestNoAliasing:
+    @pytest.mark.parametrize("scale", [0.1, 10.0], ids=["inside", "outside"])
+    def test_project_returns_a_new_array(self, scale):
+        ball = ActionSet.l2_ball(1.0)
+        for a in (scale * np.ones(3), scale * np.ones((2, 3))):
+            before = a.copy()
+            out = project(a, ball)
+            assert not np.shares_memory(out, a)
+            assert np.array_equal(a, before)
+            assert np.linalg.norm(out) <= 1.0 + 1e-12
+
+    def test_solvers_leave_their_inputs_untouched(self):
+        spec, prior = monotone_ball_game()
+        reference = extragradient_reference(spec, prior, tol=1e-8)
+        inputs = [spec.X, spec.y, spec.z, spec.c_l, prior.atoms, prior.probs,
+                  reference.w, reference.sigma]
+        before = [a.copy() for a in inputs]
+        extragradient_reference(spec, prior, tol=1e-8)
+        pg_rbc(spec, prior, SolverConfig(max_iters=200, gamma=0.5, trace_every=50),
+               reference=reference)
+        prg_ie(spec, prior, SolverConfig(max_iters=200, gamma=2e-3, trace_every=50),
+               reference=reference)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 2e-3)],
+                             ids=["pg_rbc", "prg_ie"])
+    def test_second_call_keeps_the_first_profile(self, solver, gamma):
+        spec, prior = monotone_ball_game()
+        config = SolverConfig(max_iters=200, gamma=gamma, seed=1, trace_every=50,
+                              lipschitz=2.3, strong_monotonicity=2.0)
+        first = solver(spec, prior, config).final_profile
+        kept = first.copy()
+        second = solver(spec, prior, dataclasses.replace(config, seed=2, gamma=2 * gamma))
+        assert not np.shares_memory(first.sigma, second.final_profile.sigma)
+        assert np.array_equal(first.w, kept.w) and np.array_equal(first.sigma, kept.sigma)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", float("nan")), ("gamma", float("inf")), ("tol", float("nan")),
+    ("lipschitz", float("nan")), ("strong_monotonicity", float("inf")),
+])
+def test_solver_config_rejects_non_finite(field, value):
+    kwargs = {"max_iters": 10, "gamma": 0.1, field: value}
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**kwargs)
+
+
+# --------------------------------------------------------------------------
+# Properties of the VI solvers on random small ball games
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(["pg_rbc", "prg_ie"]),
+    st.floats(1e-3, 2.0),
+)
+def test_vi_iterates_feasible_and_residuals_finite(seed, logistic, which, gamma):
+    rng = np.random.default_rng(seed)
+    n, m, K = (int(v) for v in rng.integers(1, 6, size=3))
+    radii = rng.uniform(0.05, 3.0, size=2)
+    if logistic:
+        spec = with_balls(random_logistic_game(rng, n, m), *radii)
+    else:
+        spec = with_balls(random_quadratic_game(rng, n, m), *radii)
+    prior = random_finite_prior(rng, n, K, scale=2.0)
+    config = SolverConfig(max_iters=40, gamma=gamma, seed=seed % 1000, trace_every=7,
+                          lipschitz=1.0, strong_monotonicity=1.0)
+    points = []
+    trace_point = solvers._trace_point
+
+    def recording_trace_point(records, t, profile, *args):
+        points.append(profile.copy())
+        return trace_point(records, t, profile, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_trace_point", recording_trace_point)
+        trace = getattr(solvers, which)(spec, prior, config)
+    assert len(points) == len(trace.iterations) == 7  # t = 1, 7, ..., 35, 40
+    assert all(p.is_feasible(spec) for p in points + [trace.final_profile])
+    assert all(np.isfinite(rec.residual) for rec in trace.iterations)

@@ -6,7 +6,6 @@ import numpy as np
 
 from .game import GameSpec, LossKind, Prior, prior_mean
 from .quadratic import _as_sample_matrix, _response_coef
-from .solvers import SolverConfig
 
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -17,6 +16,8 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("X must be a matrix with n, m >= 1")
     if y.shape != (X.shape[0],):
         raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite elementwise")
     if not alpha > 0:
         raise ValueError("alpha must be positive")
     m = X.shape[1]
@@ -62,13 +63,13 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     return w
 
 
-def nash_strategy(spec: GameSpec, prior: Prior, solver: SolverConfig) -> np.ndarray:
+def nash_strategy(spec: GameSpec, prior: Prior, iterations: int) -> np.ndarray:
     """Complete-information strategy for the prior collapsed to its mean.
 
     The mean weight vector (clamped at 0) acts as the single known c_d and the
-    resulting game is solved by ``bayes_fp`` for ``solver.max_iters`` rounds.
+    resulting game is solved by ``bayes_fp`` for ``iterations`` rounds.
     """
     if spec.adversary_loss is not LossKind.QUADRATIC:
         raise ValueError("nash_strategy requires a quadratic adversary loss")
     atom = prior_mean(prior, spec.n)
-    return bayes_fp(spec, atom[None, :], iterations=solver.max_iters)
+    return bayes_fp(spec, atom[None, :], iterations=iterations)

@@ -36,11 +36,14 @@ from .serialize import (
 from .solvers import (
     ConfigurationError,
     SolverError,
+    SolverTrace,
+    TraceRecord,
     assumption_probe,
     equilibrium_residual,
     extragradient_reference,
     pg_rbc,
     prg_ie,
+    step_warnings,
 )
 
 ALGORITHMS = ("prg-ie", "pg-rbc", "extragradient")
@@ -101,22 +104,17 @@ def cmd_solve(args) -> int:
     if algo == "extragradient":
         tol = solver.tol if solver.tol > 0 else 1e-8
         profile = extragradient_reference(spec, prior, tol=tol, max_iters=solver.max_iters)
-        residual = equilibrium_residual(profile, prior, spec)
-        with open(out_dir / "trace.csv", "w") as fh:
-            fh.write("t,residual,error_to_reference,wall_time_s\n")
-            fh.write(f"0,{residual!r},,0.000000\n")
+        record = TraceRecord(0, equilibrium_residual(profile, prior, spec), None, 0.0)
+        trace = SolverTrace([record], profile, converged=True)
     else:
         run = prg_ie if algo == "prg-ie" else pg_rbc
         trace = run(spec, prior, solver)
-        profile = trace.final_profile
-        residual = trace.iterations[-1].residual
-        trace.to_csv(out_dir / "trace.csv")
-
+    trace.to_csv(out_dir / "trace.csv")
     (out_dir / "profile.json").write_text(
-        json.dumps(profile_to_jsonable(profile), indent=2, allow_nan=False) + "\n"
+        json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False) + "\n"
     )
     _write_metadata(out_dir, config_hash, solver.seed)
-    print(f"final residual: {residual:.6e}")
+    print(f"final residual: {trace.iterations[-1].residual:.6e}")
     return 0
 
 
@@ -132,21 +130,10 @@ def cmd_probe(args) -> int:
     diag = assumption_probe(spec, prior, trials=trials, seed=seed)
 
     payload = asdict(diag)
-    warnings = []
-    if diag.lambda_hat <= 0:
-        warnings.append("lambda_hat <= 0: instance looks non-monotone")
     gamma = doc.get("solver", {}).get("gamma")
-    if isinstance(gamma, (int, float)) and not isinstance(gamma, bool):
-        limit = min(1.0, 1.0 / (100.0 * diag.L_hat)) if diag.L_hat > 0 else 1.0
-        if gamma >= limit:
-            warnings.append(
-                f"gamma={gamma} violates the prg-ie step bound min(1, 1/(100 L)) ~ {limit:.4g}"
-            )
-        if diag.lambda_hat > 0 and gamma <= 1.0 / (2.0 * diag.lambda_hat):
-            warnings.append(
-                f"gamma={gamma} violates the pg-rbc bound gamma > 1/(2 lambda) "
-                f"~ {1.0 / (2.0 * diag.lambda_hat):.4g}"
-            )
+    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
+        gamma = None
+    warnings = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
     payload["warnings"] = warnings
     payload["config_sha256"] = config_hash
     payload["version"] = __version__

@@ -20,7 +20,6 @@ import numpy as np
 from .baselines import bayes_fp, nash_strategy, ridge_fit
 from .game import GameSpec, Prior, _prior_family, sample_prior
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam
-from .solvers import SolverConfig
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
 METHODS = ("bayes-adam", "bayes-fp", "nash", "ridge")
@@ -296,8 +295,7 @@ def _train_method(method, params, spec, prior, config: BenchmarkConfig, train_se
     if method == "ridge":
         return ridge_fit(spec.X, spec.y, params["alpha"])
     if method == "nash":
-        solver = SolverConfig(max_iters=config.nash_iterations, gamma=1.0)
-        return nash_strategy(spec, prior, solver)
+        return nash_strategy(spec, prior, config.nash_iterations)
     if method == "bayes-fp":
         samples = sample_prior(prior, spec.n, config.fp_samples, train_seed)
         return bayes_fp(spec, samples, iterations=config.fp_iterations)

@@ -130,6 +130,9 @@ class GameSpec:
                 raise ValueError(f"{name} must have length n={n}, got shape {v.shape}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "X", X)
+        for name in ("X", "y", "z"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite elementwise")
         _check_weights(self.c_l, "c_l")
         if not 0 <= self.reg_l < math.inf:
             raise ValueError("reg_l must be nonnegative and finite")

@@ -9,7 +9,6 @@ nonconvex) stochastic objective in ``w`` over draws of the uncertain weights
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -228,12 +227,3 @@ def bayes_adam(
         if record_objective:
             trace.append(_stochastic_objective(w, spec, samples))
     return w, trace
-
-
-def objective_trace_to_csv(trace: list[float], path) -> None:
-    """Write the per-epoch objective values as CSV (epoch, objective)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "objective"])
-        for epoch, value in enumerate(trace, start=1):
-            writer.writerow([epoch, repr(value)])

@@ -15,9 +15,10 @@ Solvers:
 * ``extragradient_reference`` -- classical two-projection extragradient,
   used as the high-precision oracle that the others are measured against.
 
-``assumption_probe`` estimates the monotonicity modulus, Lipschitz constant
-and gradient bound by sampling feasible profile pairs, since the theory
-assumes these constants are known.
+The convergence guarantees assume the monotonicity modulus and Lipschitz
+constant are known.  The solvers take them from the caller
+(``SolverConfig``) and ``step_warnings`` checks a step against them;
+``assumption_probe`` estimates them by sampling feasible profile pairs.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ class SolverConfig:
 
     ``gamma`` is the fixed step for prg_ie and the initial step (decayed as
     gamma/t) for pg_rbc.  ``tol`` > 0 enables early stopping on the
-    equilibrium residual, checked at trace points.  ``lipschitz`` and
-    ``strong_monotonicity`` override the probed estimates used in the
-    step-size precondition warnings.
+    equilibrium residual, checked at trace points.  ``lipschitz`` (prg_ie)
+    and ``strong_monotonicity`` (pg_rbc) are the constants the solver checks
+    ``gamma`` against with ``step_warnings``, for instance the ``L_hat`` and
+    ``lambda_hat`` of ``bayesgame probe``; the solvers never estimate them,
+    and without one they warn that the step was not checked.
     """
 
     max_iters: int
@@ -169,31 +172,24 @@ def _stacked_map(w, sigma, prior: FinitePrior, spec: GameSpec, out=None, scratch
     return learner, _grad_adversary_X(w, sigma, margins, prior.atoms, spec, out, scratch)
 
 
-def equilibrium_residual(
-    profile: StrategyProfile,
-    prior: FinitePrior,
-    spec: GameSpec,
-    gamma_probe: float = 1.0,
-) -> float:
-    """Squared natural-map residual; zero exactly at equilibria.
+def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> float:
+    """Squared natural-map residual at step 1; zero exactly at equilibria.
 
-    A fixed probe step keeps values comparable across runs; for unconstrained
-    sets this equals gamma_probe^2 times the squared operator norm.
+    The fixed step keeps values comparable across runs; for unconstrained
+    sets this is the squared operator norm.
     """
-    if not gamma_probe > 0:
-        raise ValueError("gamma_probe must be positive")
     t_w, t_sig = stacked_map(profile, prior, spec)
-    return _natural_residual(profile.w, profile.sigma, t_w, t_sig, gamma_probe, spec)
+    return _natural_residual(profile.w, profile.sigma, t_w, t_sig, spec)
 
 
-def _natural_residual(w, sigma, t_w, t_sig, gamma, spec: GameSpec) -> float:
+def _natural_residual(w, sigma, t_w, t_sig, spec: GameSpec) -> float:
     """Squared natural-map residual at (w, sigma) from the map's value (t_w, t_sig) there.
 
     Unchecked; overwrites ``t_sig``.
     """
-    w_step = _project(w - gamma * t_w, spec.learner_set)
+    w_step = _project(w - t_w, spec.learner_set)
     total = float(np.sum((w - w_step) ** 2))
-    diff = _projected_step(sigma, t_sig, gamma, spec.adversary_set)
+    diff = _projected_step(sigma, t_sig, 1.0, spec.adversary_set)
     np.subtract(sigma, diff, out=diff)
     np.square(diff, out=diff)
     for block in diff:
@@ -310,13 +306,34 @@ def assumption_probe(
     )
 
 
-def _probed_constant(
-    spec: GameSpec, prior: FinitePrior, override: float | None, which: str
-) -> float:
-    if override is not None:
-        return override
-    diag = assumption_probe(spec, prior, trials=16, seed=0)
-    return diag.L_hat if which == "L" else diag.lambda_hat
+def step_warnings(
+    gamma: float | None, lipschitz: float | None = None, strong_monotonicity: float | None = None
+) -> list[str]:
+    """Messages for the step-size rules that ``gamma`` breaks.
+
+    prg_ie's guarantee needs gamma < min(1, 1/(100 L)) and pg_rbc's needs
+    gamma > 1/(2 lambda), which no step meets when lambda <= 0.  A rule is
+    checked when its constant is given, for instance ``bayesgame probe``'s
+    ``L_hat`` or ``lambda_hat``; a ``gamma`` of None checks only the sign of
+    lambda.  With neither constant, the one message says so.
+    """
+    lip, lam = lipschitz, strong_monotonicity
+    if lip is None and lam is None:
+        return [f"step gamma={gamma} was not checked: no lipschitz or strong_monotonicity "
+                "constant was given (bayesgame probe estimates both)"]
+    messages = []
+    limit = min(1.0, 1.0 / (100.0 * lip)) if lip is not None and lip > 0 else 1.0
+    if lip is not None and gamma is not None and gamma >= limit:
+        messages.append(f"gamma={gamma} violates the prg-ie step bound gamma < "
+                        f"min(1, 1/(100 L)) ~ {limit:.4g} with L={lip:.4g}")
+    bound = 1.0 / (2.0 * lam) if lam is not None and lam > 0 else None
+    if lam is not None and bound is None:
+        messages.append(f"lambda={lam:.4g} <= 0: the instance looks non-monotone; "
+                        "pg-rbc has no convergence guarantee")
+    elif bound is not None and gamma is not None and gamma <= bound:
+        messages.append(f"gamma={gamma} violates the pg-rbc step bound gamma > "
+                        f"1/(2 lambda) ~ {bound:.4g} with lambda={lam:.4g}")
+    return messages
 
 
 # --------------------------------------------------------------------------
@@ -356,8 +373,8 @@ def prg_ie(
     from the main iterate, then averages the main iterate toward the
     projected point with weight 1 - 1/t (the remaining 1/t mass is split
     between the main iterate and the origin anchor).  All iterates stay
-    feasible.  Deterministic; the step size should satisfy
-    gamma < min(1, 1/(100 L)) and a warning is emitted otherwise.
+    feasible.  Deterministic.  ``step_warnings`` checks the step against
+    ``config.lipschitz``, and each message it returns is warned.
     """
     if not (spec.learner_set.bounded and spec.adversary_set.bounded):
         raise ConfigurationError(
@@ -365,14 +382,8 @@ def prg_ie(
         )
     init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)
-    l_hat = _probed_constant(spec, prior, config.lipschitz, "L")
-    limit = min(1.0, 1.0 / (100.0 * l_hat)) if l_hat > 0 else 1.0
-    if config.gamma >= limit:
-        warnings.warn(
-            f"prg_ie step gamma={config.gamma} violates gamma < min(1, 1/(100 L)) "
-            f"with L~{l_hat:.4g}; convergence is not guaranteed",
-            stacklevel=2,
-        )
+    for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
+        warnings.warn(message, stacklevel=2)
 
     start = time.perf_counter()
     w_cur, sig_cur = init.w, init.sigma
@@ -428,25 +439,14 @@ def pg_rbc(
     At step t an atom index j is drawn with probability p_j; the learner
     moves along its gradient evaluated against sigma^j, and only block j of
     sigma is updated.  The step decays as gamma/t (gamma itself at t=0).
-    The initial step should satisfy gamma > 1/(2 lambda); a warning is
-    emitted otherwise.
+    ``step_warnings`` checks the initial step against
+    ``config.strong_monotonicity``, and each message it returns is warned.
     """
     K = prior.num_atoms
     init = origin_profile(spec, K)
     _check_profile(init, prior, spec)
-    lam_hat = _probed_constant(spec, prior, config.strong_monotonicity, "lambda")
-    if lam_hat > 0 and config.gamma <= 1.0 / (2.0 * lam_hat):
-        warnings.warn(
-            f"pg_rbc initial step gamma={config.gamma} violates gamma > 1/(2 lambda) "
-            f"with lambda~{lam_hat:.4g}; the O(1/t) rate is not guaranteed",
-            stacklevel=2,
-        )
-    elif lam_hat <= 0:
-        warnings.warn(
-            f"probed monotonicity modulus is {lam_hat:.4g} <= 0; "
-            "pg_rbc has no convergence guarantee on this instance",
-            stacklevel=2,
-        )
+    for message in step_warnings(config.gamma, strong_monotonicity=config.strong_monotonicity):
+        warnings.warn(message, stacklevel=2)
 
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -496,10 +496,10 @@ def _extragradient_on_map(
 
     ``map_fn(w, sigma) -> (t_w, t_sigma)`` must return a fresh ``t_sigma``,
     which is overwritten.  Stops when the squared natural-map residual
-    (probe step 1) drops to ``tol``.  Returns the profile and the number of
-    iterations taken.  The map's value at each accepted point serves both the
-    residual check and the next iteration's first step, so an iteration
-    evaluates the map twice.
+    (``equilibrium_residual``'s) drops to ``tol``.  Returns the profile and
+    the number of iterations taken.  The map's value at each accepted point
+    serves both the residual check and the next iteration's first step, so
+    an iteration evaluates the map twice.
     """
 
     def _step(w, sigma, t_w, t_sig):
@@ -510,7 +510,7 @@ def _extragradient_on_map(
     t_w, t_sig = map_fn(w, sigma)
     for it in range(max_iters + 1):
         # _natural_residual overwrites its t_sigma; the step needs the original
-        residual = _natural_residual(w, sigma, t_w, t_sig.copy(), 1.0, spec)
+        residual = _natural_residual(w, sigma, t_w, t_sig.copy(), spec)
         if residual <= tol:
             return StrategyProfile(w=w, sigma=sigma), it
         if it == max_iters:
@@ -529,15 +529,16 @@ def extragradient_reference(
 ) -> StrategyProfile:
     """High-precision equilibrium oracle via the classical extragradient method.
 
-    Runs with a fixed step of 1/(2 L) using the probed Lipschitz estimate and
-    iterates until the squared natural-map residual falls to ``tol``.  Raises
-    ``SolverError`` (naming the last residual) on non-convergence.
+    Runs with a fixed step of 1/(2 L), with L the estimate of a 16-trial
+    ``assumption_probe`` (seed 0), and iterates until the squared natural-map
+    residual falls to ``tol``.  Raises ``SolverError`` (naming the last
+    residual) on non-convergence.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)
-    l_hat = _probed_constant(spec, prior, None, "L")
+    l_hat = assumption_probe(spec, prior, trials=16, seed=0).L_hat
     gamma = 0.5 / l_hat if l_hat > 0 else 1.0
 
     def map_fn(w, sigma):

@@ -8,7 +8,6 @@ from bayesgame.game import (
     GaussianPrior,
     LossKind,
 )
-from bayesgame.solvers import SolverConfig
 from conftest import random_quadratic_game
 
 
@@ -41,6 +40,14 @@ class TestRidgeFit:
     def test_rejects_nonpositive_alpha(self, rng):
         with pytest.raises(ValueError, match="alpha"):
             ridge_fit(rng.normal(size=(3, 2)), np.zeros(3), 0.0)
+
+    @pytest.mark.parametrize("which", ["X", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, rng, which, bad):
+        X, y = rng.normal(size=(3, 2)), np.zeros(3)
+        (X if which == "X" else y)[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ridge_fit(X, y, 1.0)
 
 
 class TestBayesFp:
@@ -88,7 +95,7 @@ class TestNashStrategy:
         y = rng.normal(size=7)
         spec = GameSpec(X=X, y=y, z=rng.normal(size=7), c_l=np.full(7, 0.1), reg_l=1.0)
         prior = GaussianPrior(mean=-1.0, std=1.0)  # clamped mean is zero
-        w = nash_strategy(spec, prior, SolverConfig(max_iters=20, gamma=1.0))
+        w = nash_strategy(spec, prior, iterations=20)
         oracle = np.linalg.solve(0.1 * X.T @ X + np.eye(3), 0.1 * X.T @ y)
         assert w == pytest.approx(oracle)
 
@@ -96,12 +103,11 @@ class TestNashStrategy:
         spec = random_quadratic_game(rng, 5, 3)
         atom = rng.random(5)
         prior = FinitePrior(atoms=atom[None, :], probs=np.array([1.0]))
-        w_nash = nash_strategy(spec, prior, SolverConfig(max_iters=20, gamma=1.0))
+        w_nash = nash_strategy(spec, prior, iterations=20)
         w_fp = bayes_fp(spec, atom[None, :], iterations=20)
         assert np.array_equal(w_nash, w_fp)
 
     def test_deterministic(self, rng):
         spec = random_quadratic_game(rng, 5, 3)
         prior = GaussianPrior(mean=1.0, std=2.0)
-        cfg = SolverConfig(max_iters=20, gamma=1.0)
-        assert np.array_equal(nash_strategy(spec, prior, cfg), nash_strategy(spec, prior, cfg))
+        assert np.array_equal(nash_strategy(spec, prior, 20), nash_strategy(spec, prior, 20))

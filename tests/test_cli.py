@@ -1,5 +1,7 @@
 import csv
 import json
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from bayesgame.serialize import (
     profile_from_jsonable,
     solver_config_from_jsonable,
 )
-from bayesgame.solvers import SolverTrace, TraceRecord
+from bayesgame.solvers import SolverConfig, SolverTrace, TraceRecord, pg_rbc, prg_ie
 
 
 def small_game(bounded=True):
@@ -159,6 +161,7 @@ class TestSolve:
         rows = read_trace_without_walltime(out / "trace.csv")
         assert rows[0] == ["t", "residual", "error_to_reference"]
         assert len(rows) == 2  # single summary row for the reference solver
+        assert (out / "trace.csv").read_bytes().count(b"\r\n") == 2  # SolverTrace.to_csv's
 
     def test_malformed_config_paths(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -216,6 +219,21 @@ class TestProbe:
         second = capsys.readouterr()
         assert first.out == second.out
         assert "prg-ie step bound" in first.err
+
+    @pytest.mark.parametrize("gamma", [0.6, 0.01, 1e-5])
+    def test_probe_warnings_are_the_solvers_messages(self, tmp_path, capsys, gamma):
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg, solver={"max_iters": 1, "gamma": gamma})
+        assert main(["probe", "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec, prior = small_game()
+        config = SolverConfig(max_iters=1, gamma=gamma)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prg_ie(spec, prior, replace(config, lipschitz=payload["L_hat"]))
+            pg_rbc(spec, prior, replace(config, strong_monotonicity=payload["lambda_hat"]))
+        assert payload["warnings"] == [str(w.message) for w in caught]
+        assert payload["warnings"]  # each of these steps breaks at least one rule
 
     def test_probe_out_file(self, tmp_path):
         cfg = tmp_path / "game.json"

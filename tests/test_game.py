@@ -301,7 +301,13 @@ class TestNonFiniteRejected:
 
     @pytest.mark.parametrize("field, value", [("c_l", np.array([0.1, NAN])),
                                               ("c_l", np.array([INF, 0.1])),
-                                              ("reg_l", NAN), ("reg_l", INF)])
+                                              ("reg_l", NAN), ("reg_l", INF),
+                                              ("X", np.array([[1.0, NAN], [1.0, 1.0]])),
+                                              ("X", np.array([[1.0, 1.0], [-INF, 1.0]])),
+                                              ("y", np.array([0.0, INF])),
+                                              ("y", np.array([NAN, 0.0])),
+                                              ("z", np.array([0.0, NAN])),
+                                              ("z", np.array([-INF, 0.0]))])
     def test_game_spec(self, field, value):
         kwargs = dict(X=np.ones((2, 2)), y=np.zeros(2), z=np.zeros(2), c_l=np.full(2, 0.1))
         kwargs[field] = value

@@ -27,7 +27,6 @@ from bayesgame.quadratic import (
     AdamConfig,
     bayes_adam,
     best_response,
-    objective_trace_to_csv,
     perturbed_prediction,
     stochastic_gradient,
     stochastic_objective,
@@ -244,14 +243,6 @@ class TestBayesAdam:
         config = AdamConfig(learning_rate=0.05, batch_size=4, epochs=5, total_samples=16, seed=2)
         w, _ = bayes_adam(spec, prior, config)
         assert np.linalg.norm(w) <= 0.05 + 1e-12
-
-    def test_trace_csv(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        objective_trace_to_csv([1.5, 1.25, 1.0], path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,objective"
-        assert lines[1].startswith("1,")
-        assert len(lines) == 4
 
     def test_invalid_config(self):
         with pytest.raises(ValueError, match="batch_size"):

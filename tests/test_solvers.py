@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from bayesgame.solvers import (
     pg_rbc,
     prg_ie,
     stacked_map,
+    step_warnings,
 )
 from conftest import (
     monotone_ball_game,
@@ -113,10 +115,7 @@ class TestResidualAndDistance:
         profile = random_profile(rng, spec, 2)
         learner, adversary = stacked_map(profile, prior, spec)
         norm2 = float(learner @ learner + np.sum(adversary * adversary))
-        gamma = 0.37
-        assert equilibrium_residual(profile, prior, spec, gamma) == pytest.approx(
-            gamma**2 * norm2
-        )
+        assert equilibrium_residual(profile, prior, spec) == pytest.approx(norm2)
 
     def test_epsilon_distance_identical(self, rng):
         spec = random_quadratic_game(rng, 3, 2)
@@ -291,6 +290,60 @@ class TestExtragradient:
         spec, prior = monotone_ball_game()
         with pytest.raises(SolverError, match="residual"):
             extragradient_reference(spec, prior, tol=1e-14, max_iters=3)
+
+
+class TestStepRules:
+    """The solvers check their step against the caller's constants; only the oracle probes."""
+
+    @pytest.fixture
+    def probe_calls(self, monkeypatch):
+        calls = []
+        probe = solvers.assumption_probe
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "assumption_probe", counting)
+        return calls
+
+    @pytest.mark.parametrize("constants, expected", [
+        ({}, ["not checked"]),
+        ({"lipschitz": 2.3, "strong_monotonicity": 2.0}, []),  # both rules hold
+    ], ids=["none", "given"])
+    @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 2e-3)],
+                             ids=["pg_rbc", "prg_ie"])
+    def test_solvers_never_probe(self, probe_calls, solver, gamma, constants, expected):
+        spec, prior = monotone_ball_game()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solver(spec, prior, SolverConfig(max_iters=20, gamma=gamma, **constants))
+        assert probe_calls == []
+        assert len(caught) == len(expected)
+        assert all(text in str(w.message) for w, text in zip(caught, expected))
+
+    def test_oracle_probes_once(self, probe_calls):
+        spec, prior = monotone_ball_game()
+        extragradient_reference(spec, prior, tol=1e-8)
+        assert len(probe_calls) == 1
+
+    @pytest.mark.parametrize("gamma, constants, expected", [
+        (0.5, {"lipschitz": 2.3}, ["prg-ie step bound"]),
+        (2e-3, {"lipschitz": 2.3}, []),
+        (1.0, {"lipschitz": 0.0}, ["prg-ie step bound"]),  # the bound is min(1, ...) = 1
+        (0.99, {"lipschitz": 0.0}, []),
+        (0.25, {"strong_monotonicity": 2.0}, ["pg-rbc step bound"]),  # needs gamma > 1/4
+        (0.26, {"strong_monotonicity": 2.0}, []),
+        (5.0, {"strong_monotonicity": 0.0}, ["non-monotone"]),
+        (None, {"lipschitz": 2.3, "strong_monotonicity": -1.0}, ["non-monotone"]),
+        (1e-3, {"lipschitz": 2.3, "strong_monotonicity": 2.0}, ["pg-rbc step bound"]),
+        (0.6, {"lipschitz": 2.3, "strong_monotonicity": 0.1},
+         ["prg-ie step bound", "pg-rbc step bound"]),
+    ])
+    def test_step_warnings(self, gamma, constants, expected):
+        messages = step_warnings(gamma, **constants)
+        assert len(messages) == len(expected)
+        assert all(text in message for message, text in zip(messages, expected))
 
 
 class TestAssumptionProbe:
@@ -574,9 +627,7 @@ class TestDivergence:
                              ids=["pg_rbc", "prg_ie"])
     def test_non_finite_first_trace_point(self, solver, gamma):
         spec, prior = monotone_ball_game()
-        y = spec.y.copy()
-        y[0] = np.nan
-        spec = dataclasses.replace(spec, y=y)
+        spec.y[0] = np.nan  # after construction, since GameSpec rejects a NaN y
         config = SolverConfig(max_iters=20, gamma=gamma, trace_every=5, lipschitz=2.0,
                               strong_monotonicity=2.0)
         with pytest.raises(SolverError, match="t=1: residual nan, last finite residual None"):

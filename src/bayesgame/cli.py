@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .experiments import (
 from .game import FinitePrior, discretize_prior
 from .serialize import (
     ConfigError,
+    _typed,
     game_from_jsonable,
     prior_from_jsonable,
     profile_to_jsonable,
@@ -148,20 +149,14 @@ def cmd_probe(args) -> int:
 
 
 def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
-    params: dict = {}
-    if args.scale:
-        params.update(_PRESET_SIZES[args.scale])
-    for key in ("train_n", "test_n", "repetitions", "test_draws"):
-        if key in doc and not args.scale:
-            params[key] = doc[key]
-        params.setdefault(key, _PRESET_SIZES["desk"][key])
+    params = dict(_PRESET_SIZES[args.scale or "desk"])
+    if not args.scale:  # the config's sizes apply without a preset
+        params.update({key: _typed(doc[key], int, key) for key in params if key in doc})
 
     priors_doc = doc.get("priors")
     if not isinstance(priors_doc, list) or not priors_doc:
         raise ConfigError("priors: expected a nonempty list of prior objects")
-    priors = tuple(
-        prior_from_jsonable(p, f"priors[{i}]") for i, p in enumerate(priors_doc)
-    )
+    priors = tuple(prior_from_jsonable(p, f"priors[{i}]") for i, p in enumerate(priors_doc))
 
     z_doc = doc.get("z_rule", {"kind": "flip"})
     kind = z_doc.get("kind", "flip") if isinstance(z_doc, dict) else None
@@ -170,24 +165,21 @@ def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
     vector = np.asarray(z_doc["vector"], dtype=float) if kind == "custom" else None
     params["z_rule"] = ZRule(kind, vector)
 
-    for key in (
-        "methods",
-        "c_l_value",
-        "reg_l",
-        "adam_lr_grid",
-        "adam_batch_grid",
-        "ridge_alpha_grid",
-        "adam_epochs",
-        "adam_samples",
-        "fp_samples",
-        "fp_iterations",
-        "nash_iterations",
-        "two_equilibria",
-    ):
-        if key in doc:
-            value = doc[key]
-            params[key] = tuple(value) if isinstance(value, list) else value
-    params["seed"] = args.seed if args.seed is not None else doc.get("seed", 0)
+    # the fields not set above have defaults; a config value has its default's type
+    for f in fields(BenchmarkConfig):
+        if f.name not in doc or f.name in params or f.name == "prior_grid":
+            continue
+        value, default = doc[f.name], f.default
+        if not isinstance(default, tuple):
+            params[f.name] = _typed(value, type(default), f.name)
+        elif not isinstance(value, list):
+            raise ConfigError(f"{f.name}: expected a list, got {value!r}")
+        else:
+            params[f.name] = tuple(
+                _typed(v, type(default[0]), f"{f.name}[{i}]") for i, v in enumerate(value)
+            )
+    if args.seed is not None:
+        params["seed"] = args.seed
     try:
         return BenchmarkConfig(prior_grid=priors, **params)
     except (TypeError, ValueError) as exc:

@@ -27,12 +27,10 @@ METHODS = ("bayes-adam", "bayes-fp", "nash", "ridge")
 
 @dataclass
 class Dataset:
-    """Feature table with 0/1 labels, optionally carrying scaler constants."""
+    """Feature table with 0/1 labels."""
 
     features: np.ndarray
     labels: np.ndarray
-    feature_means: np.ndarray | None = None
-    feature_stds: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
@@ -48,19 +46,14 @@ class Dataset:
         return self.features.shape[0]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            self.feature_means,
-            self.feature_stds,
-        )
+        return Dataset(self.features[indices], self.labels[indices])
 
 
 def load_spambase(path, standardize: bool = True) -> Dataset:
     """Parse a spambase-format CSV: 58 numeric columns, no header.
 
     Features are standardized per column using full-dataset statistics
-    (recorded on the returned dataset) unless ``standardize`` is False.
+    unless ``standardize`` is False.
     Malformed lines raise with their line number.
     """
     rows = []
@@ -95,7 +88,7 @@ def load_spambase(path, standardize: bool = True) -> Dataset:
     means = features.mean(axis=0)
     stds = features.std(axis=0)
     stds = np.where(stds == 0, 1.0, stds)  # constant columns pass through
-    return Dataset((features - means) / stds, labels, means, stds)
+    return Dataset((features - means) / stds, labels)
 
 
 def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
@@ -209,6 +202,8 @@ class BenchmarkConfig:
             raise ValueError("test_draws must be >= 1")
         if not self.prior_grid:
             raise ValueError("prior_grid must not be empty")
+        if not (self.adam_lr_grid and self.adam_batch_grid and self.ridge_alpha_grid):
+            raise ValueError("hyperparameter grids must not be empty")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -342,20 +337,12 @@ def _run_cell(args) -> list[ResultRow]:
             train_seed = derive_seed(config.seed, "train", prior_idx, rep, method, label)
             try:
                 w = _train_method(method, params, spec, prior, config, train_seed)
-                score = evaluate(
-                    w,
-                    test,
-                    config.z_rule,
-                    prior,
-                    config.test_draws,
-                    eval_seed,
-                    adversary_w=adversary_w,
-                )
-                rows.append(ResultRow(method, family, params_label, rep, score, label))
+                score = evaluate(w, test, config.z_rule, prior, config.test_draws, eval_seed,
+                                 adversary_w=adversary_w)
+                error = ""
             except Exception as exc:  # noqa: BLE001 - cell failures must not kill the run
-                rows.append(
-                    ResultRow(method, family, params_label, rep, float("nan"), label, str(exc))
-                )
+                score, error = float("nan"), str(exc)
+            rows.append(ResultRow(method, family, params_label, rep, score, label, error))
     return rows
 
 
@@ -364,13 +351,10 @@ def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> B
 
     Cells are independent and may run in a process pool; results are gathered
     in a deterministic order.  Per (method, prior), the grid configuration
-    with the best mean RMSE across repetitions is selected for the report.
+    with the best mean RMSE across repetitions is selected for the report: a
+    configuration with a failed repetition scores inf, and ties go to the
+    first label in sorted order.
     """
-    if config.train_n + config.test_n > len(data):
-        raise ValueError(
-            f"train_n + test_n = {config.train_n + config.test_n} exceeds "
-            f"dataset size {len(data)}"
-        )
     cells = [
         (data, config, prior_idx, rep)
         for prior_idx in range(len(config.prior_grid))
@@ -382,43 +366,36 @@ def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> B
     else:
         cell_rows = [_run_cell(cell) for cell in cells]
 
-    all_rows = [row for rows in cell_rows for row in rows]
+    # (prior index, method) -> config label -> rows.  The cells come in prior
+    # and repetition order, and each lists its rows in method order.
+    groups: dict[tuple, dict[str, list[ResultRow]]] = {}
+    for (_, _, prior_idx, _), rows in zip(cells, cell_rows):
+        for row in rows:
+            by_config = groups.setdefault((prior_idx, row.method), {})
+            by_config.setdefault(row.config_label, []).append(row)
+
+    def _mean_or_inf(rows):
+        values = [r.rmse for r in rows]
+        return float("inf") if any(math.isnan(v) for v in values) else float(np.mean(values))
+
     selected_rows: list[ResultRow] = []
     aggregates = []
-    for prior_idx in range(len(config.prior_grid)):
-        family, params_label = prior_label(config.prior_grid[prior_idx])
-        for method in config.methods:
-            candidates = [
-                r
-                for r in all_rows
-                if r.method == method and r.prior_params == params_label
-                and r.prior_family == family
-            ]
-            by_config: dict[str, list[ResultRow]] = {}
-            for row in candidates:
-                by_config.setdefault(row.config_label, []).append(row)
-
-            def _mean_or_inf(rows):
-                values = [r.rmse for r in rows]
-                if any(math.isnan(v) for v in values):
-                    return float("inf")
-                return float(np.mean(values))
-
-            best_label = min(sorted(by_config), key=lambda lbl: _mean_or_inf(by_config[lbl]))
-            chosen = sorted(by_config[best_label], key=lambda r: r.repetition)
-            selected_rows.extend(chosen)
-            values = [r.rmse for r in chosen if not math.isnan(r.rmse)]
-            aggregates.append(
-                {
-                    "method": method,
-                    "prior_family": family,
-                    "prior_params": params_label,
-                    "config": best_label,
-                    "mean_rmse": float(np.mean(values)) if values else None,
-                    "std_rmse": float(np.std(values)) if values else None,
-                    "failures": sum(1 for r in chosen if r.error),
-                }
-            )
+    for by_config in groups.values():
+        best_label = min(sorted(by_config), key=lambda lbl: _mean_or_inf(by_config[lbl]))
+        chosen = by_config[best_label]
+        selected_rows.extend(chosen)
+        values = [r.rmse for r in chosen if not math.isnan(r.rmse)]
+        aggregates.append(
+            {
+                "method": chosen[0].method,
+                "prior_family": chosen[0].prior_family,
+                "prior_params": chosen[0].prior_params,
+                "config": best_label,
+                "mean_rmse": float(np.mean(values)) if values else None,
+                "std_rmse": float(np.std(values)) if values else None,
+                "failures": sum(1 for r in chosen if r.error),
+            }
+        )
     return BenchmarkResult(rows=selected_rows, aggregates=aggregates)
 
 
@@ -434,8 +411,3 @@ def desk_config(priors, seed: int = 0, **overrides) -> BenchmarkConfig:
     base = dict(_PRESET_SIZES["desk"], prior_grid=tuple(priors), seed=seed)
     return BenchmarkConfig(**{**base, **overrides})
 
-
-def paper_config(priors, seed: int = 0, **overrides) -> BenchmarkConfig:
-    """Full protocol preset: 500/500 split, 10 repetitions, 500 test draws."""
-    base = dict(_PRESET_SIZES["paper"], prior_grid=tuple(priors), seed=seed)
-    return BenchmarkConfig(**{**base, **overrides})

@@ -27,15 +27,15 @@ from .game import (
     project,
 )
 
+# Adam's moment decay rates and denominator offset
+_BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class AdamConfig:
     """Hyperparameters for the stochastic minimization of the reduced objective."""
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
     batch_size: int = 32
     epochs: int = 20
     total_samples: int = 1000
@@ -44,10 +44,6 @@ class AdamConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if not 0 < self.eps_hat < math.inf:
-            raise ValueError("eps_hat must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.total_samples < 1:
@@ -216,13 +212,12 @@ def bayes_adam(
             batch = samples[order[lo : lo + config.batch_size]]
             g = _stochastic_gradient(w, spec, batch)
             step += 1
-            m1 = config.beta1 * m1 + (1.0 - config.beta1) * g
-            m2 = config.beta2 * m2 + (1.0 - config.beta2) * g * g
-            m1_hat = m1 / (1.0 - config.beta1**step)
-            m2_hat = m2 / (1.0 - config.beta2**step)
+            m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
+            m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g
+            m1_hat = m1 / (1.0 - _BETA1**step)
+            m2_hat = m2 / (1.0 - _BETA2**step)
             w = _project(
-                w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + config.eps_hat),
-                spec.learner_set,
+                w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + _EPS_HAT), spec.learner_set
             )
         if record_objective:
             trace.append(_stochastic_objective(w, spec, samples))

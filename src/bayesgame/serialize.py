@@ -33,13 +33,22 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _typed(value, kind, where: str):
+    """``value`` as ``kind`` (bool, int, float or str); an int may stand for a float."""
+    types, name = _JSON_TYPES[kind]
+    if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
+    return kind(value)
+
+
 def _number(obj: dict, key: str, path: str, default=None) -> float:
     if default is not None and key not in obj:
         return default
-    value = _require(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _typed(_require(obj, key, path), float, f"{path}.{key}")
 
 
 def _array(obj: dict, key: str, path: str, ndim: int) -> np.ndarray:
@@ -150,9 +159,7 @@ def profile_from_jsonable(obj, path: str = "profile") -> StrategyProfile:
 
 
 def solver_config_from_jsonable(obj, path: str = "solver") -> SolverConfig:
-    max_iters = _require(obj, "max_iters", path)
-    if not isinstance(max_iters, int) or isinstance(max_iters, bool):
-        raise ConfigError(f"{path}.max_iters: expected an integer")
+    max_iters = _typed(_require(obj, "max_iters", path), int, f"{path}.max_iters")
     kwargs = {}
     for key in ("lipschitz", "strong_monotonicity"):
         if obj.get(key) is not None:

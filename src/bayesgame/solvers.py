@@ -199,7 +199,8 @@ def _natural_residual(w, sigma, t_w, t_sig, spec: GameSpec) -> float:
 
 def _projected_step(sigma, t_sig, gamma, action_set):
     """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``t_sig``."""
-    np.multiply(gamma, t_sig, out=t_sig)
+    if gamma != 1.0:  # x * 1.0 == x exactly, so the residual's step skips the pass
+        np.multiply(gamma, t_sig, out=t_sig)
     np.subtract(sigma, t_sig, out=t_sig)
     for block in t_sig:
         _project(block, action_set)  # scales the block in place if outside the ball
@@ -359,6 +360,25 @@ def _trace_point(
     return residual
 
 
+def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> SolverTrace:
+    """Trace the ``(w, sigma)`` that ``iterates`` yields after each iteration.
+
+    Trace points are t = 1, every ``trace_every`` and the last iteration.
+    With ``tol`` > 0 the run stops, ``converged``, at the first trace point
+    whose residual is at most ``tol``.  A solver may update the arrays it
+    yielded in place on its next iteration, so each is used before the next.
+    """
+    start = time.perf_counter()
+    records: list[TraceRecord] = []
+    for t, (w, sigma) in enumerate(iterates, start=1):
+        if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
+            profile = StrategyProfile(w=w, sigma=sigma)
+            residual = _trace_point(records, t, profile, prior, spec, reference, start)
+            if config.tol > 0 and residual <= config.tol:
+                return SolverTrace(records, profile, converged=True)
+    return SolverTrace(records, StrategyProfile(w=w, sigma=sigma), converged=False)
+
+
 def prg_ie(
     spec: GameSpec,
     prior: FinitePrior,
@@ -384,8 +404,10 @@ def prg_ie(
     _check_profile(init, prior, spec)
     for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
         warnings.warn(message, stacklevel=2)
+    return _traced_run(_prg_ie_iterates(init, prior, spec, config), config, prior, spec, reference)
 
-    start = time.perf_counter()
+
+def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
     w_cur, sig_cur = init.w, init.sigma
     w_til_prev, sig_til_prev = init.w.copy(), init.sigma.copy()
     w_til, sig_til = init.w.copy(), init.sigma.copy()
@@ -393,9 +415,6 @@ def prg_ie(
     # next projected point (first the map's generator blocks) and a scratch
     sig_ref, sig_til_next, scratch = (np.empty_like(sig_cur) for _ in range(3))
     gamma = config.gamma
-
-    records: list[TraceRecord] = []
-    converged = False
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
@@ -413,19 +432,7 @@ def prg_ie(
         w_til_prev, w_til = w_til, w_til_next
         # the old sig_til_prev becomes the next iteration's free buffer
         sig_til_prev, sig_til, sig_til_next = sig_til, sig_til_next, sig_til_prev
-
-        if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
-            profile = StrategyProfile(w=w_cur, sigma=sig_cur)
-            residual = _trace_point(records, t, profile, prior, spec, reference, start)
-            if config.tol > 0 and residual <= config.tol:
-                converged = True
-                break
-
-    return SolverTrace(
-        iterations=records,
-        final_profile=StrategyProfile(w=w_cur, sigma=sig_cur),
-        converged=converged,
-    )
+        yield w_cur, sig_cur
 
 
 def pg_rbc(
@@ -442,21 +449,20 @@ def pg_rbc(
     ``step_warnings`` checks the initial step against
     ``config.strong_monotonicity``, and each message it returns is warned.
     """
-    K = prior.num_atoms
-    init = origin_profile(spec, K)
+    init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)
     for message in step_warnings(config.gamma, strong_monotonicity=config.strong_monotonicity):
         warnings.warn(message, stacklevel=2)
+    return _traced_run(_pg_rbc_iterates(init, prior, spec, config), config, prior, spec, reference)
 
-    start = time.perf_counter()
+
+def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
-    indices = rng.choice(K, size=config.max_iters, p=prior.probs)
+    indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs)
 
     w_cur, sig_cur = init.w, init.sigma
     atoms, w_set, sig_set = prior.atoms, spec.learner_set, spec.adversary_set
     step, scratch = np.empty_like(sig_cur[0]), np.empty_like(sig_cur[0])  # block-sized
-    records: list[TraceRecord] = []
-    converged = False
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
@@ -468,20 +474,7 @@ def pg_rbc(
         sig_j -= step
         _project(sig_j, sig_set)  # block j of sig_cur, updated in place
         w_cur = w_next
-
-        done = t + 1
-        if done == 1 or done % config.trace_every == 0 or done == config.max_iters:
-            profile = StrategyProfile(w=w_cur, sigma=sig_cur)
-            residual = _trace_point(records, done, profile, prior, spec, reference, start)
-            if config.tol > 0 and residual <= config.tol:
-                converged = True
-                break
-
-    return SolverTrace(
-        iterations=records,
-        final_profile=StrategyProfile(w=w_cur, sigma=sig_cur),
-        converged=converged,
-    )
+        yield w_cur, sig_cur
 
 
 def _extragradient_on_map(

@@ -1,7 +1,10 @@
 import csv
 import json
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +314,43 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["benchmark", "--config", str(cfg), "--out", str(b), "--workers", "2"]) == 0
         assert (a / "results.csv").read_text() == (b / "results.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("adam_epochs", "2"),
+            ("train_n", "50"),
+            ("two_equilibria", "no"),
+            ("ridge_alpha_grid", [0.1, "1"]),
+            ("adam_batch_grid", [32.0]),
+            ("seed", True),
+        ],
+    )
+    def test_mistyped_key_exits_1(self, tmp_path, capsys, key, value):
+        dataset = self.write_dataset(tmp_path)
+        cfg = self.write_config(tmp_path, dataset, **{key: value})
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"configuration error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_desk_script_runs_the_command(self, tmp_path, monkeypatch):
+        dataset_dir = tmp_path / "data_dir"
+        dataset_dir.mkdir()
+        self.write_dataset(dataset_dir, rows=450).rename(dataset_dir / "spambase.data")
+        out = tmp_path / "desk"
+        monkeypatch.setenv("BAYESGAME_DATA", str(dataset_dir))
+        script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_benchmark.py"
+        done = subprocess.run([sys.executable, str(script), "--out", str(out), "--seed", "2"],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads((out / "config.json").read_text())
+        assert "dataset" not in doc
+        replay = tmp_path / "replay"
+        assert main(["benchmark", "--config", str(out / "config.json"), "--out", str(replay),
+                     "--scale", "desk", "--seed", "2"]) == 0
+        for name in ("results.csv", "aggregate.json", "metadata.json"):
+            assert (out / name).read_text() == (replay / name).read_text()
 
     def test_scale_preset_overrides_sizes(self, tmp_path, capsys):
         dataset = self.write_dataset(tmp_path, rows=80)

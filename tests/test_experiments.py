@@ -8,13 +8,13 @@ from hypothesis.extra.numpy import arrays
 
 from bayesgame import quadratic
 from bayesgame.experiments import (
+    _PRESET_SIZES,
     BenchmarkConfig,
     Dataset,
     ZRule,
     derive_seed,
     evaluate,
     load_spambase,
-    paper_config,
     prior_label,
     rmse,
     run_benchmark,
@@ -92,11 +92,9 @@ class TestLoader:
         with pytest.raises(ValueError, match="label"):
             load_spambase(path)
 
-    def test_standardization_applied_and_recorded(self, dataset_file):
-        path, features, _ = dataset_file
+    def test_standardization_applied(self, dataset_file):
+        path, _, _ = dataset_file
         data = load_spambase(path)
-        assert data.feature_means == pytest.approx(features.mean(axis=0))
-        assert data.feature_stds == pytest.approx(features.std(axis=0))
         assert data.features.mean(axis=0) == pytest.approx(np.zeros(57), abs=1e-12)
         assert data.features.std(axis=0) == pytest.approx(np.ones(57))
 
@@ -315,7 +313,8 @@ class TestBenchmark:
         assert len(calls) == 2
 
     def test_paper_scale_config_expressible(self):
-        config = paper_config([GaussianPrior(mean=1.0, std=1.0)])
+        priors = (GaussianPrior(mean=1.0, std=1.0),)
+        config = BenchmarkConfig(prior_grid=priors, **_PRESET_SIZES["paper"])
         assert (config.train_n, config.test_n) == (500, 500)
         assert (config.repetitions, config.test_draws) == (10, 500)
         assert config.adam_lr_grid == (0.001, 0.01, 0.1)
@@ -323,6 +322,22 @@ class TestBenchmark:
         assert config.ridge_alpha_grid == (0.01, 0.1, 1.0)
         assert config.adam_samples == 1000 and config.adam_epochs == 20
         assert config.c_l_value == 0.1
+
+    @pytest.mark.parametrize("grid", ["adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"])
+    def test_empty_grid_rejected(self, grid):
+        # an empty grid would leave its method without rows or an aggregate
+        with pytest.raises(ValueError, match="grids must not be empty"):
+            self.make_config(**{grid: ()})
+
+    def test_equal_priors_are_separate_entries(self, rng):
+        features, labels = synthetic_dataset(rng)
+        prior = GaussianPrior(mean=1.0, std=1.0)
+        config = self.make_config(prior_grid=(prior, prior))
+        result = run_benchmark(config, Dataset(features, labels))
+        assert len(result.aggregates) == 2
+        assert len(result.rows) == 4  # two repetitions per grid entry, none shared
+        first, second = result.rows[:2], result.rows[2:]
+        assert [r.rmse for r in first] != [r.rmse for r in second]  # own evaluation seeds
 
     def test_size_overflow_rejected(self, rng):
         features, labels = synthetic_dataset(rng, rows=30)

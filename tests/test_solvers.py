@@ -563,6 +563,40 @@ class TestUncheckedLoopsMatchReference:
             )
 
 
+class TestTraceSchedule:
+    """Both solvers trace at t = 1, every trace_every and the last iteration, and stop on tol."""
+
+    SOLVERS = {
+        "pg_rbc": (pg_rbc, dict(gamma=0.5, seed=4, strong_monotonicity=2.0)),
+        "prg_ie": (prg_ie, dict(gamma=4e-3, lipschitz=2.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_trace_points(self, name):
+        run, kwargs = self.SOLVERS[name]
+        spec, prior = monotone_ball_game()
+        trace = run(spec, prior, SolverConfig(max_iters=237, trace_every=50, **kwargs))
+        assert [rec.t for rec in trace.iterations] == [1, 50, 100, 150, 200, 237]
+        assert not trace.converged
+
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_tol_stops_at_first_trace_point_within_tol(self, name):
+        run, kwargs = self.SOLVERS[name]
+        spec, prior = monotone_ball_game()
+        full = run(spec, prior, SolverConfig(max_iters=400, trace_every=20, **kwargs))
+        residuals = [rec.residual for rec in full.iterations]
+        tol = residuals[len(residuals) // 2]
+        stop = next(i for i, residual in enumerate(residuals) if residual <= tol)
+        t_stop = full.iterations[stop].t
+        trace = run(spec, prior, SolverConfig(max_iters=400, trace_every=20, tol=tol, **kwargs))
+        assert trace.converged and not full.converged
+        head = full.iterations[: stop + 1]
+        assert [(r.t, r.residual) for r in trace.iterations] == [(r.t, r.residual) for r in head]
+        shorter = run(spec, prior, SolverConfig(max_iters=t_stop, trace_every=20, **kwargs))
+        assert np.array_equal(trace.final_profile.w, shorter.final_profile.w)
+        assert np.array_equal(trace.final_profile.sigma, shorter.final_profile.sigma)
+
+
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_batched_kernels_equal_per_atom_gradients(name):
     spec, prior = GAMES[name]

@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .experiments import (
     _PRESET_SIZES,
@@ -28,6 +26,7 @@ from .experiments import (
 from .game import FinitePrior, discretize_prior
 from .serialize import (
     ConfigError,
+    _array,
     _typed,
     game_from_jsonable,
     prior_from_jsonable,
@@ -76,8 +75,8 @@ def _write_metadata(out_dir: Path, config_hash: str, seed: int) -> None:
 
 def _finite_prior(doc: dict, spec_n: int, seed: int) -> FinitePrior:
     prior = prior_from_jsonable(doc.get("prior"), "prior")
-    k = doc.get("discretize_k", DEFAULT_DISCRETIZE_K)
-    if not isinstance(k, int) or k < 1:
+    k = _typed(doc.get("discretize_k", DEFAULT_DISCRETIZE_K), int, "discretize_k")
+    if k < 1:
         raise ConfigError("discretize_k: expected a positive integer")
     if isinstance(prior, FinitePrior):
         if prior.atoms.shape[1] != spec_n:
@@ -123,10 +122,10 @@ def cmd_probe(args) -> int:
     doc, config_hash = _load_json(args.config)
     spec = game_from_jsonable(doc.get("game"), "game")
     probe = doc.get("probe", {})
-    trials = probe.get("trials", 64)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 2:
+    trials = _typed(probe.get("trials", 64), int, "probe.trials")
+    if trials < 2:
         raise ConfigError("probe.trials: expected an integer >= 2")
-    seed = args.seed if args.seed is not None else probe.get("seed", 0)
+    seed = args.seed if args.seed is not None else _typed(probe.get("seed", 0), int, "probe.seed")
     prior = _finite_prior(doc, spec.n, seed)
     diag = assumption_probe(spec, prior, trials=trials, seed=seed)
 
@@ -162,7 +161,7 @@ def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
     kind = z_doc.get("kind", "flip") if isinstance(z_doc, dict) else None
     if kind not in ("flip", "zero", "custom"):
         raise ConfigError(f"z_rule.kind: expected flip|zero|custom, got {kind!r}")
-    vector = np.asarray(z_doc["vector"], dtype=float) if kind == "custom" else None
+    vector = _array(z_doc, "vector", "z_rule", 1) if kind == "custom" else None
     params["z_rule"] = ZRule(kind, vector)
 
     # the fields not set above have defaults; a config value has its default's type
@@ -209,9 +208,8 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "results.csv")
-    (out_dir / "aggregate.json").write_text(
-        json.dumps(result.to_json(), indent=2, allow_nan=False) + "\n"
-    )
+    summary = result.to_json()
+    (out_dir / "aggregate.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     _write_metadata(out_dir, config_hash, config.seed)
     for agg in result.aggregates:
         mean = "nan" if agg["mean_rmse"] is None else f"{agg['mean_rmse']:.4f}"
@@ -219,6 +217,10 @@ def cmd_benchmark(args) -> int:
             f"{agg['method']:<11} {agg['prior_family']:<10} {agg['prior_params']:<24} "
             f"rmse={mean} ({agg['config']})"
         )
+    if summary["errors"]:
+        print(f"error: {len(summary['errors'])} of {len(result.rows)} result rows failed "
+              "(listed under errors in aggregate.json)", file=sys.stderr)
+        return 2
     return 0
 
 

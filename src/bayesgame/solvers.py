@@ -152,6 +152,23 @@ def _check_profile(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec)
     prior._check_dimension(spec.n)
 
 
+# Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunks(sigma, buffers: int):
+    """The atom chunks of ``sigma`` (K, n, m), followed by ``buffers`` chunk buffers.
+
+    The chunks are consecutive ``(slice, length)`` pairs whose blocks fit
+    ``_CHUNK_BYTES``, each of at least one atom.  A buffer has the first (and
+    largest) chunk's shape; its first c atoms serve a chunk of c atoms.
+    """
+    size = max(1, _CHUNK_BYTES // sigma[0].nbytes)
+    K = len(sigma)
+    chunks = [(slice(lo, min(lo + size, K)), min(size, K - lo)) for lo in range(0, K, size)]
+    return (chunks, *(np.empty((min(size, K),) + sigma.shape[1:]) for _ in range(buffers)))
+
+
 def stacked_map(
     profile: StrategyProfile, prior: FinitePrior, spec: GameSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -161,46 +178,63 @@ def stacked_map(
     unweighted generator block for each atom (shape (K, n, m)).
     """
     _check_profile(profile, prior, spec)
-    return _stacked_map(profile.w, profile.sigma, prior, spec)
+    w, sigma = profile.w, profile.sigma
+    rows, out = np.empty((prior.num_atoms, spec.m)), np.empty_like(sigma)
+    _chunk_map(w, sigma, prior.atoms, spec, rows, out, None)
+    return prior.probs @ rows, out
 
 
-def _stacked_map(w, sigma, prior: FinitePrior, spec: GameSpec, out=None, scratch=None):
-    """``stacked_map`` at (w, sigma), unchecked; ``out`` and ``scratch`` as in
-    ``game._grad_adversary_X``, which writes the generator blocks into ``out``."""
-    margins = sigma @ w  # (K, n)
-    learner = prior.probs @ _grad_learner_w(w, sigma, margins, spec)
-    return learner, _grad_adversary_X(w, sigma, margins, prior.atoms, spec, out, scratch)
+def _chunk_map(w, sigma, atoms, spec: GameSpec, rows, out, scratch) -> None:
+    """The operator at a chunk of atoms, unchecked: each atom's learner gradient into
+    ``rows`` (c, m), later weighted by ``probs @ rows``, and its generator block
+    into ``out`` (c, n, m); ``scratch`` as in ``game._grad_adversary_X``."""
+    margins = sigma @ w  # (c, n)
+    rows[...] = _grad_learner_w(w, sigma, margins, spec)
+    _grad_adversary_X(w, sigma, margins, atoms, spec, out, scratch)
 
 
 def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> float:
     """Squared natural-map residual at step 1; zero exactly at equilibria.
 
     The fixed step keeps values comparable across runs; for unconstrained
-    sets this is the squared operator norm.
+    sets this is the squared operator norm.  The operator is evaluated one
+    chunk of atoms at a time, so no sigma-sized array is allocated.
     """
-    t_w, t_sig = stacked_map(profile, prior, spec)
-    return _natural_residual(profile.w, profile.sigma, t_w, t_sig, spec)
+    _check_profile(profile, prior, spec)
+    w, sigma = profile.w, profile.sigma
+    chunks, out, scratch = _chunks(sigma, 2)
+    rows = np.empty((prior.num_atoms, spec.m))
+    block_sums: list[float] = []
+    for s, c in chunks:
+        _chunk_map(w, sigma[s], prior.atoms[s], spec, rows[s], out[:c], scratch[:c])
+        _block_residuals(sigma[s], out[:c], scratch[:c], spec.adversary_set, block_sums)
+    return _natural_residual(w, prior.probs @ rows, block_sums, spec)
 
 
-def _natural_residual(w, sigma, t_w, t_sig, spec: GameSpec) -> float:
-    """Squared natural-map residual at (w, sigma) from the map's value (t_w, t_sig) there.
+def _block_residuals(sigma, t_sig, buf, action_set, block_sums: list) -> None:
+    """Append each ``|sigma_k - project(sigma_k - t_sig_k)|^2``, the blocks' terms of
+    the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape) is overwritten."""
+    np.subtract(sigma, t_sig, out=buf)
+    for block in buf:
+        _project(block, action_set)
+    np.subtract(sigma, buf, out=buf)
+    np.square(buf, out=buf)
+    block_sums.extend(float(np.sum(block)) for block in buf)
 
-    Unchecked; overwrites ``t_sig``.
-    """
+
+def _natural_residual(w, t_w, block_sums, spec: GameSpec) -> float:
+    """Squared natural-map residual at w from the learner map ``t_w`` there
+    and the ``_block_residuals`` sums, which are added in atom order."""
     w_step = _project(w - t_w, spec.learner_set)
     total = float(np.sum((w - w_step) ** 2))
-    diff = _projected_step(sigma, t_sig, 1.0, spec.adversary_set)
-    np.subtract(sigma, diff, out=diff)
-    np.square(diff, out=diff)
-    for block in diff:
-        total += float(np.sum(block))
+    for block_sum in block_sums:
+        total += block_sum
     return total
 
 
 def _projected_step(sigma, t_sig, gamma, action_set):
     """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``t_sig``."""
-    if gamma != 1.0:  # x * 1.0 == x exactly, so the residual's step skips the pass
-        np.multiply(gamma, t_sig, out=t_sig)
+    np.multiply(gamma, t_sig, out=t_sig)
     np.subtract(sigma, t_sig, out=t_sig)
     for block in t_sig:
         _project(block, action_set)  # scales the block in place if outside the ball
@@ -258,15 +292,19 @@ def assumption_probe(
         raise ValueError("trials must be >= 2")
     rng = np.random.default_rng(seed)
     probs = prior.probs
-    # the pair's profiles and operator values, reused by every trial
+    K = prior.num_atoms
+    # the pair's profiles, redrawn by every trial; the map values and the
+    # inner products are formed chunk by chunk into per-atom sums
     w = np.empty((2, spec.m))
-    sigma = np.empty((2, prior.num_atoms, spec.n, spec.m))
-    t_w = np.empty((2, spec.m))
-    t_sig = np.empty_like(sigma)
-    scratch = np.empty_like(sigma[0])
+    sigma = np.empty((2, K, spec.n, spec.m))
+    chunks, scratch = _chunks(sigma[0], 1)
+    t_sig = np.empty((2,) + scratch.shape)
+    rows = np.empty((2, K, spec.m))
+    sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
+    sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
-    def weighted_dot(u, v) -> float:  # sum_k p_k <u_k, v_k>
-        return probs @ np.sum(np.multiply(u, v, out=scratch), axis=(1, 2))
+    def block_dots(u, v, out) -> None:  # <u_k, v_k> for each block of the chunk
+        np.sum(np.multiply(u, v, out=scratch[: len(u)]), axis=(1, 2), out=out)
 
     lambda_hat = np.inf
     l_hat = 0.0
@@ -274,26 +312,26 @@ def assumption_probe(
     for _ in range(trials):
         for i in (0, 1):
             _draw_feasible_profile(rng, spec, w[i], sigma[i])
+        for s, c in chunks:
+            for i in (0, 1):
+                _chunk_map(w[i], sigma[i, s], prior.atoms[s], spec, rows[i, s], t_sig[i, :c],
+                           scratch[:c])
+                block_dots(t_sig[i, :c], t_sig[i, :c], sq_norms[i, s])
+            dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
+            dtsig = np.subtract(t_sig[0, :c], t_sig[1, :c], out=t_sig[0, :c])
+            block_dots(dsig, dsig, sums[0, s])
+            block_dots(dsig, dtsig, sums[1, s])
+            block_dots(dtsig, dtsig, sums[2, s])
         for i in (0, 1):
-            margins = sigma[i] @ w[i]
-            g_learner = _grad_learner_w(w[i], sigma[i], margins, spec)
-            _grad_adversary_X(w[i], sigma[i], margins, prior.atoms, spec, t_sig[i], scratch)
-            t_w[i] = probs @ g_learner
-            np.multiply(t_sig[i], t_sig[i], out=scratch)
-            g_hat = max(
-                g_hat,
-                float(np.max(np.linalg.norm(g_learner, axis=1))),
-                float(np.max(np.sqrt(np.sum(scratch, axis=(1, 2))))),
-            )
+            g_hat = max(g_hat, float(np.max(np.linalg.norm(rows[i], axis=1))),
+                        float(np.max(np.sqrt(sq_norms[i]))))
         dw = w[0] - w[1]
-        dsig = np.subtract(sigma[0], sigma[1], out=sigma[0])
-        den = float(dw @ dw + weighted_dot(dsig, dsig))
+        den = float(dw @ dw + probs @ sums[0])
         if den < 1e-24:
             continue  # duplicate pair: quotient undefined
-        dtw = t_w[0] - t_w[1]
-        dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
-        num = float(dw @ dtw + weighted_dot(dsig, dtsig))
-        tnorm = float(dtw @ dtw + weighted_dot(dtsig, dtsig))
+        dtw = probs @ rows[0] - probs @ rows[1]
+        num = float(dw @ dtw + probs @ sums[1])
+        tnorm = float(dtw @ dtw + probs @ sums[2])
         lambda_hat = min(lambda_hat, num / den)
         l_hat = max(l_hat, np.sqrt(tnorm / den))
     if not np.isfinite(lambda_hat):
@@ -409,29 +447,33 @@ def prg_ie(
 
 def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
     w_cur, sig_cur = init.w, init.sigma
-    w_til_prev, sig_til_prev = init.w.copy(), init.sigma.copy()
-    w_til, sig_til = init.w.copy(), init.sigma.copy()
-    # sigma-sized buffers, reused every iteration: the reflected point, the
-    # next projected point (first the map's generator blocks) and a scratch
-    sig_ref, sig_til_next, scratch = (np.empty_like(sig_cur) for _ in range(3))
-    gamma = config.gamma
+    w_til_prev, w_til = init.w.copy(), init.w.copy()
+    # sigma is kept in three stacks, one per iterate; each chunk's reflected
+    # point and scratch live in chunk-sized buffers, and the next tilde point
+    # is written over the previous one once the reflected point has read it
+    til_a, til_b = init.sigma.copy(), init.sigma.copy()
+    chunks, sig_ref, scratch = _chunks(sig_cur, 2)
+    rows = np.empty((prior.num_atoms, spec.m))
+    # per chunk: current, tilde, previous tilde, atoms, learner rows, reflected point, scratch
+    views = [(sig_cur[s], til_a[s], til_b[s], prior.atoms[s], rows[s], sig_ref[:c], scratch[:c])
+             for s, c in chunks]
+    # the tilde stacks swap roles every iteration
+    swapped = [(cur, prev, til, *rest) for cur, til, prev, *rest in views]
+    gamma, probs = config.gamma, prior.probs
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
-        np.multiply(2.0, sig_til, out=sig_ref)
-        sig_ref -= sig_til_prev
-
-        learner, adv = _stacked_map(w_ref, sig_ref, prior, spec, sig_til_next, scratch)
-        w_til_next = _project(w_cur - gamma * learner, spec.learner_set)
-        _projected_step(sig_cur, adv, gamma, spec.adversary_set)
-
+        for cur, til, til_prev, atoms, rows_c, ref, scr in views:
+            np.multiply(2.0, til, out=ref)
+            ref -= til_prev
+            _chunk_map(w_ref, ref, atoms, spec, rows_c, til_prev, scr)
+            _projected_step(cur, til_prev, gamma, spec.adversary_set)  # the next tilde point
+            cur *= delta / 2.0
+            cur += np.multiply(1.0 - delta, til_prev, out=scr)
+        w_til_next = _project(w_cur - gamma * (probs @ rows), spec.learner_set)
         w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
-        sig_cur *= delta / 2.0
-        sig_cur += np.multiply(1.0 - delta, sig_til_next, out=scratch)
-
         w_til_prev, w_til = w_til, w_til_next
-        # the old sig_til_prev becomes the next iteration's free buffer
-        sig_til_prev, sig_til, sig_til_next = sig_til, sig_til_next, sig_til_prev
+        views, swapped = swapped, views
         yield w_cur, sig_cur
 
 
@@ -487,30 +529,35 @@ def _extragradient_on_map(
 ) -> tuple[StrategyProfile, int]:
     """Two-projection extragradient on an arbitrary blockwise map.
 
-    ``map_fn(w, sigma) -> (t_w, t_sigma)`` must return a fresh ``t_sigma``,
-    which is overwritten.  Stops when the squared natural-map residual
-    (``equilibrium_residual``'s) drops to ``tol``.  Returns the profile and
-    the number of iterations taken.  The map's value at each accepted point
-    serves both the residual check and the next iteration's first step, so
-    an iteration evaluates the map twice.
+    ``map_fn(w, sigma, out) -> t_w`` writes the generator blocks into
+    ``out``, which does not alias ``sigma``.  Stops when the squared
+    natural-map residual (``equilibrium_residual``'s) drops to ``tol``.
+    Returns the profile and the number of iterations taken.  The map's value
+    at each accepted point serves both the residual check and the next
+    iteration's first step, so an iteration evaluates the map twice.  The
+    loop keeps three sigma stacks: the iterate, the map's value there, and a
+    third for the half step's map value and the next iterate.
     """
-
-    def _step(w, sigma, t_w, t_sig):
-        w_step = _project(w - gamma * t_w, spec.learner_set)
-        return w_step, _projected_step(sigma, t_sig, gamma, spec.adversary_set)
-
     w, sigma = x0.w.copy(), x0.sigma.copy()
-    t_w, t_sig = map_fn(w, sigma)
+    t_sig, free = np.empty_like(sigma), np.empty_like(sigma)
+    chunks, buf = _chunks(sigma, 1)
+    t_w = map_fn(w, sigma, t_sig)
     for it in range(max_iters + 1):
-        # _natural_residual overwrites its t_sigma; the step needs the original
-        residual = _natural_residual(w, sigma, t_w, t_sig.copy(), spec)
+        block_sums: list[float] = []
+        for s, c in chunks:
+            _block_residuals(sigma[s], t_sig[s], buf[:c], spec.adversary_set, block_sums)
+        residual = _natural_residual(w, t_w, block_sums, spec)
         if residual <= tol:
             return StrategyProfile(w=w, sigma=sigma), it
         if it == max_iters:
             break
-        w_half, sig_half = _step(w, sigma, t_w, t_sig)
-        w, sigma = _step(w, sigma, *map_fn(w_half, sig_half))
-        t_w, t_sig = map_fn(w, sigma)
+        w_half = _project(w - gamma * t_w, spec.learner_set)
+        sig_half = _projected_step(sigma, t_sig, gamma, spec.adversary_set)
+        t_w_half = map_fn(w_half, sig_half, free)
+        w = _project(w - gamma * t_w_half, spec.learner_set)
+        # the next iterate goes into the half step's map value, the map there into the old iterate
+        sigma, t_sig, free = _projected_step(sigma, free, gamma, spec.adversary_set), sigma, t_sig
+        t_w = map_fn(w, sigma, t_sig)
     raise SolverError(
         f"extragradient did not reach tol={tol:g} within {max_iters} iterations; "
         f"last residual {residual:.6e}"
@@ -533,9 +580,13 @@ def extragradient_reference(
     _check_profile(init, prior, spec)
     l_hat = assumption_probe(spec, prior, trials=16, seed=0).L_hat
     gamma = 0.5 / l_hat if l_hat > 0 else 1.0
+    chunks, scratch = _chunks(init.sigma, 1)
+    rows = np.empty((prior.num_atoms, spec.m))
 
-    def map_fn(w, sigma):
-        return _stacked_map(w, sigma, prior, spec)
+    def map_fn(w, sigma, out):
+        for s, c in chunks:
+            _chunk_map(w, sigma[s], prior.atoms[s], spec, rows[s], out[s], scratch[:c])
+        return prior.probs @ rows
 
     profile, _ = _extragradient_on_map(map_fn, init, spec, gamma, tol, max_iters)
     return profile

@@ -335,15 +335,18 @@ def test_criterion_7_invariant_suites():
     # block scaling leaves the solution set unchanged (cross residuals)
     bspec, bprior = monotone_ball_game(n=5, m=3, K=3, seed=21)
 
-    def plain_map(w, sigma):
-        return stacked_map(StrategyProfile(w=w, sigma=sigma), bprior, bspec)
+    def plain_map(w, sigma, out):
+        t_w, out[...] = stacked_map(StrategyProfile(w=w, sigma=sigma), bprior, bspec)
+        return t_w
 
-    def scaled_map(w, sigma):
-        learner, adversary = plain_map(w, sigma)
-        return learner, bprior.probs[:, None, None] * adversary
+    def scaled_map(w, sigma, out):
+        learner = plain_map(w, sigma, out)
+        out *= bprior.probs[:, None, None]
+        return learner
 
     def residual_under(map_fn, profile):
-        t_w, t_sig = map_fn(profile.w, profile.sigma)
+        t_sig = np.empty_like(profile.sigma)
+        t_w = map_fn(profile.w, profile.sigma, t_sig)
         total = float(
             np.sum((profile.w - project(profile.w - t_w, bspec.learner_set)) ** 2)
         )

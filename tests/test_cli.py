@@ -186,6 +186,17 @@ class TestSolve:
         assert rc == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", [True, 2.0, "3"])
+    def test_discretize_k_must_be_an_integer(self, tmp_path, capsys, k):
+        cfg = tmp_path / "game.json"
+        doc = write_solve_config(cfg)
+        doc.update(prior={"family": "gaussian", "mean": 0.3, "std": 0.1}, discretize_k=k)
+        cfg.write_text(json.dumps(doc))
+        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "configuration error: discretize_k: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
                                               (-float("inf"), "-Infinity")])
     @pytest.mark.parametrize("solver", [None, {"max_iters": 50, "gamma": 0.6,
@@ -237,6 +248,15 @@ class TestProbe:
             pg_rbc(spec, prior, replace(config, strong_monotonicity=payload["lambda_hat"]))
         assert payload["warnings"] == [str(w.message) for w in caught]
         assert payload["warnings"]  # each of these steps breaks at least one rule
+
+    @pytest.mark.parametrize("seed", ["x", True, 1.5])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "game.json"
+        doc = write_solve_config(cfg)
+        doc["probe"] = {"seed": seed}
+        cfg.write_text(json.dumps(doc))
+        assert main(["probe", "--config", str(cfg)]) == 1
+        assert "configuration error: probe.seed: expected an integer" in capsys.readouterr().err
 
     def test_probe_out_file(self, tmp_path):
         cfg = tmp_path / "game.json"
@@ -333,6 +353,29 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"configuration error: {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_custom_z_rule_needs_a_vector(self, tmp_path, capsys):
+        dataset = self.write_dataset(tmp_path)
+        cfg = self.write_config(tmp_path, dataset, z_rule={"kind": "custom"})
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "configuration error: z_rule.vector" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_rows_exit_2_after_writing_the_outputs(self, tmp_path, capsys):
+        # the vector fits the training split but not the test split, so every row fails
+        dataset = self.write_dataset(tmp_path)
+        cfg = self.write_config(tmp_path, dataset, train_n=20, test_n=30,
+                                z_rule={"kind": "custom", "vector": [0.0] * 20})
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
+        for name in ("results.csv", "aggregate.json", "metadata.json"):
+            assert (out / name).is_file()
+        errors = json.loads((out / "aggregate.json").read_text())["errors"]
+        rows = len((out / "results.csv").read_text().strip().splitlines()) - 1
+        assert errors and len(errors) == rows
+        err = capsys.readouterr().err
+        assert f"error: {len(errors)} of {rows} result rows failed" in err
 
     def test_desk_script_runs_the_command(self, tmp_path, monkeypatch):
         dataset_dir = tmp_path / "data_dir"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -264,8 +265,9 @@ class TestExtragradient:
         spec, prior = monotone_ball_game()
         solution = extragradient_reference(spec, prior, tol=1e-10)
 
-        def map_fn(w, sigma):
-            return stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
+        def map_fn(w, sigma, out):
+            t_w, out[...] = stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
+            return t_w
 
         _, iters = _extragradient_on_map(map_fn, solution, spec, 0.1, 1e-10, 100)
         assert iters == 0
@@ -274,10 +276,11 @@ class TestExtragradient:
         spec, prior = monotone_ball_game()
         calls = 0
 
-        def map_fn(w, sigma):
+        def map_fn(w, sigma, out):
             nonlocal calls
             calls += 1
-            return stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
+            t_w, out[...] = stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
+            return t_w
 
         x0 = origin_profile(spec, prior.num_atoms)
         profile, iters = _extragradient_on_map(map_fn, x0, spec, 0.2, 1e-10, 1000)
@@ -498,7 +501,7 @@ def reference_extragradient(spec, prior, gamma, tol):
         )
 
     iters = 0
-    while equilibrium_residual(StrategyProfile(w=w, sigma=sigma), prior, spec) > tol:
+    while reference_residual(w, sigma, prior, spec) > tol:
         w, sigma = step(*step(w, sigma))
         iters += 1
     return w, sigma, iters
@@ -529,6 +532,17 @@ def equivalence_games():
 
 GAMES = equivalence_games()
 
+PRG_IE_GAMES = sorted(name for name, (spec, _) in GAMES.items() if spec.learner_set.bounded)
+
+# These games fit in one chunk of atoms; the loops' passes over sigma are
+# also run in chunks of 1, 2 and K - 1 atoms (an uneven last chunk).
+CHUNKINGS = ["1", "2", "K-1"]
+
+
+def set_chunking(monkeypatch, spec, prior, chunking):
+    atoms = {"1": 1, "2": 2, "K-1": max(1, prior.num_atoms - 1)}[chunking]
+    monkeypatch.setattr(solvers, "_CHUNK_BYTES", atoms * spec.n * spec.m * 8)
+
 
 class TestUncheckedLoopsMatchReference:
     """The loops are bit-identical to the per-call reference loops."""
@@ -547,13 +561,17 @@ class TestUncheckedLoopsMatchReference:
                               strong_monotonicity=2.0)
         self.assert_same(pg_rbc(spec, prior, config), reference_pg_rbc(spec, prior, config))
 
-    @pytest.mark.parametrize(
-        "name", sorted(name for name, (spec, _) in GAMES.items() if spec.learner_set.bounded)
-    )
+    @pytest.mark.parametrize("name", PRG_IE_GAMES)
     def test_prg_ie(self, name):
         spec, prior = GAMES[name]
         config = SolverConfig(max_iters=300, gamma=4e-3, trace_every=50, lipschitz=2.0)
         self.assert_same(prg_ie(spec, prior, config), reference_prg_ie(spec, prior, config))
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("name", PRG_IE_GAMES)
+    def test_prg_ie_in_chunks(self, monkeypatch, name, chunking):
+        set_chunking(monkeypatch, *GAMES[name], chunking)
+        self.test_prg_ie(name)
 
     def test_equilibrium_residual(self):
         for spec, prior in GAMES.values():
@@ -561,6 +579,27 @@ class TestUncheckedLoopsMatchReference:
             assert equilibrium_residual(profile, prior, spec) == reference_residual(
                 profile.w, profile.sigma, prior, spec
             )
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_equilibrium_residual_in_chunks(self, monkeypatch, name, chunking):
+        spec, prior = GAMES[name]
+        set_chunking(monkeypatch, spec, prior, chunking)
+        profile = random_profile(np.random.default_rng(8), spec, prior.num_atoms, scale=3.0)
+        assert equilibrium_residual(profile, prior, spec) == reference_residual(
+            profile.w, profile.sigma, prior, spec
+        )
+
+    @pytest.mark.parametrize("chunking", [None] + CHUNKINGS)
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_extragradient(self, monkeypatch, name, chunking):
+        spec, prior = GAMES[name]
+        if chunking:
+            set_chunking(monkeypatch, spec, prior, chunking)
+        gamma = 0.5 / assumption_probe(spec, prior, trials=16, seed=0).L_hat
+        w, sigma, iters = reference_extragradient(spec, prior, gamma, 1e-8)
+        profile = extragradient_reference(spec, prior, tol=1e-8, max_iters=iters)
+        assert np.array_equal(profile.w, w) and np.array_equal(profile.sigma, sigma)
 
 
 class TestTraceSchedule:
@@ -740,6 +779,61 @@ def test_probe_matches_reference(name):
     trials = 4 if name == "desk-shaped" else 20
     diag = assumption_probe(spec, prior, trials=trials, seed=3)
     assert (diag.lambda_hat, diag.L_hat, diag.G_hat) == reference_probe(spec, prior, trials, 3)
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize("name", sorted(GAMES) + ["desk-shaped"])
+def test_probe_in_chunks_matches_reference(monkeypatch, name, chunking):
+    spec, prior = desk_shaped_game() if name == "desk-shaped" else GAMES[name]
+    set_chunking(monkeypatch, spec, prior, chunking)
+    test_probe_matches_reference(name)
+
+
+def peak_mib(fn, *args, **kwargs) -> float:
+    """Peak traced allocation above the call's start, in MiB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestDeskWorkingSet:
+    """At desk size the loops keep only the sigma stacks their algorithm needs.
+
+    Every other pass over sigma runs on chunks of atoms; the 1 MiB slack
+    covers the chunk buffers and small temporaries.
+    """
+
+    spec, prior = desk_shaped_game()
+    S = prior.num_atoms * spec.n * spec.m * 8 / 2**20  # one sigma stack, MiB
+
+    def test_prg_ie_keeps_three_stacks(self):
+        config = SolverConfig(max_iters=20, gamma=1e-4, trace_every=10, lipschitz=1.0)
+        assert peak_mib(prg_ie, self.spec, self.prior, config) <= 3 * self.S + 1
+
+    def test_residual_keeps_no_stack(self):
+        profile = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
+        assert peak_mib(equilibrium_residual, profile, self.prior, self.spec) <= 1
+
+    def test_probe_keeps_the_pair(self):
+        assert peak_mib(assumption_probe, self.spec, self.prior, 2, 0) <= 2 * self.S + 1
+
+    def test_pg_rbc_keeps_one_stack(self):
+        config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)
+        assert peak_mib(pg_rbc, self.spec, self.prior, config) <= self.S + 1
+
+    def test_oracle_keeps_four_stacks_whatever_its_budget(self):
+        def failing_oracle(max_iters):
+            with pytest.raises(SolverError, match="did not reach"):
+                extragradient_reference(self.spec, self.prior, tol=1e-10, max_iters=max_iters)
+
+        short, longer = peak_mib(failing_oracle, 3), peak_mib(failing_oracle, 6)
+        assert short <= 4 * self.S + 1
+        assert abs(longer - short) < self.S / self.prior.num_atoms  # less than one block
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .game import GameSpec, LossKind, Prior, prior_mean
-from .quadratic import _as_sample_matrix, _response_coef
+from .quadratic import _as_sample_matrix
 
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
@@ -44,20 +44,23 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     samples = _as_sample_matrix(c_d_samples, spec.n)
 
     X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l
-    base_gram = X.T @ (c_l[:, None] * X)
+    base_gram = X.T @ (c_l[:, None] * X) + spec.reg_l * np.eye(spec.m)
     base_rhs = X.T @ (c_l * y)
     cy = c_l * y
-    reg = spec.reg_l * np.eye(spec.m)
+    damped = np.empty_like(samples)
 
     w = np.zeros(spec.m)
     for _ in range(iterations):
-        # transformed matrices are X - outer(kappa_s, w); fold the rank-one
-        # corrections into the averaged normal equations directly
-        kappa, _ = _response_coef(X @ w, z, w @ w, samples)
-        kbar = kappa.mean(axis=0)
+        # rows move to X - outer(kappa_s, w), kappa_s = (X w - z) a r, r = 1/(1 + |w|^2 a)
+        gap = X @ w - z
+        np.multiply(samples, w @ w, out=damped)
+        damped += 1.0
+        np.divide(samples, damped, out=damped)
+        kbar = gap * damped.mean(axis=0)
+        damped *= damped
+        quad = float((c_l * gap * gap) @ damped.mean(axis=0))
         u = X.T @ (c_l * kbar)
-        quad = float(np.mean(np.sum(kappa * (c_l[None, :] * kappa), axis=1)))
-        A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w) + reg
+        A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w)
         b = base_rhs - w * float(kbar @ cy)
         w = np.linalg.solve(A, b)
     return w
@@ -69,7 +72,5 @@ def nash_strategy(spec: GameSpec, prior: Prior, iterations: int) -> np.ndarray:
     The mean weight vector (clamped at 0) acts as the single known c_d and the
     resulting game is solved by ``bayes_fp`` for ``iterations`` rounds.
     """
-    if spec.adversary_loss is not LossKind.QUADRATIC:
-        raise ValueError("nash_strategy requires a quadratic adversary loss")
     atom = prior_mean(prior, spec.n)
     return bayes_fp(spec, atom[None, :], iterations=iterations)

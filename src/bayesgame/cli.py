@@ -27,6 +27,8 @@ from .game import FinitePrior, discretize_prior
 from .serialize import (
     ConfigError,
     _array,
+    _number,
+    _object,
     _typed,
     game_from_jsonable,
     prior_from_jsonable,
@@ -121,7 +123,9 @@ def cmd_solve(args) -> int:
 def cmd_probe(args) -> int:
     doc, config_hash = _load_json(args.config)
     spec = game_from_jsonable(doc.get("game"), "game")
-    probe = doc.get("probe", {})
+    probe = _object(doc.get("probe", {}), "probe")
+    solver = _object(doc.get("solver", {}), "solver")
+    gamma = _number(solver, "gamma", "solver") if "gamma" in solver else None
     trials = _typed(probe.get("trials", 64), int, "probe.trials")
     if trials < 2:
         raise ConfigError("probe.trials: expected an integer >= 2")
@@ -130,9 +134,6 @@ def cmd_probe(args) -> int:
     diag = assumption_probe(spec, prior, trials=trials, seed=seed)
 
     payload = asdict(diag)
-    gamma = doc.get("solver", {}).get("gamma")
-    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool):
-        gamma = None
     warnings = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
     payload["warnings"] = warnings
     payload["config_sha256"] = config_hash

@@ -163,7 +163,7 @@ def evaluate(
     w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
     z = z_rule.resolve(test.labels)
     draws = sample_prior(prior, len(test), test_draws, seed)
-    preds, _ = _perturbed_predictions(w, test.features, z, draws, w_adv)
+    preds = _perturbed_predictions(w, test.features, z, draws, w_adv)
     per_draw = np.sqrt(np.mean((preds - test.labels[None, :]) ** 2, axis=1))
     return float(per_draw.mean())
 

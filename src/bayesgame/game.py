@@ -187,11 +187,13 @@ def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _log1pexp(-t * margins)
 
 
-def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Derivative of ``_loss`` in the margins; unchecked, broadcasts."""
-    if kind is LossKind.QUADRATIC:
-        return 2.0 * (margins - t)
-    return -t * _sigmoid(-t * margins)
+def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """Derivative of ``_loss`` in the margins, into ``out`` if given; unchecked, broadcasts."""
+    if kind is LossKind.QUADRATIC:  # operators when out is None: fewer calls on tiny arrays
+        slope = margins - t if out is None else np.subtract(margins, t, out=out)
+        slope *= 2.0
+        return slope
+    return np.multiply(-t, _sigmoid(-t * margins), out=out)
 
 
 def learner_cost(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> float:

@@ -68,33 +68,27 @@ def best_response(
     if z.shape != (X.shape[0],):
         raise ValueError(f"z has shape {z.shape}, expected ({X.shape[0]},)")
     c_d = _check_cd(c_d, X.shape[0])
-    coef, _ = _response_coef(X @ w, z, w @ w, c_d)
-    return X - np.outer(coef, w)
+    return X - np.outer(_response_coef(X @ w, z, w @ w, c_d), w)
 
 
 def _response_coef(margins, z, wsq, c_d):
     """How far the best response moves each row along ``-w``: x_i - coef_i * w.
 
-    ``margins`` is ``X @ w`` and ``wsq`` is ``w @ w``; ``c_d`` is (n,) or a
-    stack of samples (S, n).  Returns ``(coef, denom)``: the damping
-    ``denom = 1 + |w|^2 c_d`` also divides the gradient's chain rule.
-    Unchecked.
+    ``margins`` is ``X @ w``, ``wsq`` is ``w @ w`` and ``c_d`` is (n,) or (S, n); unchecked.
     """
     denom = wsq * c_d
     denom += 1.0
     coef = c_d * (margins - z)
     coef /= denom
-    return coef, denom
+    return coef
 
 
 def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -> float:
     """Prediction on the transformed point: equals (best-response row) . w."""
     if not 0 <= c_d_i < math.inf:
         raise ValueError("c_d_i must be nonnegative and finite")
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    preds, _ = _perturbed_predictions(w, x, z, c_d_i, w)
-    return float(preds)
+    w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
+    return float(_perturbed_predictions(w, x, z, c_d_i, w))
 
 
 def _perturbed_predictions(w, X, z, samples, w_adv):
@@ -102,14 +96,13 @@ def _perturbed_predictions(w, X, z, samples, w_adv):
 
     One row per sample: shape (S, n) for samples of shape (S, n).  The rows
     are x_i - coef_i * w_adv, so predictions shift by coef_i * (w_adv . w).
-    Returns ``(preds, denom)`` with the damping of ``_response_coef``.
     Unchecked.
     """
     margins = X @ w
     margins_adv = margins if w_adv is w else X @ w_adv
-    coef, denom = _response_coef(margins_adv, z, w_adv @ w_adv, samples)
+    coef = _response_coef(margins_adv, z, w_adv @ w_adv, samples)
     coef *= w_adv @ w
-    return margins - coef, denom
+    return margins - coef
 
 
 def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
@@ -145,7 +138,7 @@ def stochastic_objective(
 
 def _stochastic_objective(w, spec: GameSpec, samples) -> float:
     """``stochastic_objective`` for a checked (S, n) sample matrix; unchecked."""
-    preds, _ = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
     losses = _loss(spec.learner_loss, preds, spec.y)
     return float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
 
@@ -159,26 +152,31 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
         d pred / d w = x_i/(1 + s a) + 2 a (z_i - pred) w / (1 + s a).
     """
     w, samples = _check_reduction(w, spec, batch)
-    return _stochastic_gradient(w, spec, samples)
+    return _stochastic_gradient(w, spec, samples, np.empty((2,) + samples.shape))
 
 
-def _stochastic_gradient(w, spec: GameSpec, samples) -> np.ndarray:
+def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
     """``stochastic_gradient`` for a checked (S, n) sample matrix; unchecked.
 
-    The damping 1 + s a divides both the response and the chain rule, so it
-    is formed once.  The (S, n) temporaries are updated in place.
+    With e = z - X w and r = 1/(1 + s a), a prediction is z - e r and
+    z - pred = e r, so only ``a`` varies down a column and the gradient needs
+    two column sums, of l'(pred) r and of l'(pred) a r^2.  ``scratch`` of
+    shape (2, S, n) is overwritten.
     """
-    S = samples.shape[0]
-    preds, denom = _perturbed_predictions(w, spec.X, spec.z, samples, w)
-    weight = _loss_slope(spec.learner_loss, preds, spec.y)
-    weight *= spec.c_l
-    weight /= denom
-    grad_x_part = (weight.sum(axis=0) @ spec.X) / S
-    chain = weight * 2.0
-    chain *= samples
-    chain *= np.subtract(spec.z, preds, out=preds)
-    w_coef = float(chain.sum()) / S
-    return grad_x_part + w_coef * w + 2.0 * spec.reg_l * w
+    damp, slope = scratch
+    e = spec.z - spec.X @ w
+    np.multiply(samples, w @ w, out=damp)
+    damp += 1.0
+    np.reciprocal(damp, out=damp)
+    np.multiply(damp, e, out=slope)
+    np.subtract(spec.z, slope, out=slope)
+    _loss_slope(spec.learner_loss, slope, spec.y, out=slope)
+    slope *= damp
+    x_sum = slope.sum(axis=0)
+    slope *= samples
+    slope *= damp
+    w_coef = 2.0 * float((spec.c_l * e) @ slope.sum(axis=0))
+    return ((spec.c_l * x_sum) @ spec.X + w_coef * w) / samples.shape[0] + 2.0 * spec.reg_l * w
 
 
 def bayes_adam(
@@ -194,23 +192,20 @@ def bayes_adam(
     the list is empty.  Fully deterministic given the config seed, and the
     weights do not depend on ``record_objective``.
     """
-    if spec.adversary_loss is not LossKind.QUADRATIC:
-        raise ValueError("bayes_adam requires a quadratic adversary loss")
     rng = np.random.default_rng(config.seed)
-    samples = _as_sample_matrix(
-        np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0), spec.n
-    )
-
-    w = project(np.zeros(spec.m), spec.learner_set)
+    draws = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
+    w, samples = _check_reduction(project(np.zeros(spec.m), spec.learner_set), spec, draws)
     m1 = np.zeros(spec.m)
     m2 = np.zeros(spec.m)
     step = 0
     trace: list[float] = []
+    work = np.empty((3, config.batch_size, spec.n))  # the batch, then the kernel's scratch
     for _ in range(config.epochs):
         order = rng.permutation(config.total_samples)
         for lo in range(0, config.total_samples, config.batch_size):
-            batch = samples[order[lo : lo + config.batch_size]]
-            g = _stochastic_gradient(w, spec, batch)
+            rows = order[lo : lo + config.batch_size]  # in range: "clip" takes unbuffered
+            batch = np.take(samples, rows, axis=0, out=work[0, : len(rows)], mode="clip")
+            g = _stochastic_gradient(w, spec, batch, work[1:, : len(rows)])
             step += 1
             m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
             m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g

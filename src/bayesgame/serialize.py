@@ -25,10 +25,14 @@ class ConfigError(ValueError):
     """Malformed configuration document."""
 
 
-def _require(obj: dict, key: str, path: str):
+def _object(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    if key not in obj:
+    return obj
+
+
+def _require(obj: dict, key: str, path: str):
+    if key not in _object(obj, path):
         raise ConfigError(f"{path}.{key}: missing required field")
     return obj[key]
 
@@ -92,8 +96,7 @@ def game_to_jsonable(spec: GameSpec) -> dict:
 
 
 def game_from_jsonable(obj, path: str = "game") -> GameSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
+    _object(obj, path)
     losses = {}
     for key in ("learner_loss", "adversary_loss"):
         raw = obj.get(key, "quadratic")

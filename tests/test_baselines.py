@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayesgame.baselines import bayes_fp, nash_strategy, ridge_fit
 from bayesgame.game import (
@@ -86,6 +90,42 @@ class TestBayesFp:
         )
         with pytest.raises(ValueError, match="quadratic"):
             bayes_fp(logistic, np.zeros((1, 4)))
+
+
+def reference_bayes_fp(spec, samples, iterations):
+    """``bayes_fp``'s loop as written before the column means, one response row per sample."""
+    X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l
+    w = np.zeros(spec.m)
+    for _ in range(iterations):
+        kappa = samples * (X @ w - z) / (1.0 + (w @ w) * samples)
+        kbar = kappa.mean(axis=0)
+        u = X.T @ (c_l * kbar)
+        quad = float(np.mean(np.sum(kappa * (c_l[None, :] * kappa), axis=1)))
+        A = (X.T @ (c_l[:, None] * X) - np.outer(u, w) - np.outer(w, u)
+             + quad * np.outer(w, w) + spec.reg_l * np.eye(spec.m))
+        b = X.T @ (c_l * y) - w * float(kbar @ (c_l * y))
+        w = np.linalg.solve(A, b)
+    return w
+
+
+class TestBayesFpMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_column_means_match_per_sample_responses(self, seed, zero_targets):
+        rng = np.random.default_rng(seed)
+        n, m, S = (int(v) for v in rng.integers(1, 7, size=3))
+        spec = random_quadratic_game(rng, n, m)
+        if zero_targets:  # every iterate stays at the zero start
+            spec = dataclasses.replace(spec, y=np.zeros(n))
+        samples = rng.random((S + 1, n)) * 3.0
+        samples[rng.random(S + 1) < 0.5] = 0.0
+        samples[0] = 0.0  # at least one all-zero row
+        iterations = int(rng.integers(1, 6))
+        expected = reference_bayes_fp(spec, samples, iterations)
+        gap = np.abs(bayes_fp(spec, samples, iterations) - expected).max()
+        # the column means round differently from the per-sample responses, and the
+        # fixed-point rounds amplify that most where n < m (5.1e-12 at worst seen)
+        assert gap <= 1e-10 * np.abs(expected).max()
 
 
 class TestNashStrategy:

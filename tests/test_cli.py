@@ -258,6 +258,23 @@ class TestProbe:
         assert main(["probe", "--config", str(cfg)]) == 1
         assert "configuration error: probe.seed: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["probe", "solver"])
+    def test_section_must_be_an_object(self, tmp_path, capsys, key):
+        cfg = tmp_path / "game.json"
+        doc = write_solve_config(cfg)
+        doc[key] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["probe", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key}: expected an object")
+
+    @pytest.mark.parametrize("gamma", ["x", True, None])
+    def test_gamma_must_be_a_number(self, tmp_path, capsys, gamma):
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg, solver={"max_iters": 1, "gamma": gamma})
+        assert main(["probe", "--config", str(cfg)]) == 1
+        assert "configuration error: solver.gamma: expected a number" in capsys.readouterr().err
+
     def test_probe_out_file(self, tmp_path):
         cfg = tmp_path / "game.json"
         write_solve_config(cfg)

@@ -103,6 +103,21 @@ class TestPerturbedPrediction:
         row = best_response(w, x[None, :], np.array([z]), np.array([c_d_i]))[0]
         assert perturbed_prediction(w, x, z, c_d_i) == pytest.approx(float(row @ w), abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, 3, elements=st.floats(-5, 5)),
+        arrays(np.float64, 3, elements=st.floats(-5, 5)),
+        st.floats(-5, 5),
+        st.floats(0, 10),
+    )
+    def test_prediction_is_z_minus_damped_residual(self, x, w, z, c_d_i):
+        # the identity the gradient kernel and bayes_fp are built on
+        u = float(x @ w)
+        expected = z - (z - u) / (1.0 + (w @ w) * c_d_i)
+        got = perturbed_prediction(w, x, z, c_d_i)
+        # relative to |u| + |z|; the floor covers subnormal u and z, where an ulp is larger
+        assert abs(got - expected) <= 1e-12 * (abs(u) + abs(z)) + 1e-300
+
     @pytest.mark.parametrize(
         "prior, draws",
         [(FinitePrior(np.zeros((1, 6)), np.ones(1)), 3), (GammaPrior(1.0, 1.0), 1),
@@ -276,8 +291,8 @@ def reference_adam(spec, prior, config):
     return w, trace
 
 
-def reference_gradient(w, spec, samples):
-    """The minibatch gradient as written before the fused kernel, one expression per term."""
+def reference_gradient_terms(w, spec, samples):
+    """The minibatch gradient's three terms as written before the column-sum kernel."""
     S = samples.shape[0]
     wsq = w @ w
     denom = 1.0 + wsq * samples
@@ -286,7 +301,14 @@ def reference_gradient(w, spec, samples):
     weight = spec.c_l * _loss_slope(spec.learner_loss, preds, spec.y) / denom
     grad_x_part = (weight.sum(axis=0) @ spec.X) / S
     w_coef = float(np.sum(weight * 2.0 * samples * (spec.z[None, :] - preds))) / S
-    return grad_x_part + w_coef * w + 2.0 * spec.reg_l * w
+    return grad_x_part, w_coef * w, 2.0 * spec.reg_l * w
+
+
+def gradient_drift(w, spec, samples):
+    """Max-abs gap between the kernel and the earlier formula, over the largest term."""
+    terms = reference_gradient_terms(w, spec, samples)
+    gap = np.abs(stochastic_gradient(w, spec, samples) - (terms[0] + terms[1] + terms[2]))
+    return float(gap.max() / max(np.abs(t).max() for t in terms))
 
 
 def small_reduction_game(rng, n, m, learner_loss, radius=None):
@@ -337,8 +359,10 @@ class TestFusedKernelProperties:
         batch[0] = 0.0  # at least one all-zero row
         w = rng.normal(size=m)
         expected = stochastic_gradient(w, spec, batch)
-        assert np.array_equal(quadratic._stochastic_gradient(w, spec, batch), expected)
-        assert np.array_equal(reference_gradient(w, spec, batch), expected)
+        stale = np.full((2,) + batch.shape, np.nan)  # the kernel overwrites its scratch
+        assert np.array_equal(quadratic._stochastic_gradient(w, spec, batch, stale), expected)
+        # the column sums round differently from the earlier per-element formula
+        assert gradient_drift(w, spec, batch) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -36,7 +36,6 @@ from .quadratic import (
     AdamConfig,
     bayes_adam,
     best_response,
-    perturbed_prediction,
     stochastic_gradient,
     stochastic_objective,
 )

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -26,17 +26,17 @@ from .experiments import (
 from .game import FinitePrior, discretize_prior
 from .serialize import (
     ConfigError,
-    _array,
     _number,
     _object,
     _typed,
+    config_from_jsonable,
     game_from_jsonable,
     prior_from_jsonable,
     profile_to_jsonable,
-    solver_config_from_jsonable,
 )
 from .solvers import (
     ConfigurationError,
+    SolverConfig,
     SolverError,
     SolverTrace,
     TraceRecord,
@@ -92,9 +92,8 @@ def _finite_prior(doc: dict, spec_n: int, seed: int) -> FinitePrior:
 def cmd_solve(args) -> int:
     doc, config_hash = _load_json(args.config)
     spec = game_from_jsonable(doc.get("game"), "game")
-    solver = solver_config_from_jsonable(doc.get("solver", {"max_iters": 10_000, "gamma": 0.01}))
-    if args.seed is not None:
-        solver = replace(solver, seed=args.seed)
+    solver_doc = doc.get("solver", {"max_iters": 10_000, "gamma": 0.01})
+    solver = config_from_jsonable(SolverConfig, solver_doc, "solver", seed=args.seed)
     algo = args.algo or doc.get("algorithm")
     if algo not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algo!r}")
@@ -130,6 +129,8 @@ def cmd_probe(args) -> int:
     if trials < 2:
         raise ConfigError("probe.trials: expected an integer >= 2")
     seed = args.seed if args.seed is not None else _typed(probe.get("seed", 0), int, "probe.seed")
+    if seed < 0:
+        raise ConfigError(f"probe.seed: expected a nonnegative integer, got {seed}")
     prior = _finite_prior(doc, spec.n, seed)
     diag = assumption_probe(spec, prior, trials=trials, seed=seed)
 
@@ -149,41 +150,20 @@ def cmd_probe(args) -> int:
 
 
 def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
-    params = dict(_PRESET_SIZES[args.scale or "desk"])
-    if not args.scale:  # the config's sizes apply without a preset
-        params.update({key: _typed(doc[key], int, key) for key in params if key in doc})
-
     priors_doc = doc.get("priors")
     if not isinstance(priors_doc, list) or not priors_doc:
         raise ConfigError("priors: expected a nonempty list of prior objects")
     priors = tuple(prior_from_jsonable(p, f"priors[{i}]") for i, p in enumerate(priors_doc))
-
-    z_doc = doc.get("z_rule", {"kind": "flip"})
-    kind = z_doc.get("kind", "flip") if isinstance(z_doc, dict) else None
-    if kind not in ("flip", "zero", "custom"):
-        raise ConfigError(f"z_rule.kind: expected flip|zero|custom, got {kind!r}")
-    vector = _array(z_doc, "vector", "z_rule", 1) if kind == "custom" else None
-    params["z_rule"] = ZRule(kind, vector)
-
-    # the fields not set above have defaults; a config value has its default's type
-    for f in fields(BenchmarkConfig):
-        if f.name not in doc or f.name in params or f.name == "prior_grid":
-            continue
-        value, default = doc[f.name], f.default
-        if not isinstance(default, tuple):
-            params[f.name] = _typed(value, type(default), f.name)
-        elif not isinstance(value, list):
-            raise ConfigError(f"{f.name}: expected a list, got {value!r}")
-        else:
-            params[f.name] = tuple(
-                _typed(v, type(default[0]), f"{f.name}[{i}]") for i, v in enumerate(value)
-            )
-    if args.seed is not None:
-        params["seed"] = args.seed
+    kind = _object(doc.get("z_rule", {}), "z_rule").get("kind", "flip")
     try:
-        return BenchmarkConfig(prior_grid=priors, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"benchmark config: {exc}") from None
+        given = {"prior_grid": priors, "z_rule": ZRule(kind), "seed": args.seed}
+    except ValueError as exc:
+        raise ConfigError(f"z_rule.kind: {exc}") from None
+    if args.scale:  # the preset's sizes replace the config's
+        given.update(_PRESET_SIZES[args.scale])
+    else:  # the config's sizes replace the desk preset's
+        doc = {**_PRESET_SIZES["desk"], **doc}
+    return config_from_jsonable(BenchmarkConfig, doc, "", **given)
 
 
 def cmd_benchmark(args) -> int:

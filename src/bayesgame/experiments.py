@@ -49,11 +49,10 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices])
 
 
-def load_spambase(path, standardize: bool = True) -> Dataset:
+def load_spambase(path) -> Dataset:
     """Parse a spambase-format CSV: 58 numeric columns, no header.
 
-    Features are standardized per column using full-dataset statistics
-    unless ``standardize`` is False.
+    Features are standardized per column using full-dataset statistics.
     Malformed lines raise with their line number.
     """
     rows = []
@@ -83,8 +82,6 @@ def load_spambase(path, standardize: bool = True) -> Dataset:
         raise ValueError(f"{path}: empty dataset")
     features = np.asarray(rows, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if not standardize:
-        return Dataset(features, labels)
     means = features.mean(axis=0)
     stds = features.std(axis=0)
     stds = np.where(stds == 0, 1.0, stds)  # constant columns pass through
@@ -125,24 +122,14 @@ def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
 class ZRule:
     """How the generator's target predictions derive from the labels."""
 
-    kind: str = "flip"  # "flip" | "zero" | "custom"
-    vector: np.ndarray | None = None
+    kind: str = "flip"  # "flip": z = 1 - y; "zero": z = 0
 
     def __post_init__(self):
-        if self.kind not in ("flip", "zero", "custom"):
-            raise ValueError(f"unknown z rule {self.kind!r}")
-        if self.kind == "custom" and self.vector is None:
-            raise ValueError("custom z rule needs a vector")
+        if self.kind not in ("flip", "zero"):
+            raise ValueError(f"expected flip or zero, got {self.kind!r}")
 
     def resolve(self, labels: np.ndarray) -> np.ndarray:
-        if self.kind == "flip":
-            return 1.0 - labels
-        if self.kind == "zero":
-            return np.zeros_like(labels)
-        vector = np.asarray(self.vector, dtype=float)
-        if vector.shape != labels.shape:
-            raise ValueError("custom z vector length must match the split size")
-        return vector
+        return 1.0 - labels if self.kind == "flip" else np.zeros_like(labels)
 
 
 def evaluate(

@@ -87,11 +87,6 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log1pexp(t: np.ndarray) -> np.ndarray:
-    # log(1 + exp(t)) without overflow
-    return np.where(t > 30.0, t, np.log1p(np.exp(np.minimum(t, 30.0))))
-
-
 def _check_signs(values: np.ndarray, name: str) -> None:
     if not np.all(np.isin(values, (-1.0, 1.0))):
         raise ValueError(f"{name} must take values in {{-1, +1}} for logistic loss")
@@ -184,7 +179,7 @@ def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per-instance loss at the margins ``x.w`` against targets ``t``; unchecked, broadcasts."""
     if kind is LossKind.QUADRATIC:
         return (margins - t) ** 2
-    return _log1pexp(-t * margins)
+    return np.logaddexp(0.0, -t * margins)  # log(1 + exp(-t x.w)) without overflow
 
 
 def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:

@@ -83,14 +83,6 @@ def _response_coef(margins, z, wsq, c_d):
     return coef
 
 
-def perturbed_prediction(w: np.ndarray, x: np.ndarray, z: float, c_d_i: float) -> float:
-    """Prediction on the transformed point: equals (best-response row) . w."""
-    if not 0 <= c_d_i < math.inf:
-        raise ValueError("c_d_i must be nonnegative and finite")
-    w, x = np.asarray(w, dtype=float), np.asarray(x, dtype=float)
-    return float(_perturbed_predictions(w, x, z, c_d_i, w))
-
-
 def _perturbed_predictions(w, X, z, samples, w_adv):
     """Predictions ``Xbar @ w`` on the rows the best response to ``w_adv`` moves.
 

@@ -1,4 +1,4 @@
-"""JSON codecs for game instances, priors, profiles and solver configs.
+"""JSON codecs for game instances, priors, profiles and config dataclasses.
 
 The document schema is described in the README.  Matrices are nested lists
 in row-major order.  Decoding errors raise ``ConfigError`` whose message
@@ -6,6 +6,9 @@ starts with the JSON path of the offending field.
 """
 
 from __future__ import annotations
+
+import typing
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -18,7 +21,6 @@ from .game import (
     StrategyProfile,
     _prior_family,
 )
-from .solvers import SolverConfig
 
 
 class ConfigError(ValueError):
@@ -157,26 +159,38 @@ def profile_to_jsonable(profile: StrategyProfile) -> dict:
     return {"w": profile.w.tolist(), "sigma": profile.sigma.tolist()}
 
 
-def profile_from_jsonable(obj, path: str = "profile") -> StrategyProfile:
-    return StrategyProfile(w=_array(obj, "w", path, 1), sigma=_array(obj, "sigma", path, 3))
+def config_from_jsonable(cls, obj, path: str, **given):
+    """The config dataclass ``cls`` from a JSON object; keys it has no field for are ignored.
 
-
-def solver_config_from_jsonable(obj, path: str = "solver") -> SolverConfig:
-    max_iters = _typed(_require(obj, "max_iters", path), int, f"{path}.max_iters")
-    kwargs = {}
-    for key in ("lipschitz", "strong_monotonicity"):
-        if obj.get(key) is not None:
-            kwargs[key] = _number(obj, key, path)
+    Each key takes its field's type: a tuple's items the type of its
+    default's first item, and ``float | None`` also accepts null.  A field
+    without a default is required.  A ``given`` value other than None is
+    used as it is, whatever the document holds.  Keys are named
+    ``path.key``, or ``key`` when ``path`` is empty.
+    """
+    _object(obj, path)
+    hints = typing.get_type_hints(cls)
+    kwargs = {key: value for key, value in given.items() if value is not None}
+    for f in fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        if f.name in kwargs:
+            continue
+        if f.name not in obj:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}: missing required field")
+            continue
+        value, kind = obj[f.name], hints[f.name]
+        options = typing.get_args(kind) or (kind,)  # float | None: (float, NoneType)
+        if value is None and type(None) in options:
+            kwargs[f.name] = None
+        elif kind is tuple:
+            if not isinstance(value, list):
+                raise ConfigError(f"{where}: expected a list, got {value!r}")
+            item = type(f.default[0])
+            kwargs[f.name] = tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+        else:
+            kwargs[f.name] = _typed(value, options[0], where)
     try:
-        return SolverConfig(
-            max_iters=max_iters,
-            gamma=_number(obj, "gamma", path),
-            seed=int(_number(obj, "seed", path, default=0.0)),
-            tol=_number(obj, "tol", path, default=0.0),
-            trace_every=int(_number(obj, "trace_every", path, default=100.0)),
-            **kwargs,
-        )
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ConfigError(f"{path or cls.__name__}: {exc}") from None

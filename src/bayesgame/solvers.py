@@ -79,6 +79,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 <= self.tol < math.inf:
             raise ValueError("tol must be nonnegative and finite")
         for name in ("lipschitz", "strong_monotonicity"):

@@ -9,17 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bayesgame import experiments
 from bayesgame.cli import main
 from bayesgame.experiments import write_dataset_csv
 from bayesgame.game import ActionSet, FinitePrior, GameSpec, StrategyProfile
 from bayesgame.serialize import (
     ConfigError,
+    config_from_jsonable,
     game_from_jsonable,
     game_to_jsonable,
     prior_from_jsonable,
     prior_to_jsonable,
-    profile_from_jsonable,
-    solver_config_from_jsonable,
 )
 from bayesgame.solvers import SolverConfig, SolverTrace, TraceRecord, pg_rbc, prg_ie
 
@@ -82,12 +82,22 @@ class TestSerialize:
         with pytest.raises(ConfigError, match=r"prior\.family"):
             prior_from_jsonable({"family": ["gaussian"]})
         with pytest.raises(ConfigError, match=r"solver\.gamma"):
-            solver_config_from_jsonable({"max_iters": 10, "gamma": "fast"})
+            config_from_jsonable(SolverConfig, {"max_iters": 10, "gamma": "fast"}, "solver")
         with pytest.raises(ConfigError, match=r"game\.learner_set\.kind"):
             game_from_jsonable(
                 {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0],
                  "learner_set": {"kind": "box"}}
             )
+
+    def test_solver_decoder_defaults_and_nulls(self):
+        with pytest.raises(ConfigError, match=r"^solver\.max_iters: missing required field$"):
+            config_from_jsonable(SolverConfig, {"gamma": 0.1}, "solver")
+        doc = {"max_iters": 10, "gamma": 0.1, "lipschitz": None, "strong_monotonicity": 2}
+        config = config_from_jsonable(SolverConfig, doc, "solver")
+        assert config == SolverConfig(max_iters=10, gamma=0.1, strong_monotonicity=2.0)
+        assert type(config.strong_monotonicity) is float
+        given = config_from_jsonable(SolverConfig, dict(doc, seed="x"), "solver", seed=4)
+        assert given.seed == 4  # a given field is not read from the document
 
     def test_reg_d_fixed(self):
         doc = {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0]}
@@ -107,8 +117,8 @@ class TestSolve:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed"] == 3 and meta["version"]
         assert "final residual" in capsys.readouterr().out
-        profile = profile_from_jsonable(json.loads((out / "profile.json").read_text()))
-        assert profile.sigma.shape == (2, 4, 2)
+        profile = json.loads((out / "profile.json").read_text())
+        assert np.shape(profile["w"]) == (2,) and np.shape(profile["sigma"]) == (2, 4, 2)
 
     def test_seed_determinism(self, tmp_path):
         cfg = tmp_path / "game.json"
@@ -165,6 +175,28 @@ class TestSolve:
         assert rows[0] == ["t", "residual", "error_to_reference"]
         assert len(rows) == 2  # single summary row for the reference solver
         assert (out / "trace.csv").read_bytes().count(b"\r\n") == 2  # SolverTrace.to_csv's
+
+    @pytest.mark.parametrize(
+        "solver, argv, message",
+        [
+            ({"seed": 1.7}, [], "solver.seed: expected an integer, got 1.7"),
+            ({"trace_every": 2.5}, [], "solver.trace_every: expected an integer, got 2.5"),
+            ({"seed": True}, [], "solver.seed: expected an integer, got True"),
+            ({"tol": "x"}, [], "solver.tol: expected a number, got 'x'"),
+            ({"lipschitz": "1"}, [], "solver.lipschitz: expected a number, got '1'"),
+            ({"seed": -1}, [], "solver: seed must be >= 0"),
+            ({}, ["--seed", "-1"], "solver: seed must be >= 0"),
+        ],
+        ids=["float-seed", "float-trace-every", "bool-seed", "string-tol", "string-lipschitz",
+             "negative-seed", "negative-seed-flag"],
+    )
+    def test_bad_solver_key_exits_1(self, tmp_path, capsys, solver, argv, message):
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg, solver={"max_iters": 50, "gamma": 0.6, **solver})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
     def test_malformed_config_paths(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -257,6 +289,17 @@ class TestProbe:
         cfg.write_text(json.dumps(doc))
         assert main(["probe", "--config", str(cfg)]) == 1
         assert "configuration error: probe.seed: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probe, argv", [({"seed": -3}, []), ({}, ["--seed", "-1"])],
+                             ids=["config", "flag"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, probe, argv):
+        cfg = tmp_path / "game.json"
+        doc = write_solve_config(cfg)
+        doc["probe"] = probe
+        cfg.write_text(json.dumps(doc))
+        assert main(["probe", "--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: probe.seed: expected a nonnegative integer")
 
     @pytest.mark.parametrize("key", ["probe", "solver"])
     def test_section_must_be_an_object(self, tmp_path, capsys, key):
@@ -371,19 +414,25 @@ class TestBenchmarkCommand:
         assert f"configuration error: {key}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_custom_z_rule_needs_a_vector(self, tmp_path, capsys):
+    @pytest.mark.parametrize("z_rule", [{"kind": "custom"}, {"kind": "custom", "vector": [0.0]}])
+    def test_unknown_z_rule_exits_1(self, tmp_path, capsys, z_rule):
         dataset = self.write_dataset(tmp_path)
-        cfg = self.write_config(tmp_path, dataset, z_rule={"kind": "custom"})
+        cfg = self.write_config(tmp_path, dataset, z_rule=z_rule)
         out = tmp_path / "o"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "configuration error: z_rule.vector" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "configuration error: z_rule.kind: expected flip or zero, got 'custom'\n"
+        )
         assert not out.exists()
 
-    def test_failed_rows_exit_2_after_writing_the_outputs(self, tmp_path, capsys):
-        # the vector fits the training split but not the test split, so every row fails
+    def test_failed_rows_exit_2_after_writing_the_outputs(self, tmp_path, capsys, monkeypatch):
+        def failing_bayes_fp(*args, **kwargs):
+            raise ValueError("bayes_fp failed")
+
+        # the benchmark runs bayes-fp only, so every row fails
+        monkeypatch.setattr(experiments, "bayes_fp", failing_bayes_fp)
         dataset = self.write_dataset(tmp_path)
-        cfg = self.write_config(tmp_path, dataset, train_n=20, test_n=30,
-                                z_rule={"kind": "custom", "vector": [0.0] * 20})
+        cfg = self.write_config(tmp_path, dataset, methods=["bayes-fp"])
         out = tmp_path / "o"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
         for name in ("results.csv", "aggregate.json", "metadata.json"):
@@ -391,6 +440,7 @@ class TestBenchmarkCommand:
         errors = json.loads((out / "aggregate.json").read_text())["errors"]
         rows = len((out / "results.csv").read_text().strip().splitlines()) - 1
         assert errors and len(errors) == rows
+        assert {e["error"] for e in errors} == {"bayes_fp failed"}
         err = capsys.readouterr().err
         assert f"error: {len(errors)} of {rows} result rows failed" in err
 

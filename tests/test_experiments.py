@@ -55,19 +55,25 @@ class TestLoader:
         with open(path, "w") as fh:
             for row, label in zip(rows, labels):
                 fh.write(",".join(str(v) for v in row) + f",{int(label)}\n")
-        # loader is fixed to the 58-column format; pad the fixture
+        # loader is fixed to the 58-column format; pad the fixture with constant columns
         padded = tmp_path / "padded.csv"
         wide = np.zeros((3, 57))
         wide[:, :3] = rows
+        wide[:, 3] = 7.0
         write_dataset_csv(wide, labels, padded)
-        data = load_spambase(padded, standardize=False)
-        assert np.array_equal(data.features[:, :3], rows)
+        data = load_spambase(padded)
+        expected = (rows - rows.mean(axis=0)) / rows.std(axis=0)
+        assert np.array_equal(data.features[:, :3], expected)
+        # a constant column has std 0: it is centred and not scaled, so it reads 0
+        assert np.array_equal(data.features[:, 3:], np.zeros((3, 54)))
         assert np.array_equal(data.labels, labels)
 
     def test_round_trip_bitwise(self, dataset_file):
         path, features, labels = dataset_file
-        data = load_spambase(path, standardize=False)
-        assert np.array_equal(data.features, features)
+        data = load_spambase(path)
+        assert np.all(features.std(axis=0) > 0)
+        expected = (features - features.mean(axis=0)) / features.std(axis=0)
+        assert np.array_equal(data.features, expected)
         assert np.array_equal(data.labels, labels)
 
     def test_wrong_column_count_names_line(self, tmp_path):
@@ -369,11 +375,10 @@ class TestMisc:
         assert derive_seed(0, "split", 1) != derive_seed(0, "split", 2)
         assert derive_seed(0, "split", 1) != derive_seed(1, "split", 1)
 
-    def test_zrule_custom(self):
+    def test_zrule_kinds(self):
         labels = np.array([0.0, 1.0])
-        rule = ZRule("custom", np.array([5.0, 6.0]))
-        assert rule.resolve(labels) == pytest.approx([5.0, 6.0])
-        with pytest.raises(ValueError, match="length"):
-            rule.resolve(np.zeros(3))
+        assert ZRule().kind == "flip"
         assert ZRule("flip").resolve(labels) == pytest.approx([1.0, 0.0])
         assert ZRule("zero").resolve(labels) == pytest.approx([0.0, 0.0])
+        with pytest.raises(ValueError, match="expected flip or zero, got 'custom'"):
+            ZRule("custom")

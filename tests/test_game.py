@@ -14,6 +14,7 @@ from bayesgame.game import (
     GaussianPrior,
     LogNormalPrior,
     LossKind,
+    _loss,
     adversary_cost,
     discretize_prior,
     grad_adversary_X,
@@ -50,6 +51,13 @@ class TestCosts:
         Xbar = rng.normal(size=(5, 3))
         expected = float(spec.c_l.sum()) * math.log(2.0)
         assert learner_cost(np.zeros(3), Xbar, spec) == pytest.approx(expected)
+
+    def test_logistic_loss_is_exact_past_the_old_cutoff(self):
+        # log(1 + e^31) = 31 + 3.4e-14; a cutoff that returns the margin itself drops that term
+        margins, signs = np.array([-31.0, -800.0, 800.0]), np.ones(3)
+        losses = _loss(LossKind.LOGISTIC, margins, signs)
+        assert losses[0] == math.log1p(math.exp(31.0))
+        assert losses[1] == 800.0 and 0.0 <= losses[2] < 1e-300
 
     def test_learner_cost_zero_case(self, rng):
         spec = GameSpec(X=rng.normal(size=(4, 2)), y=np.zeros(4), z=np.zeros(4), c_l=rng.random(4))

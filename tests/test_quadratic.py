@@ -25,9 +25,9 @@ from bayesgame.game import (
 )
 from bayesgame.quadratic import (
     AdamConfig,
+    _perturbed_predictions,
     bayes_adam,
     best_response,
-    perturbed_prediction,
     stochastic_gradient,
     stochastic_objective,
 )
@@ -84,13 +84,16 @@ class TestBestResponse:
 
 class TestPerturbedPrediction:
     def test_zero_weight_cases(self, rng):
-        x = rng.normal(size=4)
-        w = rng.normal(size=4)
-        assert perturbed_prediction(w, x, z=3.0, c_d_i=0.0) == pytest.approx(float(x @ w))
-        assert perturbed_prediction(np.zeros(4), x, z=3.0, c_d_i=2.0) == 0.0
+        X, w, z = rng.normal(size=(4, 3)), rng.normal(size=3), np.full(4, 3.0)
+        assert np.array_equal(_perturbed_predictions(w, X, z, np.zeros(4), w), X @ w)
+        assert np.array_equal(best_response(w, X, z, np.zeros(4)), X)
+        zero = np.zeros(3)
+        assert not _perturbed_predictions(zero, X, z, np.full(4, 2.0), zero).any()
 
     def test_hand_value(self):
-        assert perturbed_prediction(np.array([1.0]), np.array([2.0]), 0.0, 1.0) == pytest.approx(1.0)
+        w, X, z, c_d = np.array([1.0]), np.array([[2.0]]), np.array([0.0]), np.array([1.0])
+        assert _perturbed_predictions(w, X, z, c_d, w) == pytest.approx([1.0])
+        assert best_response(w, X, z, c_d) @ w == pytest.approx([1.0])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -100,8 +103,10 @@ class TestPerturbedPrediction:
         st.floats(0, 10),
     )
     def test_equals_best_response_row_dot_w(self, x, w, z, c_d_i):
-        row = best_response(w, x[None, :], np.array([z]), np.array([c_d_i]))[0]
-        assert perturbed_prediction(w, x, z, c_d_i) == pytest.approx(float(row @ w), abs=1e-12)
+        X, z, c_d = x[None, :], np.array([z]), np.array([c_d_i])
+        row = best_response(w, X, z, c_d)[0]
+        got = _perturbed_predictions(w, X, z, c_d, w)[0]
+        assert got == pytest.approx(float(row @ w), abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -114,7 +119,7 @@ class TestPerturbedPrediction:
         # the identity the gradient kernel and bayes_fp are built on
         u = float(x @ w)
         expected = z - (z - u) / (1.0 + (w @ w) * c_d_i)
-        got = perturbed_prediction(w, x, z, c_d_i)
+        got = _perturbed_predictions(w, x[None, :], np.array([z]), np.array([c_d_i]), w)[0]
         # relative to |u| + |z|; the floor covers subnormal u and z, where an ulp is larger
         assert abs(got - expected) <= 1e-12 * (abs(u) + abs(z)) + 1e-300
 
@@ -131,9 +136,10 @@ class TestPerturbedPrediction:
         w = rng.normal(size=3)
         samples = sample_prior(prior, 6, draws, seed=5)
         rows = [best_response(w, spec.X, z, c) @ w for c in samples]
-        for c, row in zip(samples, rows):
-            got = [perturbed_prediction(w, x, z_i, c_i) for x, z_i, c_i in zip(spec.X, z, c)]
-            assert got == pytest.approx(row, rel=1e-12, abs=1e-12)
+        got = _perturbed_predictions(w, spec.X, z, samples, w)
+        assert got.shape == (draws, 6)
+        for pred, row in zip(got, rows):
+            assert pred == pytest.approx(row, rel=1e-12, abs=1e-12)
         expected = np.mean([spec.c_l @ (row - labels) ** 2 for row in rows]) + w @ w
         assert stochastic_objective(w, spec, samples) == pytest.approx(expected, rel=1e-12)
         got = evaluate(w, Dataset(spec.X, labels), ZRule("flip"), prior, draws, seed=5)
@@ -425,7 +431,7 @@ class TestNonFiniteSamplesRejected:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_scalar_weight_and_adam_config(self, bad):
-        with pytest.raises(ValueError, match="c_d_i"):
-            perturbed_prediction(np.ones(2), np.ones(2), 0.0, bad)
+        with pytest.raises(ValueError, match="c_d must be nonnegative and finite"):
+            best_response(np.ones(2), np.ones((1, 2)), np.zeros(1), np.array([bad]))
         with pytest.raises(ValueError, match="learning_rate"):
             AdamConfig(learning_rate=bad)

@@ -889,6 +889,12 @@ def test_solver_config_rejects_non_finite(field, value):
         SolverConfig(**kwargs)
 
 
+def test_solver_config_rejects_a_negative_seed():
+    assert SolverConfig(max_iters=10, gamma=0.1, seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SolverConfig(max_iters=10, gamma=0.1, seed=-1)
+
+
 # --------------------------------------------------------------------------
 # Properties of the VI solvers on random small ball games
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .solvers import (
     assumption_probe,
     epsilon_distance,
     equilibrium_residual,
+    extragradient,
     extragradient_reference,
     pg_rbc,
     prg_ie,

@@ -38,11 +38,8 @@ from .solvers import (
     ConfigurationError,
     SolverConfig,
     SolverError,
-    SolverTrace,
-    TraceRecord,
     assumption_probe,
-    equilibrium_residual,
-    extragradient_reference,
+    extragradient,
     pg_rbc,
     prg_ie,
     step_warnings,
@@ -102,14 +99,9 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if algo == "extragradient":
-        tol = solver.tol if solver.tol > 0 else 1e-8
-        profile = extragradient_reference(spec, prior, tol=tol, max_iters=solver.max_iters)
-        record = TraceRecord(0, equilibrium_residual(profile, prior, spec), None, 0.0)
-        trace = SolverTrace([record], profile, converged=True)
-    else:
-        run = prg_ie if algo == "prg-ie" else pg_rbc
-        trace = run(spec, prior, solver)
+    # looked up per call, so that a rebound module name is the one that runs
+    run = {"prg-ie": prg_ie, "pg-rbc": pg_rbc, "extragradient": extragradient}[algo]
+    trace = run(spec, prior, solver)
     trace.to_csv(out_dir / "trace.csv")
     (out_dir / "profile.json").write_text(
         json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False) + "\n"

@@ -183,10 +183,13 @@ class BenchmarkConfig:
     two_equilibria: bool = False
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.test_draws < 1:
-            raise ValueError("test_draws must be >= 1")
+        for name in ("repetitions", "test_draws", "adam_epochs", "adam_samples", "fp_samples",
+                     "fp_iterations", "nash_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("c_l_value", "reg_l"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         if not self.prior_grid:
             raise ValueError("prior_grid must not be empty")
         if not (self.adam_lr_grid and self.adam_batch_grid and self.ridge_alpha_grid):

@@ -12,12 +12,12 @@ Solvers:
   one projection per block per iteration, converges in norm.
 * ``pg_rbc``  -- projected gradient updating the learner plus one randomly
   sampled generator block per iteration; O(1/t) expected squared error.
-* ``extragradient_reference`` -- classical two-projection extragradient,
-  used as the high-precision oracle that the others are measured against.
+* ``extragradient`` -- two-projection extragradient with a backtracking step,
+  run to a tolerance by ``extragradient_reference``, the oracle of all errors.
 
-The convergence guarantees assume the monotonicity modulus and Lipschitz
-constant are known.  The solvers take them from the caller
-(``SolverConfig``) and ``step_warnings`` checks a step against them;
+All three share one trace driver, ``_traced_run``.  The first two assume the
+monotonicity modulus and Lipschitz constant are known: ``SolverConfig``
+gives them, ``step_warnings`` checks a step against them and
 ``assumption_probe`` estimates them by sampling feasible profile pairs.
 """
 
@@ -57,8 +57,9 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Iteration budget, step size and bookkeeping knobs.
 
-    ``gamma`` is the fixed step for prg_ie and the initial step (decayed as
-    gamma/t) for pg_rbc.  ``tol`` > 0 enables early stopping on the
+    ``gamma`` is the fixed step for prg_ie, the initial step (decayed as
+    gamma/t) for pg_rbc and the first trial step of extragradient's
+    backtracking.  ``tol`` > 0 enables early stopping on the
     equilibrium residual, checked at trace points.  ``lipschitz`` (prg_ie)
     and ``strong_monotonicity`` (pg_rbc) are the constants the solver checks
     ``gamma`` against with ``step_warnings``, for instance the ``L_hat`` and
@@ -234,13 +235,13 @@ def _natural_residual(w, t_w, block_sums, spec: GameSpec) -> float:
     return total
 
 
-def _projected_step(sigma, t_sig, gamma, action_set):
-    """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``t_sig``."""
-    np.multiply(gamma, t_sig, out=t_sig)
-    np.subtract(sigma, t_sig, out=t_sig)
-    for block in t_sig:
+def _projected_step(sigma, t_sig, gamma, action_set, out):
+    """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``out``."""
+    np.multiply(gamma, t_sig, out=out)
+    np.subtract(sigma, out, out=out)
+    for block in out:
         _project(block, action_set)  # scales the block in place if outside the ball
-    return t_sig
+    return out
 
 
 def epsilon_distance(
@@ -382,16 +383,9 @@ def step_warnings(
 # --------------------------------------------------------------------------
 
 
-def _trace_point(
-    records,
-    t,
-    profile,
-    prior,
-    spec,
-    reference,
-    start_time,
-) -> float:
-    residual = equilibrium_residual(profile, prior, spec)
+def _trace_point(records, t, profile, prior, spec, reference, start_time, residual=None) -> float:
+    if residual is None:
+        residual = equilibrium_residual(profile, prior, spec)
     if not math.isfinite(residual):
         last = records[-1].residual if records else None
         raise SolverError(f"diverged at t={t}: residual {residual}, last finite residual {last}")
@@ -401,7 +395,8 @@ def _trace_point(
 
 
 def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> SolverTrace:
-    """Trace the ``(w, sigma)`` that ``iterates`` yields after each iteration.
+    """Trace the ``(w, sigma)`` or ``(w, sigma, residual)`` that ``iterates`` yields
+    after each iteration; a yielded residual spares the trace point an evaluation.
 
     Trace points are t = 1, every ``trace_every`` and the last iteration.
     With ``tol`` > 0 the run stops, ``converged``, at the first trace point
@@ -410,10 +405,10 @@ def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> Solve
     """
     start = time.perf_counter()
     records: list[TraceRecord] = []
-    for t, (w, sigma) in enumerate(iterates, start=1):
+    for t, (w, sigma, *known) in enumerate(iterates, start=1):
         if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
             profile = StrategyProfile(w=w, sigma=sigma)
-            residual = _trace_point(records, t, profile, prior, spec, reference, start)
+            residual = _trace_point(records, t, profile, prior, spec, reference, start, *known)
             if config.tol > 0 and residual <= config.tol:
                 return SolverTrace(records, profile, converged=True)
     return SolverTrace(records, StrategyProfile(w=w, sigma=sigma), converged=False)
@@ -469,7 +464,7 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
             np.multiply(2.0, til, out=ref)
             ref -= til_prev
             _chunk_map(w_ref, ref, atoms, spec, rows_c, til_prev, scr)
-            _projected_step(cur, til_prev, gamma, spec.adversary_set)  # the next tilde point
+            _projected_step(cur, til_prev, gamma, spec.adversary_set, til_prev)  # new tilde
             cur *= delta / 2.0
             cur += np.multiply(1.0 - delta, til_prev, out=scr)
         w_til_next = _project(w_cur - gamma * (probs @ rows), spec.learner_set)
@@ -521,67 +516,16 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
         yield w_cur, sig_cur
 
 
-def _extragradient_on_map(
-    map_fn,
-    x0: StrategyProfile,
+def extragradient(
     spec: GameSpec,
-    gamma: float,
-    tol: float,
-    max_iters: int,
-) -> tuple[StrategyProfile, int]:
-    """Two-projection extragradient on an arbitrary blockwise map.
-
-    ``map_fn(w, sigma, out) -> t_w`` writes the generator blocks into
-    ``out``, which does not alias ``sigma``.  Stops when the squared
-    natural-map residual (``equilibrium_residual``'s) drops to ``tol``.
-    Returns the profile and the number of iterations taken.  The map's value
-    at each accepted point serves both the residual check and the next
-    iteration's first step, so an iteration evaluates the map twice.  The
-    loop keeps three sigma stacks: the iterate, the map's value there, and a
-    third for the half step's map value and the next iterate.
-    """
-    w, sigma = x0.w.copy(), x0.sigma.copy()
-    t_sig, free = np.empty_like(sigma), np.empty_like(sigma)
-    chunks, buf = _chunks(sigma, 1)
-    t_w = map_fn(w, sigma, t_sig)
-    for it in range(max_iters + 1):
-        block_sums: list[float] = []
-        for s, c in chunks:
-            _block_residuals(sigma[s], t_sig[s], buf[:c], spec.adversary_set, block_sums)
-        residual = _natural_residual(w, t_w, block_sums, spec)
-        if residual <= tol:
-            return StrategyProfile(w=w, sigma=sigma), it
-        if it == max_iters:
-            break
-        w_half = _project(w - gamma * t_w, spec.learner_set)
-        sig_half = _projected_step(sigma, t_sig, gamma, spec.adversary_set)
-        t_w_half = map_fn(w_half, sig_half, free)
-        w = _project(w - gamma * t_w_half, spec.learner_set)
-        # the next iterate goes into the half step's map value, the map there into the old iterate
-        sigma, t_sig, free = _projected_step(sigma, free, gamma, spec.adversary_set), sigma, t_sig
-        t_w = map_fn(w, sigma, t_sig)
-    raise SolverError(
-        f"extragradient did not reach tol={tol:g} within {max_iters} iterations; "
-        f"last residual {residual:.6e}"
-    )
-
-
-def extragradient_reference(
-    spec: GameSpec, prior: FinitePrior, tol: float, max_iters: int = 200_000
-) -> StrategyProfile:
-    """High-precision equilibrium oracle via the classical extragradient method.
-
-    Runs with a fixed step of 1/(2 L), with L the estimate of a 16-trial
-    ``assumption_probe`` (seed 0), and iterates until the squared natural-map
-    residual falls to ``tol``.  Raises ``SolverError`` (naming the last
-    residual) on non-convergence.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    prior: FinitePrior,
+    config: SolverConfig,
+    reference: StrategyProfile | None = None,
+) -> SolverTrace:
+    """Extragradient from the origin with ``_extragradient_iterates``' backtracking
+    step, ``config.gamma`` its first trial; no Lipschitz constant is needed."""
     init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)
-    l_hat = assumption_probe(spec, prior, trials=16, seed=0).L_hat
-    gamma = 0.5 / l_hat if l_hat > 0 else 1.0
     chunks, scratch = _chunks(init.sigma, 1)
     rows = np.empty((prior.num_atoms, spec.m))
 
@@ -590,5 +534,83 @@ def extragradient_reference(
             _chunk_map(w, sigma[s], prior.atoms[s], spec, rows[s], out[s], scratch[:c])
         return prior.probs @ rows
 
-    profile, _ = _extragradient_on_map(map_fn, init, spec, gamma, tol, max_iters)
-    return profile
+    iterates = _extragradient_iterates(map_fn, init, spec, config.gamma, config.max_iters)
+    return _traced_run(iterates, config, prior, spec, reference)
+
+
+def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, max_iters):
+    """Extragradient from ``x0`` (updated in place) on ``map_fn(w, sigma, out) -> t_w``,
+    which writes the generator blocks into ``out``, never aliasing ``sigma``.
+
+    Each step y = P(x - gamma F(x)), x = P(x - gamma F(y)) halves the trial
+    gamma, at most 60 times, until gamma |F(x) - F(y)| <= 0.9 |x - y| over
+    (w, sigma) (Khobotov 1987); grows it by 1.5 unless y = x, a solution.  Yields
+    ``(w, sigma, residual)``; the map at the new x serves the residual and
+    the next step, so a step costs two map calls plus one per halving.
+    """
+    w, sigma = x0.w, x0.sigma
+    t_sig, half, t_half = (np.empty_like(sigma) for _ in range(3))
+    chunks, buf = _chunks(sigma, 1)
+    w_set, sig_set = spec.learner_set, spec.adversary_set
+    t_w = map_fn(w, sigma, t_sig)
+    for t in range(1, max_iters + 1):
+        for _ in range(61):  # the first trial and 60 halvings
+            w_half = _project(w - gamma * t_w, w_set)
+            t_w_half = map_fn(w_half, _projected_step(sigma, t_sig, gamma, sig_set, half), t_half)
+            moved = _squared_distance(w, w_half, sigma, half, chunks, buf)
+            change = _squared_distance(t_w, t_w_half, t_sig, t_half, chunks, buf)
+            if gamma * math.sqrt(change) <= 0.9 * math.sqrt(moved):
+                break
+            gamma /= 2.0
+        else:
+            raise SolverError(f"extragradient found no step at t={t} within 60 halvings: "
+                              f"squared distances {change:.6e} (map), {moved:.6e} (iterate)")
+        w = _project(w - gamma * t_w_half, w_set)
+        # the new x is written over the map at y; the old x's array takes the next one
+        sigma, t_half = _projected_step(sigma, t_half, gamma, sig_set, t_half), sigma
+        t_w = map_fn(w, sigma, t_sig)
+        block_sums: list[float] = []
+        for s, c in chunks:
+            _block_residuals(sigma[s], t_sig[s], buf[:c], sig_set, block_sums)
+        if moved > 0:
+            gamma *= 1.5
+        yield w, sigma, _natural_residual(w, t_w, block_sums, spec)
+
+
+def _squared_distance(w, w2, sigma, sigma2, chunks, buf) -> float:
+    """``|w - w2|^2`` plus each ``|sigma_k - sigma2_k|^2``, added in atom order."""
+    total = float(np.sum((w - w2) ** 2))
+    for s, c in chunks:
+        for block in np.square(np.subtract(sigma[s], sigma2[s], out=buf[:c]), out=buf[:c]):
+            total += float(np.sum(block))
+    return total
+
+
+def _converged(trace: SolverTrace, config: SolverConfig) -> SolverTrace:
+    if not trace.converged:
+        raise SolverError(f"extragradient did not reach tol={config.tol:g} within "
+                          f"{config.max_iters} iterations; last residual "
+                          f"{trace.iterations[-1].residual:.6e}")
+    return trace
+
+
+def _extragradient_on_map(map_fn, x0: StrategyProfile, spec: GameSpec, gamma: float, tol: float,
+                          max_iters: int) -> tuple[StrategyProfile, int]:
+    """``_extragradient_iterates`` from a copy of ``x0`` until the residual is at most
+    ``tol``: the profile and the iterations taken, or ``SolverError``."""
+    config = SolverConfig(max_iters=max_iters, gamma=gamma, tol=tol, trace_every=1)
+    iterates = _extragradient_iterates(map_fn, x0.copy(), spec, gamma, max_iters)
+    trace = _converged(_traced_run(iterates, config, None, spec, None), config)
+    return trace.final_profile, trace.iterations[-1].t
+
+
+def extragradient_reference(
+    spec: GameSpec, prior: FinitePrior, tol: float, max_iters: int = 200_000
+) -> StrategyProfile:
+    """High-precision equilibrium oracle: ``extragradient`` with a first trial step of
+    1 until the squared natural-map residual is at most ``tol``; ``SolverError``
+    (naming the last residual) if it is not reached."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    config = SolverConfig(max_iters=max_iters, gamma=1.0, tol=tol, trace_every=1)
+    return _converged(extragradient(spec, prior, config), config).final_profile

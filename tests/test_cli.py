@@ -166,15 +166,19 @@ class TestSolve:
 
     def test_algo_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "game.json"
-        write_solve_config(cfg, algorithm="pg-rbc",
-                           solver={"max_iters": 2000, "gamma": 0.01, "tol": 1e-10})
+        solver = {"max_iters": 2000, "gamma": 0.01, "tol": 1e-10, "trace_every": 5}
+        write_solve_config(cfg, algorithm="pg-rbc", solver=solver)
         out = tmp_path / "eg"
         assert main(["solve", "--config", str(cfg), "--out", str(out),
                      "--algo", "extragradient"]) == 0
-        rows = read_trace_without_walltime(out / "trace.csv")
-        assert rows[0] == ["t", "residual", "error_to_reference"]
-        assert len(rows) == 2  # single summary row for the reference solver
-        assert (out / "trace.csv").read_bytes().count(b"\r\n") == 2  # SolverTrace.to_csv's
+        with open(out / "trace.csv") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "residual", "error_to_reference", "wall_time_s"]
+        ts = [int(row[0]) for row in rows]
+        assert len(rows) > 2 and ts[0] == 1 and ts == sorted(set(ts))  # a real trace
+        assert float(rows[-1][1]) <= 1e-10
+        assert all(float(row[3]) > 0 for row in rows)
+        assert (out / "trace.csv").read_bytes().count(b"\r\n") == len(rows) + 1
 
     @pytest.mark.parametrize(
         "solver, argv, message",
@@ -412,6 +416,27 @@ class TestBenchmarkCommand:
         out = tmp_path / "o"
         assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"configuration error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("reg_l", -1.0),
+            ("c_l_value", -1.0),
+            ("adam_epochs", 0),
+            ("adam_samples", 0),
+            ("fp_samples", 0),
+            ("fp_iterations", 0),
+            ("nash_iterations", 0),
+        ],
+    )
+    def test_out_of_range_key_exits_1(self, tmp_path, capsys, key, value):
+        dataset = self.write_dataset(tmp_path)
+        cfg = self.write_config(tmp_path, dataset, **{key: value})
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
         assert not out.exists()
 
     @pytest.mark.parametrize("z_rule", [{"kind": "custom"}, {"kind": "custom", "vector": [0.0]}])

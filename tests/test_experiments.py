@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bayesgame import quadratic
+from bayesgame import experiments, quadratic
 from bayesgame.experiments import (
     _PRESET_SIZES,
     BenchmarkConfig,
@@ -261,13 +261,18 @@ class TestBenchmark:
             (r.method, r.repetition, r.rmse) for r in parallel.rows
         ]
 
-    def test_cell_failure_recorded_not_fatal(self, rng):
+    def test_cell_failure_recorded_not_fatal(self, rng, monkeypatch):
+        def failing_bayes_fp(*args, **kwargs):
+            raise ValueError("bayes_fp failed")
+
+        monkeypatch.setattr(experiments, "bayes_fp", failing_bayes_fp)
         features, labels = synthetic_dataset(rng)
         data = Dataset(features, labels)
-        config = self.make_config(methods=("bayes-fp", "ridge"), fp_iterations=0)
+        config = self.make_config(methods=("bayes-fp", "ridge"))
         result = run_benchmark(config, data)
         fp_rows = [r for r in result.rows if r.method == "bayes-fp"]
-        assert fp_rows and all(r.error and math.isnan(r.rmse) for r in fp_rows)
+        assert fp_rows and all("bayes_fp failed" in r.error and math.isnan(r.rmse)
+                               for r in fp_rows)
         ridge_rows = [r for r in result.rows if r.method == "ridge"]
         assert ridge_rows and all(np.isfinite(r.rmse) for r in ridge_rows)
         payload = result.to_json()

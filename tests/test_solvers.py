@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -13,9 +14,11 @@ from bayesgame.game import (
     ActionSet,
     FinitePrior,
     GameSpec,
+    GaussianPrior,
     StrategyProfile,
     _grad_adversary_X,
     _grad_learner_w,
+    discretize_prior,
     grad_adversary_X,
     grad_learner_w,
     origin_profile,
@@ -31,6 +34,7 @@ from bayesgame.solvers import (
     assumption_probe,
     epsilon_distance,
     equilibrium_residual,
+    extragradient,
     extragradient_reference,
     pg_rbc,
     prg_ie,
@@ -261,7 +265,8 @@ class TestExtragradient:
         assert np.linalg.norm(learner) <= 1e-5
         assert np.linalg.norm(adversary) <= 1e-5
 
-    def test_restart_at_solution_takes_no_iterations(self):
+    def test_restart_at_solution_stops_at_the_first_step(self):
+        # every route traces its first point after one step, t = 1
         spec, prior = monotone_ball_game()
         solution = extragradient_reference(spec, prior, tol=1e-10)
 
@@ -269,8 +274,9 @@ class TestExtragradient:
             t_w, out[...] = stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
             return t_w
 
-        _, iters = _extragradient_on_map(map_fn, solution, spec, 0.1, 1e-10, 100)
-        assert iters == 0
+        profile, iters = _extragradient_on_map(map_fn, solution, spec, 0.1, 1e-10, 100)
+        assert iters == 1
+        assert equilibrium_residual(profile, prior, spec) <= 1e-10
 
     def test_two_map_evaluations_per_iteration(self):
         spec, prior = monotone_ball_game()
@@ -284,10 +290,47 @@ class TestExtragradient:
 
         x0 = origin_profile(spec, prior.num_atoms)
         profile, iters = _extragradient_on_map(map_fn, x0, spec, 0.2, 1e-10, 1000)
-        assert iters > 0 and calls == 1 + 2 * iters
-        w, sigma, ref_iters = reference_extragradient(spec, prior, 0.2, 1e-10)
-        assert iters == ref_iters
+        w, sigma, ref_iters, halvings = reference_extragradient(spec, prior, 0.2, 1e-10)
+        assert iters == ref_iters > 0 and halvings > 0
+        assert calls == 1 + 2 * iters + halvings  # one more map call per halving
         assert np.array_equal(profile.w, w) and np.array_equal(profile.sigma, sigma)
+
+    def test_backtracking_converges_where_the_probed_step_stalls(self):
+        # Gaussian features: the fixed step 0.5/L_hat of a 16-trial probe stalled
+        # at a residual of 4.1e3 after 3000 iterations on this game
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(20, 5))
+        y = rng.integers(0, 2, 20).astype(float)
+        spec = GameSpec(X=X, y=y, z=1.0 - y, c_l=np.full(20, 0.1),
+                        learner_set=ActionSet.l2_ball(1.0),
+                        adversary_set=ActionSet.l2_ball(2.0 * float(np.linalg.norm(X))))
+        prior = discretize_prior(GaussianPrior(1.0, 4.0), 20, 4, seed=1)
+        profile = extragradient_reference(spec, prior, tol=1e-10, max_iters=500)
+        assert equilibrium_residual(profile, prior, spec) <= 1e-10
+
+    def test_non_finite_map_stops_the_step_search(self):
+        spec, prior = monotone_ball_game()
+        calls = 0
+
+        def nan_map(w, sigma, out):
+            nonlocal calls
+            calls += 1
+            out[...] = np.nan
+            return np.full_like(w, np.nan)
+
+        x0 = origin_profile(spec, prior.num_atoms)
+        with pytest.raises(SolverError, match="t=1 within 60 halvings"):
+            _extragradient_on_map(nan_map, x0, spec, 1.0, 1e-10, 10_000)
+        assert calls < 100
+
+    def test_step_holds_at_an_exact_solution(self):
+        # every step stays at the zero game's origin; a step grown after it as
+        # well would overflow near t = 1750, and inf * 0 = nan stops the search
+        spec, prior = zero_game()
+        config = SolverConfig(max_iters=2000, gamma=1.0, trace_every=500)
+        trace = extragradient(spec, prior, config)
+        assert [rec.residual for rec in trace.iterations] == [0.0] * 5
+        assert not trace.final_profile.w.any() and not trace.final_profile.sigma.any()
 
     def test_nonconvergence_reports_residual(self):
         spec, prior = monotone_ball_game()
@@ -296,7 +339,7 @@ class TestExtragradient:
 
 
 class TestStepRules:
-    """The solvers check their step against the caller's constants; only the oracle probes."""
+    """The solvers check their step against the caller's constants; none of them probes."""
 
     @pytest.fixture
     def probe_calls(self, monkeypatch):
@@ -325,10 +368,10 @@ class TestStepRules:
         assert len(caught) == len(expected)
         assert all(text in str(w.message) for w, text in zip(caught, expected))
 
-    def test_oracle_probes_once(self, probe_calls):
+    def test_oracle_never_probes(self, probe_calls):
         spec, prior = monotone_ball_game()
         extragradient_reference(spec, prior, tol=1e-8)
-        assert len(probe_calls) == 1
+        assert probe_calls == []
 
     @pytest.mark.parametrize("gamma, constants, expected", [
         (0.5, {"lipschitz": 2.3}, ["prg-ie step bound"]),
@@ -491,20 +534,41 @@ def reference_prg_ie(spec, prior, config):
 
 
 def reference_extragradient(spec, prior, gamma, tol):
-    """Extragradient from the origin with a fresh operator evaluation for every residual."""
+    """Backtracking extragradient from the origin, first trial step ``gamma``, with a
+    fresh operator evaluation for every residual; returns the profile, the
+    iterations and the halvings of the step."""
     w, sigma = np.zeros(spec.m), np.zeros((prior.num_atoms, spec.n, spec.m))
 
-    def step(at_w, at_sigma):
-        t_w, t_sig = stacked_map(StrategyProfile(w=at_w, sigma=at_sigma), prior, spec)
-        return project(w - gamma * t_w, spec.learner_set), np.stack(
-            [project(s - gamma * t, spec.adversary_set) for s, t in zip(sigma, t_sig)]
+    def operator(at_w, at_sigma):
+        return stacked_map(StrategyProfile(w=at_w, sigma=at_sigma), prior, spec)
+
+    def step(size, t_w, t_sig):  # from the current iterate
+        return project(w - size * t_w, spec.learner_set), np.stack(
+            [project(s - size * t, spec.adversary_set) for s, t in zip(sigma, t_sig)]
         )
 
-    iters = 0
-    while reference_residual(w, sigma, prior, spec) > tol:
-        w, sigma = step(*step(w, sigma))
+    def distance(a_w, a_sig, b_w, b_sig):  # Euclidean over (w, sigma), added block by block
+        total = float(np.sum((a_w - b_w) ** 2))
+        for a, b in zip(a_sig, b_sig):
+            total += float(np.sum((a - b) ** 2))
+        return math.sqrt(total)
+
+    iters = halvings = 0
+    while iters == 0 or reference_residual(w, sigma, prior, spec) > tol:
+        t_w, t_sig = operator(w, sigma)
+        while True:
+            w_half, sig_half = step(gamma, t_w, t_sig)
+            h_w, h_sig = operator(w_half, sig_half)
+            moved = distance(w, sigma, w_half, sig_half)
+            if gamma * distance(t_w, t_sig, h_w, h_sig) <= 0.9 * moved:
+                break
+            gamma /= 2.0
+            halvings += 1
+        w, sigma = step(gamma, h_w, h_sig)
+        if moved > 0:
+            gamma *= 1.5
         iters += 1
-    return w, sigma, iters
+    return w, sigma, iters, halvings
 
 
 def with_balls(spec, learner_radius, adversary_radius):
@@ -596,16 +660,16 @@ class TestUncheckedLoopsMatchReference:
         spec, prior = GAMES[name]
         if chunking:
             set_chunking(monkeypatch, spec, prior, chunking)
-        gamma = 0.5 / assumption_probe(spec, prior, trials=16, seed=0).L_hat
-        w, sigma, iters = reference_extragradient(spec, prior, gamma, 1e-8)
+        w, sigma, iters, _ = reference_extragradient(spec, prior, 1.0, 1e-8)
         profile = extragradient_reference(spec, prior, tol=1e-8, max_iters=iters)
         assert np.array_equal(profile.w, w) and np.array_equal(profile.sigma, sigma)
 
 
 class TestTraceSchedule:
-    """Both solvers trace at t = 1, every trace_every and the last iteration, and stop on tol."""
+    """Every solver traces at t = 1, every trace_every and the last iteration, and stops on tol."""
 
     SOLVERS = {
+        "extragradient": (extragradient, dict(gamma=1.0)),
         "pg_rbc": (pg_rbc, dict(gamma=0.5, seed=4, strong_monotonicity=2.0)),
         "prg_ie": (prg_ie, dict(gamma=4e-3, lipschitz=2.0)),
     }
@@ -866,8 +930,8 @@ class TestNoAliasing:
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 2e-3)],
-                             ids=["pg_rbc", "prg_ie"])
+    @pytest.mark.parametrize("solver, gamma", [(extragradient, 1.0), (pg_rbc, 0.5), (prg_ie, 2e-3)],
+                             ids=["extragradient", "pg_rbc", "prg_ie"])
     def test_second_call_keeps_the_first_profile(self, solver, gamma):
         spec, prior = monotone_ball_game()
         config = SolverConfig(max_iters=200, gamma=gamma, seed=1, trace_every=50,
@@ -905,7 +969,7 @@ def test_solver_config_rejects_a_negative_seed():
 @given(
     st.integers(0, 2**32 - 1),
     st.booleans(),
-    st.sampled_from(["pg_rbc", "prg_ie"]),
+    st.sampled_from(["extragradient", "pg_rbc", "prg_ie"]),
     st.floats(1e-3, 2.0),
 )
 def test_vi_iterates_feasible_and_residuals_finite(seed, logistic, which, gamma):

@@ -12,22 +12,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .experiments import (
-    _PRESET_SIZES,
-    BenchmarkConfig,
-    ZRule,
-    load_spambase,
-    run_benchmark,
-)
+from .experiments import _PRESET_SIZES, BenchmarkConfig, load_spambase, run_benchmark
 from .game import FinitePrior, discretize_prior
 from .serialize import (
     ConfigError,
-    _number,
-    _object,
     _typed,
     config_from_jsonable,
     game_from_jsonable,
@@ -47,6 +39,20 @@ from .solvers import (
 
 ALGORITHMS = ("prg-ie", "pg-rbc", "extragradient")
 DEFAULT_DISCRETIZE_K = 16
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    """The ``probe`` section of a config: ``assumption_probe``'s trials and seed."""
+
+    trials: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.trials < 2:
+            raise ConfigError("probe.trials: expected an integer >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"probe.seed: expected a nonnegative integer, got {self.seed}")
 
 
 def _load_json(path) -> tuple[dict, str]:
@@ -114,17 +120,12 @@ def cmd_solve(args) -> int:
 def cmd_probe(args) -> int:
     doc, config_hash = _load_json(args.config)
     spec = game_from_jsonable(doc.get("game"), "game")
-    probe = _object(doc.get("probe", {}), "probe")
-    solver = _object(doc.get("solver", {}), "solver")
-    gamma = _number(solver, "gamma", "solver") if "gamma" in solver else None
-    trials = _typed(probe.get("trials", 64), int, "probe.trials")
-    if trials < 2:
-        raise ConfigError("probe.trials: expected an integer >= 2")
-    seed = args.seed if args.seed is not None else _typed(probe.get("seed", 0), int, "probe.seed")
-    if seed < 0:
-        raise ConfigError(f"probe.seed: expected a nonnegative integer, got {seed}")
-    prior = _finite_prior(doc, spec.n, seed)
-    diag = assumption_probe(spec, prior, trials=trials, seed=seed)
+    probe = config_from_jsonable(ProbeConfig, doc.get("probe", {}), "probe", seed=args.seed)
+    # the section solve reads, when there is one: its gamma is checked against the estimates
+    solver = doc.get("solver")
+    gamma = None if solver is None else config_from_jsonable(SolverConfig, solver, "solver").gamma
+    prior = _finite_prior(doc, spec.n, probe.seed)
+    diag = assumption_probe(spec, prior, trials=probe.trials, seed=probe.seed)
 
     payload = asdict(diag)
     warnings = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
@@ -146,11 +147,9 @@ def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
     if not isinstance(priors_doc, list) or not priors_doc:
         raise ConfigError("priors: expected a nonempty list of prior objects")
     priors = tuple(prior_from_jsonable(p, f"priors[{i}]") for i, p in enumerate(priors_doc))
-    kind = _object(doc.get("z_rule", {}), "z_rule").get("kind", "flip")
-    try:
-        given = {"prior_grid": priors, "z_rule": ZRule(kind), "seed": args.seed}
-    except ValueError as exc:
-        raise ConfigError(f"z_rule.kind: {exc}") from None
+    given = {"prior_grid": priors, "seed": args.seed}
+    # keys with no BenchmarkConfig field: the priors above and the dataset cmd_benchmark reads
+    doc = {key: value for key, value in doc.items() if key not in ("dataset", "priors")}
     if args.scale:  # the preset's sizes replace the config's
         given.update(_PRESET_SIZES[args.scale])
     else:  # the config's sizes replace the desk preset's
@@ -170,6 +169,7 @@ def cmd_benchmark(args) -> int:
                 "dataset: no path in config and BAYESGAME_DATA is not set"
             )
         dataset_path = os.path.join(data_dir, "spambase.data")
+    dataset_path = _typed(dataset_path, str, "dataset")
     try:
         data = load_spambase(dataset_path)
     except OSError as exc:

@@ -14,6 +14,7 @@ import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -122,7 +123,7 @@ def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
 class ZRule:
     """How the generator's target predictions derive from the labels."""
 
-    kind: str = "flip"  # "flip": z = 1 - y; "zero": z = 0
+    kind: Literal["flip", "zero"] = "flip"  # "flip": z = 1 - y; "zero": z = 0
 
     def __post_init__(self):
         if self.kind not in ("flip", "zero"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class LossKind(str, enum.Enum):
 class ActionSet:
     """A feasible set: all of R^d, or a centered L2/Frobenius ball."""
 
-    kind: str  # "unconstrained" | "l2_ball"
+    kind: Literal["unconstrained", "l2_ball"]
     radius: float | None = None
 
     def __post_init__(self):
@@ -266,8 +266,10 @@ class FinitePrior:
     probs: np.ndarray  # (K,)
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        atoms = np.asarray(self.atoms, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
+        if atoms.ndim != 2:
+            raise ValueError(f"atoms must be a (K, n) matrix, got shape {atoms.shape}")
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
             raise ValueError("probs must have one entry per atom")
         if not np.all(probs > 0):
@@ -351,17 +353,16 @@ Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
 
 class _Family(NamedTuple):
     cls: type
-    fields: dict  # constructor field -> JSON array rank (0: a number)
     label: str  # str.format template over the prior ``p``
 
 
 # The one table of prior families, keyed by their JSON name: labels, JSON
 # codecs and type dispatch all read it.
 _PRIOR_FAMILIES = {
-    "finite": _Family(FinitePrior, {"atoms": 2, "probs": 1}, "K={p.num_atoms}"),
-    "gaussian": _Family(GaussianPrior, {"mean": 0, "std": 0}, "mean={p.mean:g},std={p.std:g}"),
-    "gamma": _Family(GammaPrior, {"shape": 0, "scale": 0}, "shape={p.shape:g},scale={p.scale:g}"),
-    "lognormal": _Family(LogNormalPrior, {"mu": 0, "sigma": 0}, "mu={p.mu:g},sigma={p.sigma:g}"),
+    "finite": _Family(FinitePrior, "K={p.num_atoms}"),
+    "gaussian": _Family(GaussianPrior, "mean={p.mean:g},std={p.std:g}"),
+    "gamma": _Family(GammaPrior, "shape={p.shape:g},scale={p.scale:g}"),
+    "lognormal": _Family(LogNormalPrior, "mu={p.mu:g},sigma={p.sigma:g}"),
 }
 
 

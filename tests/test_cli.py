@@ -3,16 +3,28 @@ import json
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bayesgame import experiments
-from bayesgame.cli import main
-from bayesgame.experiments import write_dataset_csv
-from bayesgame.game import ActionSet, FinitePrior, GameSpec, StrategyProfile
+from bayesgame.cli import ProbeConfig, main
+from bayesgame.experiments import METHODS, BenchmarkConfig, ZRule, write_dataset_csv
+from bayesgame.game import (
+    ActionSet,
+    FinitePrior,
+    GameSpec,
+    GammaPrior,
+    GaussianPrior,
+    LogNormalPrior,
+    LossKind,
+    StrategyProfile,
+)
 from bayesgame.serialize import (
     ConfigError,
     config_from_jsonable,
@@ -20,6 +32,7 @@ from bayesgame.serialize import (
     game_to_jsonable,
     prior_from_jsonable,
     prior_to_jsonable,
+    to_jsonable,
 )
 from bayesgame.solvers import SolverConfig, SolverTrace, TraceRecord, pg_rbc, prg_ie
 
@@ -104,6 +117,161 @@ class TestSerialize:
         assert game_from_jsonable(dict(doc, reg_d=1.0)).n == 1
         with pytest.raises(ConfigError, match=r"game\.reg_d"):
             game_from_jsonable(dict(doc, reg_d=2.0))
+
+
+reals = st.floats(-1e6, 1e6, allow_nan=False)
+nonnegative = st.floats(0.0, 1e6)
+positive = st.floats(1e-6, 1e6)
+optional = st.none() | reals
+seeds = st.integers(0, 2**63 - 1)
+counts = st.integers(1, 10**6)
+
+
+def nonempty_tuples(elements):
+    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def games(draw):
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    losses = [draw(st.sampled_from(LossKind)) for _ in range(2)]
+    targets = [arrays(float, n, elements=st.sampled_from([-1.0, 1.0]) if loss is LossKind.LOGISTIC
+                      else reals) for loss in losses]
+    action_sets = st.just(ActionSet.unconstrained()) | positive.map(ActionSet.l2_ball)
+    return GameSpec(
+        X=draw(arrays(float, (n, m), elements=reals)), y=draw(targets[0]), z=draw(targets[1]),
+        c_l=draw(arrays(float, n, elements=nonnegative)), learner_loss=losses[0],
+        adversary_loss=losses[1], learner_set=draw(action_sets),
+        adversary_set=draw(action_sets), reg_l=draw(nonnegative),
+    )
+
+
+@st.composite
+def finite_priors(draw):
+    K, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    probs = draw(arrays(float, K, elements=st.floats(0.1, 1.0)))
+    probs /= probs.sum()
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return FinitePrior(atoms=draw(arrays(float, (K, n), elements=nonnegative)), probs=probs)
+
+
+priors = (finite_priors() | st.builds(GaussianPrior, reals, positive)
+          | st.builds(GammaPrior, positive, positive) | st.builds(LogNormalPrior, reals, positive))
+solver_configs = st.builds(
+    SolverConfig, max_iters=counts, gamma=positive, seed=seeds, tol=nonnegative,
+    trace_every=counts, lipschitz=optional, strong_monotonicity=optional,
+)
+probe_configs = st.builds(ProbeConfig, trials=st.integers(2, 10**6), seed=seeds)
+benchmark_configs = st.builds(
+    BenchmarkConfig, train_n=counts, test_n=counts, repetitions=counts, test_draws=counts,
+    prior_grid=nonempty_tuples(priors), methods=st.lists(st.sampled_from(METHODS)).map(tuple),
+    c_l_value=nonnegative, z_rule=st.builds(ZRule, st.sampled_from(["flip", "zero"])),
+    seed=seeds, reg_l=nonnegative, adam_lr_grid=nonempty_tuples(positive),
+    adam_batch_grid=nonempty_tuples(counts), ridge_alpha_grid=nonempty_tuples(positive),
+    adam_epochs=counts, adam_samples=counts, fp_samples=counts, fp_iterations=counts,
+    nash_iterations=counts, two_equilibria=st.booleans(),
+)
+
+
+def through_json(doc):
+    return json.loads(json.dumps(doc, allow_nan=False))
+
+
+def assert_same_fields(back, original):
+    """Equal field by field, each of the same type; arrays bit for bit."""
+    assert type(back) is type(original)
+    for f in fields(original):
+        a, b = getattr(back, f.name), getattr(original, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b, f.name
+
+
+class TestRoundTrip:
+    """Encoding then decoding, through JSON text, gives the object back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(games())
+    def test_game(self, spec):
+        assert_same_fields(game_from_jsonable(through_json(game_to_jsonable(spec))), spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(priors)
+    def test_prior(self, prior):
+        assert_same_fields(prior_from_jsonable(through_json(prior_to_jsonable(prior))), prior)
+
+    @settings(max_examples=60, deadline=None)
+    @given(solver_configs)
+    def test_solver_config(self, config):
+        back = config_from_jsonable(SolverConfig, through_json(to_jsonable(config)), "solver")
+        assert_same_fields(back, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(probe_configs)
+    def test_probe_config(self, config):
+        back = config_from_jsonable(ProbeConfig, through_json(to_jsonable(config)), "probe")
+        assert_same_fields(back, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(benchmark_configs)
+    def test_benchmark_config(self, config):
+        doc = through_json(to_jsonable(config))
+        del doc["prior_grid"]  # a document lists its priors under "priors", each with its family
+        back = config_from_jsonable(BenchmarkConfig, doc, "", prior_grid=config.prior_grid)
+        assert_same_fields(back, config)
+
+
+BENCHMARK_DOC = {"priors": [{"family": "gaussian", "mean": 1.0, "std": 1.0}],
+                 "dataset": "missing.csv"}
+
+
+class TestMalformedConfig:
+    """Each malformed document exits 1 with one line naming its key, and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "command, section, update, message",
+        [
+            ("solve", "solver", {"toll": 1e-6}, "solver.toll: unknown key"),
+            ("solve", "game", {"learner_sett": {"kind": "unconstrained"}},
+             "game.learner_sett: unknown key"),
+            ("solve", "game", {"adversary_set": {"kind": "l2_ball", "radius": 2.0, "center": 0}},
+             "game.adversary_set.center: unknown key"),
+            ("solve", "prior", {"scale": 1.0}, "prior.scale: unknown key"),
+            ("probe", "probe", {"trials": 8, "seeed": 1}, "probe.seeed: unknown key"),
+            ("benchmark", None, {"datset": "data.csv"}, "datset: unknown key"),
+            ("benchmark", None, {"z_rule": {"kind": "zero", "vector": [0.0]}},
+             "z_rule.vector: unknown key"),
+            ("benchmark", None, {"priors": [{"family": "gamma", "shape": 1, "scale": 1, "k": 2}]},
+             "priors[0].k: unknown key"),
+            ("solve", "game", {"learner_set": {"kind": "unconstrained", "radius": 1.0}},
+             "game.learner_set: unconstrained set takes no radius"),
+            ("solve", "prior", {"atoms": [[[0.1] * 4]] * 2},
+             "prior: atoms must be a (K, n) matrix, got shape (2, 1, 4)"),
+            ("solve", "game", {"X": [["0.1", "0.2"]] * 4}, "game.X: expected a numeric array"),
+            ("benchmark", None, {"dataset": 0}, "dataset: expected a string, got 0"),
+            ("benchmark", None, {"dataset": True}, "dataset: expected a string, got True"),
+            ("solve", "game", {"learner_set": {"kind": "box"}},
+             "game.learner_set.kind: expected unconstrained or l2_ball, got 'box'"),
+            ("solve", "game", {"adversary_loss": "hinge"},
+             "game.adversary_loss: expected quadratic or logistic, got 'hinge'"),
+        ],
+        ids=["solver-key", "game-key", "action-set-key", "prior-key", "probe-key",
+             "benchmark-key", "z-rule-key", "priors-key", "unconstrained-radius", "3d-atoms",
+             "string-array", "dataset-0", "dataset-true", "action-set-kind", "loss-kind"],
+    )
+    def test_exits_1_naming_the_key(self, tmp_path, capsys, command, section, update, message):
+        cfg = tmp_path / "config.json"
+        doc = json.loads(json.dumps(BENCHMARK_DOC)) if command == "benchmark" else (
+            write_solve_config(cfg))
+        (doc if section is None else doc.setdefault(section, {})).update(update)
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg)] + ([] if command == "probe" else ["--out", str(out)])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
 
 
 class TestSolve:

@@ -213,6 +213,12 @@ class TestPriors:
         with pytest.raises(ValueError, match="nonnegative"):
             FinitePrior(atoms=-np.ones((1, 3)), probs=np.array([1.0]))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3,), ()])
+    def test_finite_prior_atoms_are_a_matrix(self, shape):
+        K = shape[0] if len(shape) == 3 else 1
+        with pytest.raises(ValueError, match=r"atoms must be a \(K, n\) matrix"):
+            FinitePrior(atoms=np.ones(shape), probs=np.full(K, 1.0 / K))
+
     def test_point_mass_sampling(self):
         atom = np.array([0.5, 1.5, 0.0])
         prior = FinitePrior(atoms=atom[None, :], probs=np.array([1.0]))

@@ -25,6 +25,8 @@ from .serialize import (
     game_from_jsonable,
     prior_from_jsonable,
     profile_to_jsonable,
+    to_jsonable,
+    with_flags,
 )
 from .solvers import (
     ConfigurationError,
@@ -39,6 +41,7 @@ from .solvers import (
 
 ALGORITHMS = ("prg-ie", "pg-rbc", "extragradient")
 DEFAULT_DISCRETIZE_K = 16
+SOLVE_KEYS = ("game", "prior", "discretize_k", "algorithm", "solver", "probe")  # top level
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class ProbeConfig:
             raise ConfigError(f"probe.seed: expected a nonnegative integer, got {self.seed}")
 
 
-def _load_json(path) -> tuple[dict, str]:
+def _load_json(path, keys=None) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -70,11 +73,14 @@ def _load_json(path) -> tuple[dict, str]:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level document must be an object")
+    for key in doc:
+        if keys and key not in keys:
+            raise ConfigError(f"{key}: unknown key")
     return doc, hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_metadata(out_dir: Path, config_hash: str, seed: int) -> None:
-    meta = {"config_sha256": config_hash, "seed": seed, "version": __version__}
+def _write_metadata(out_dir: Path, config_hash: str, seed: int, config: dict) -> None:
+    meta = {"config_sha256": config_hash, "seed": seed, "version": __version__, "config": config}
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
@@ -93,13 +99,15 @@ def _finite_prior(doc: dict, spec_n: int, seed: int) -> FinitePrior:
 
 
 def cmd_solve(args) -> int:
-    doc, config_hash = _load_json(args.config)
+    doc, config_hash = _load_json(args.config, SOLVE_KEYS)
     spec = game_from_jsonable(doc.get("game"), "game")
     solver_doc = doc.get("solver", {"max_iters": 10_000, "gamma": 0.01})
-    solver = config_from_jsonable(SolverConfig, solver_doc, "solver", seed=args.seed)
-    algo = args.algo or doc.get("algorithm")
+    solver = with_flags(config_from_jsonable(SolverConfig, solver_doc, "solver"), "solver",
+                        seed=args.seed)
+    algo = doc.get("algorithm", args.algo)  # the config's, checked even when the flag replaces it
     if algo not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algo!r}")
+    algo = args.algo or algo
     prior = _finite_prior(doc, spec.n, solver.seed)
 
     out_dir = Path(args.out)
@@ -112,15 +120,17 @@ def cmd_solve(args) -> int:
     (out_dir / "profile.json").write_text(
         json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False) + "\n"
     )
-    _write_metadata(out_dir, config_hash, solver.seed)
+    _write_metadata(out_dir, config_hash, solver.seed,
+                    {"algorithm": algo, "solver": to_jsonable(solver)})
     print(f"final residual: {trace.iterations[-1].residual:.6e}")
     return 0
 
 
 def cmd_probe(args) -> int:
-    doc, config_hash = _load_json(args.config)
+    doc, config_hash = _load_json(args.config, SOLVE_KEYS)
     spec = game_from_jsonable(doc.get("game"), "game")
-    probe = config_from_jsonable(ProbeConfig, doc.get("probe", {}), "probe", seed=args.seed)
+    probe = with_flags(config_from_jsonable(ProbeConfig, doc.get("probe", {}), "probe"), "probe",
+                       seed=args.seed)
     # the section solve reads, when there is one: its gamma is checked against the estimates
     solver = doc.get("solver")
     gamma = None if solver is None else config_from_jsonable(SolverConfig, solver, "solver").gamma
@@ -142,32 +152,16 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _benchmark_config(doc: dict, args) -> BenchmarkConfig:
-    priors_doc = doc.get("priors")
-    if not isinstance(priors_doc, list) or not priors_doc:
-        raise ConfigError("priors: expected a nonempty list of prior objects")
-    priors = tuple(prior_from_jsonable(p, f"priors[{i}]") for i, p in enumerate(priors_doc))
-    given = {"prior_grid": priors, "seed": args.seed}
-    # keys with no BenchmarkConfig field: the priors above and the dataset cmd_benchmark reads
-    doc = {key: value for key, value in doc.items() if key not in ("dataset", "priors")}
-    if args.scale:  # the preset's sizes replace the config's
-        given.update(_PRESET_SIZES[args.scale])
-    else:  # the config's sizes replace the desk preset's
-        doc = {**_PRESET_SIZES["desk"], **doc}
-    return config_from_jsonable(BenchmarkConfig, doc, "", **given)
-
-
 def cmd_benchmark(args) -> int:
     doc, config_hash = _load_json(args.config)
-    config = _benchmark_config(doc, args)
+    dataset_path = doc.pop("dataset", None)  # the one key with no BenchmarkConfig field
+    config = config_from_jsonable(BenchmarkConfig, doc, "")
+    config = with_flags(config, "", seed=args.seed, **_PRESET_SIZES.get(args.scale, {}))
 
-    dataset_path = doc.get("dataset")
     if dataset_path is None:
         data_dir = os.environ.get("BAYESGAME_DATA")
         if not data_dir:
-            raise ConfigError(
-                "dataset: no path in config and BAYESGAME_DATA is not set"
-            )
+            raise ConfigError("dataset: no path in config and BAYESGAME_DATA is not set")
         dataset_path = os.path.join(data_dir, "spambase.data")
     dataset_path = _typed(dataset_path, str, "dataset")
     try:
@@ -183,7 +177,7 @@ def cmd_benchmark(args) -> int:
     result.to_csv(out_dir / "results.csv")
     summary = result.to_json()
     (out_dir / "aggregate.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
-    _write_metadata(out_dir, config_hash, config.seed)
+    _write_metadata(out_dir, config_hash, config.seed, to_jsonable(config))
     for agg in result.aggregates:
         mean = "nan" if agg["mean_rmse"] is None else f"{agg['mean_rmse']:.4f}"
         print(

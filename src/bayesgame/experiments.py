@@ -21,6 +21,7 @@ import numpy as np
 from .baselines import bayes_fp, nash_strategy, ridge_fit
 from .game import GameSpec, Prior, _prior_family, sample_prior
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam
+from .serialize import ConfigError
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
 METHODS = ("bayes-adam", "bayes-fp", "nash", "ridge")
@@ -163,11 +164,11 @@ def evaluate(
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    train_n: int
-    test_n: int
-    repetitions: int
-    test_draws: int
-    prior_grid: tuple
+    prior_grid: tuple[Prior, ...] = field(metadata={"json": "priors"})
+    train_n: int = 200  # the sizes default to the desk preset
+    test_n: int = 200
+    repetitions: int = 3
+    test_draws: int = 100
     methods: tuple = METHODS
     c_l_value: float = 0.1
     z_rule: ZRule = field(default_factory=ZRule)
@@ -184,17 +185,22 @@ class BenchmarkConfig:
     two_equilibria: bool = False
 
     def __post_init__(self):
-        for name in ("repetitions", "test_draws", "adam_epochs", "adam_samples", "fp_samples",
-                     "fp_iterations", "nash_iterations"):
+        if not self.prior_grid:
+            raise ConfigError("priors: expected a nonempty list of prior objects")
+        for name in ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
+                     "adam_samples", "fp_samples", "fp_iterations", "nash_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("c_l_value", "reg_l"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
-        if not self.prior_grid:
-            raise ValueError("prior_grid must not be empty")
         if not (self.adam_lr_grid and self.adam_batch_grid and self.ridge_alpha_grid):
             raise ValueError("hyperparameter grids must not be empty")
+        for name in ("adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"):  # a batch is >= 1
+            if not all(0 < value < math.inf for value in getattr(self, name)):
+                raise ValueError(f"{name} entries must be positive and finite")
+        if not self.methods:
+            raise ValueError("methods must not be empty")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -390,15 +396,11 @@ def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> B
     return BenchmarkResult(rows=selected_rows, aggregates=aggregates)
 
 
-# The size presets, also read by ``bayesgame benchmark --scale``.
-_PRESET_SIZES = {
-    "desk": dict(train_n=200, test_n=200, repetitions=3, test_draws=100),
-    "paper": dict(train_n=500, test_n=500, repetitions=10, test_draws=500),
-}
+# The size presets read by ``bayesgame benchmark --scale``; desk's are the defaults.
+_PRESET_SIZES = {"paper": dict(train_n=500, test_n=500, repetitions=10, test_draws=500)}
+_PRESET_SIZES["desk"] = {name: getattr(BenchmarkConfig, name) for name in _PRESET_SIZES["paper"]}
 
 
 def desk_config(priors, seed: int = 0, **overrides) -> BenchmarkConfig:
     """Desk-scale preset: 200/200 split, 3 repetitions, 100 test draws."""
-    base = dict(_PRESET_SIZES["desk"], prior_grid=tuple(priors), seed=seed)
-    return BenchmarkConfig(**{**base, **overrides})
-
+    return BenchmarkConfig(tuple(priors), seed=seed, **overrides)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +48,14 @@ def _choice(value, choices, where: str):
 
 def _field(value, kind, default, where: str):
     """``value`` decoded as a field of type ``kind`` whose default is ``default``."""
+    if kind == Prior:  # its family key names the dataclass
+        obj = dict(_object(value, where))
+        name = obj.pop("family", MISSING)
+        family = _PRIOR_FAMILIES.get(name) if isinstance(name, str) else None
+        if family is None:
+            raise ConfigError(f"{where}.family: missing required field" if name is MISSING
+                              else f"{where}.family: unknown prior family {name!r}")
+        return config_from_jsonable(family.cls, obj, where)
     if typing.get_origin(kind) is typing.Literal:
         return _choice(value, typing.get_args(kind), where)
     if isinstance(kind, enum.EnumMeta):
@@ -61,64 +70,74 @@ def _field(value, kind, default, where: str):
         if arr is None or arr.dtype.kind not in "iuf":
             raise ConfigError(f"{where}: expected a numeric array")
         return arr
-    if kind is tuple:
+    options = typing.get_args(kind)  # tuple[X, ...]: (X, ...); float | None: (float, NoneType)
+    if kind is tuple or typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        item = type(default[0])
-        return tuple(_typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    options = typing.get_args(kind) or (kind,)  # float | None: (float, NoneType)
-    if value is None and type(None) in options:
-        return None
-    return _typed(value, options[0], where)
+        item = options[0] if options else type(default[0])
+        return tuple(_field(v, item, MISSING, f"{where}[{i}]") for i, v in enumerate(value))
+    if type(None) in options:
+        return None if value is None else _field(value, options[0], default, where)
+    return _typed(value, kind, where)
 
 
-def config_from_jsonable(cls, obj, path: str, **given):
-    """The dataclass ``cls`` from a JSON object, each key typed by its field.
-
-    A field is a bool, int, float or str (an int may stand for a float), an
-    optional one of these (``float | None`` also accepts null), a tuple
-    whose items take the type of its default's first item, an enum or
-    ``Literal`` (one of its values), a numeric ``np.ndarray`` or a nested
-    dataclass.  A field without a default is required, and a key that names
-    no field is an error, reported after the fields'.  A ``given`` value
-    other than None is used as it is, whatever the document holds.  Keys
-    are named ``path.key``, or ``key`` when ``path`` is empty.  A
-    constructor's ``ConfigError`` passes through; its other ``ValueError``
-    is reported against ``path``.
-    """
-    _object(obj, path)
-    hints = typing.get_type_hints(cls)
-    kwargs = {key: value for key, value in given.items() if value is not None}
-    names = set()
-    for f in fields(cls):
-        names.add(f.name)
-        where = f"{path}.{f.name}" if path else f.name
-        if f.name in kwargs:
-            continue
-        if f.name in obj:
-            kwargs[f.name] = _field(obj[f.name], hints[f.name], f.default, where)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}: missing required field")
-    for key in obj:
-        if key not in names:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+def _built(make, kwargs: dict, where: str):
+    """``make(**kwargs)``, whose ``ValueError`` is reported against ``where``."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path or cls.__name__}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def config_from_jsonable(cls, obj, path: str):
+    """The dataclass ``cls`` from a JSON object, each key typed by its field.
+
+    A field is a bool, int, float or str (an int may stand for a float), an
+    optional one of these (``float | None`` also accepts null), a tuple of
+    the ``X`` of ``tuple[X, ...]`` (else of its default's first item's
+    type), an enum or ``Literal`` (one of its values), a numeric
+    ``np.ndarray``, a ``Prior`` (its ``family`` names the dataclass) or a
+    nested dataclass.  Its key is its metadata's ``"json"``, else its name.
+    A field without a default is required, and a key that names no field is
+    an error, reported after the fields'.  Keys are named ``path.key``, or
+    ``key`` when ``path`` is empty.  A constructor's ``ConfigError`` passes
+    through; its other ``ValueError`` is reported against ``path``.
+    """
+    _object(obj, path)
+    hints = typing.get_type_hints(cls)
+    kwargs, keys = {}, set()
+    for f in fields(cls):
+        keys.add(key := f.metadata.get("json", f.name))
+        where = f"{path}.{key}" if path else key
+        if key in obj:
+            kwargs[f.name] = _field(obj[key], hints[f.name], f.default, where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing required field")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return _built(cls, kwargs, path or cls.__name__)
+
+
+def with_flags(config, path: str, **flags):
+    """``config`` with each flag that is not None in place of its field, checked as decoded."""
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return _built(partial(replace, config), flags, path or type(config).__name__)
 
 
 def to_jsonable(value):
     """``value`` as JSON data: a dataclass as an object of its fields in order.
 
-    Fields that are None are left out, arrays become nested lists, enums
-    their values and tuples lists; other values are kept as they are.
+    A prior's ``family`` comes first; keys are those read.  Fields that are
+    None are left out, arrays become nested lists, enums their values and
+    tuples lists; other values are kept as they are.
     """
     if is_dataclass(value):
-        return {f.name: to_jsonable(v) for f in fields(value)
-                if (v := getattr(value, f.name)) is not None}
+        doc = {"family": _prior_family(value)[0]} if isinstance(value, Prior) else {}
+        return doc | {f.metadata.get("json", f.name): to_jsonable(v) for f in fields(value)
+                      if (v := getattr(value, f.name)) is not None}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, enum.Enum):
@@ -128,8 +147,8 @@ def to_jsonable(value):
     return value
 
 
-# a game and a profile are written as their fields
-game_to_jsonable = profile_to_jsonable = to_jsonable
+# a game, a prior and a profile are written as their fields
+game_to_jsonable = prior_to_jsonable = profile_to_jsonable = to_jsonable
 
 
 def game_from_jsonable(obj, path: str = "game") -> GameSpec:
@@ -139,16 +158,5 @@ def game_from_jsonable(obj, path: str = "game") -> GameSpec:
     return config_from_jsonable(GameSpec, rest, path)
 
 
-def prior_to_jsonable(prior: Prior) -> dict:
-    return {"family": _prior_family(prior)[0], **to_jsonable(prior)}
-
-
 def prior_from_jsonable(obj, path: str = "prior") -> Prior:
-    rest = dict(_object(obj, path))
-    if "family" not in rest:
-        raise ConfigError(f"{path}.family: missing required field")
-    name = rest.pop("family")
-    family = _PRIOR_FAMILIES.get(name) if isinstance(name, str) else None
-    if family is None:
-        raise ConfigError(f"{path}.family: unknown prior family {name!r}")
-    return config_from_jsonable(family.cls, rest, path)
+    return _field(obj, Prior, MISSING, path)

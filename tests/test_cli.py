@@ -1,10 +1,7 @@
 import csv
 import json
-import subprocess
-import sys
 import warnings
-from dataclasses import fields, replace
-from pathlib import Path
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +11,13 @@ from hypothesis.extra.numpy import arrays
 
 from bayesgame import experiments
 from bayesgame.cli import ProbeConfig, main
-from bayesgame.experiments import METHODS, BenchmarkConfig, ZRule, write_dataset_csv
+from bayesgame.experiments import (
+    METHODS,
+    BenchmarkConfig,
+    ZRule,
+    desk_config,
+    write_dataset_csv,
+)
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -109,8 +112,6 @@ class TestSerialize:
         config = config_from_jsonable(SolverConfig, doc, "solver")
         assert config == SolverConfig(max_iters=10, gamma=0.1, strong_monotonicity=2.0)
         assert type(config.strong_monotonicity) is float
-        given = config_from_jsonable(SolverConfig, dict(doc, seed="x"), "solver", seed=4)
-        assert given.seed == 4  # a given field is not read from the document
 
     def test_reg_d_fixed(self):
         doc = {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0]}
@@ -164,7 +165,7 @@ solver_configs = st.builds(
 probe_configs = st.builds(ProbeConfig, trials=st.integers(2, 10**6), seed=seeds)
 benchmark_configs = st.builds(
     BenchmarkConfig, train_n=counts, test_n=counts, repetitions=counts, test_draws=counts,
-    prior_grid=nonempty_tuples(priors), methods=st.lists(st.sampled_from(METHODS)).map(tuple),
+    prior_grid=nonempty_tuples(priors), methods=nonempty_tuples(st.sampled_from(METHODS)),
     c_l_value=nonnegative, z_rule=st.builds(ZRule, st.sampled_from(["flip", "zero"])),
     seed=seeds, reg_l=nonnegative, adam_lr_grid=nonempty_tuples(positive),
     adam_batch_grid=nonempty_tuples(counts), ridge_alpha_grid=nonempty_tuples(positive),
@@ -177,16 +178,22 @@ def through_json(doc):
     return json.loads(json.dumps(doc, allow_nan=False))
 
 
-def assert_same_fields(back, original):
-    """Equal field by field, each of the same type; arrays bit for bit."""
-    assert type(back) is type(original)
-    for f in fields(original):
-        a, b = getattr(back, f.name), getattr(original, f.name)
-        assert type(a) is type(b), f.name
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        else:
-            assert a == b, f.name
+def assert_same_fields(back, original, where="config"):
+    """Equal field by field and item by item, each of the same type; arrays bit for bit."""
+    assert type(back) is type(original), where
+    if is_dataclass(original):
+        for f in fields(original):
+            name = f"{where}.{f.name}"
+            assert_same_fields(getattr(back, f.name), getattr(original, f.name), name)
+    elif isinstance(original, np.ndarray):
+        assert back.dtype == original.dtype and back.shape == original.shape, where
+        assert back.tobytes() == original.tobytes(), where
+    elif isinstance(original, tuple):
+        assert len(back) == len(original), where
+        for i, (a, b) in enumerate(zip(back, original)):
+            assert_same_fields(a, b, f"{where}[{i}]")
+    else:
+        assert back == original, where
 
 
 class TestRoundTrip:
@@ -217,9 +224,7 @@ class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(benchmark_configs)
     def test_benchmark_config(self, config):
-        doc = through_json(to_jsonable(config))
-        del doc["prior_grid"]  # a document lists its priors under "priors", each with its family
-        back = config_from_jsonable(BenchmarkConfig, doc, "", prior_grid=config.prior_grid)
+        back = config_from_jsonable(BenchmarkConfig, through_json(to_jsonable(config)), "")
         assert_same_fields(back, config)
 
 
@@ -256,12 +261,46 @@ class TestMalformedConfig:
              "game.learner_set.kind: expected unconstrained or l2_ball, got 'box'"),
             ("solve", "game", {"adversary_loss": "hinge"},
              "game.adversary_loss: expected quadratic or logistic, got 'hinge'"),
+            ("solve", None, {"solverr": {"max_iters": 5, "gamma": 0.1}}, "solverr: unknown key"),
+            ("solve", None, {"discretize_kk": 4}, "discretize_kk: unknown key"),
+            ("probe", None, {"algoritm": "pg-rbc"}, "algoritm: unknown key"),
+            ("benchmark", None, {"prior_grid": 5}, "prior_grid: unknown key"),
+            ("benchmark", None, {"priors": []},
+             "priors: expected a nonempty list of prior objects"),
         ],
         ids=["solver-key", "game-key", "action-set-key", "prior-key", "probe-key",
              "benchmark-key", "z-rule-key", "priors-key", "unconstrained-radius", "3d-atoms",
-             "string-array", "dataset-0", "dataset-true", "action-set-kind", "loss-kind"],
+             "string-array", "dataset-0", "dataset-true", "action-set-kind", "loss-kind",
+             "solve-top-key", "discretize-k-key", "probe-top-key", "prior-grid-key",
+             "empty-priors"],
     )
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, section, update, message):
+        self.check(tmp_path, capsys, command, section, update, [], message)
+
+    @pytest.mark.parametrize(
+        "command, section, update, flags, message",
+        [
+            ("solve", "solver", {"seed": "x"}, ["--seed", "4"],
+             "solver.seed: expected an integer, got 'x'"),
+            ("probe", "probe", {"seed": "x"}, ["--seed", "4"],
+             "probe.seed: expected an integer, got 'x'"),
+            ("benchmark", None, {"seed": "x"}, ["--seed", "1"],
+             "seed: expected an integer, got 'x'"),
+            ("benchmark", None, {"train_n": "lots"}, ["--scale", "paper"],
+             "train_n: expected an integer, got 'lots'"),
+            ("benchmark", None, {"seed": "x", "train_n": "lots", "prior_grid": 5},
+             ["--seed", "1", "--scale", "desk"], "train_n: expected an integer, got 'lots'"),
+            ("solve", None, {"algorithm": "pg_rbc"}, ["--algo", "pg-rbc"],
+             "algorithm: expected one of ('prg-ie', 'pg-rbc', 'extragradient'), got 'pg_rbc'"),
+        ],
+        ids=["solve-seed", "probe-seed", "benchmark-seed", "paper-train-n", "desk-train-n",
+             "algorithm"],
+    )
+    def test_a_flag_does_not_hide_the_key_it_replaces(self, tmp_path, capsys, command, section,
+                                                       update, flags, message):
+        self.check(tmp_path, capsys, command, section, update, flags, message)
+
+    def check(self, tmp_path, capsys, command, section, update, flags, message):
         cfg = tmp_path / "config.json"
         doc = json.loads(json.dumps(BENCHMARK_DOC)) if command == "benchmark" else (
             write_solve_config(cfg))
@@ -269,7 +308,7 @@ class TestMalformedConfig:
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "o"
         argv = [command, "--config", str(cfg)] + ([] if command == "probe" else ["--out", str(out)])
-        assert main(argv) == 1
+        assert main(argv + flags) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
@@ -284,6 +323,9 @@ class TestSolve:
         assert (out / "trace.csv").exists()
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed"] == 3 and meta["version"]
+        assert meta["config"]["algorithm"] == "pg-rbc"
+        solver = config_from_jsonable(SolverConfig, meta["config"]["solver"], "solver")
+        assert solver == SolverConfig(max_iters=500, gamma=0.6, seed=3, trace_every=100)
         assert "final residual" in capsys.readouterr().out
         profile = json.loads((out / "profile.json").read_text())
         assert np.shape(profile["w"]) == (2,) and np.shape(profile["sigma"]) == (2, 4, 2)
@@ -591,11 +633,18 @@ class TestBenchmarkCommand:
         [
             ("reg_l", -1.0),
             ("c_l_value", -1.0),
+            ("train_n", 0),
+            ("test_n", -5),
             ("adam_epochs", 0),
             ("adam_samples", 0),
             ("fp_samples", 0),
             ("fp_iterations", 0),
             ("nash_iterations", 0),
+            ("ridge_alpha_grid", [-1.0]),
+            ("ridge_alpha_grid", [0.1, 0.0]),
+            ("adam_lr_grid", [-0.01]),
+            ("adam_batch_grid", [0]),
+            ("methods", []),
         ],
     )
     def test_out_of_range_key_exits_1(self, tmp_path, capsys, key, value):
@@ -637,23 +686,33 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert f"error: {len(errors)} of {rows} result rows failed" in err
 
-    def test_desk_script_runs_the_command(self, tmp_path, monkeypatch):
-        dataset_dir = tmp_path / "data_dir"
-        dataset_dir.mkdir()
-        self.write_dataset(dataset_dir, rows=450).rename(dataset_dir / "spambase.data")
-        out = tmp_path / "desk"
-        monkeypatch.setenv("BAYESGAME_DATA", str(dataset_dir))
-        script = Path(__file__).resolve().parent.parent / "scripts" / "run_desk_benchmark.py"
-        done = subprocess.run([sys.executable, str(script), "--out", str(out), "--seed", "2"],
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        doc = json.loads((out / "config.json").read_text())
-        assert "dataset" not in doc
+    def test_sizes_default_to_the_desk_preset(self, tmp_path):
+        doc = {"priors": [{"family": "gaussian", "mean": 1.0, "std": 4.0}], "methods": ["ridge"]}
+        assert config_from_jsonable(BenchmarkConfig, doc, "") == desk_config(
+            [GaussianPrior(mean=1.0, std=4.0)], methods=("ridge",))
+        cfg = tmp_path / "desk.json"
+        dataset = self.write_dataset(tmp_path, rows=450)
+        cfg.write_text(json.dumps(dict(doc, dataset=str(dataset))))
+        default, desk = tmp_path / "default", tmp_path / "desk"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(default)]) == 0
+        assert main(["benchmark", "--config", str(cfg), "--out", str(desk), "--scale", "desk"]) == 0
+        for name in ("results.csv", "aggregate.json"):
+            assert (default / name).read_bytes() == (desk / name).read_bytes()
+        assert len((default / "results.csv").read_text().strip().splitlines()) == 4  # 3 reps
+        assert json.loads((default / "metadata.json").read_text())["config"]["train_n"] == 200
+
+    def test_metadata_config_replays_the_run(self, tmp_path):
+        dataset = self.write_dataset(tmp_path)
+        cfg = self.write_config(tmp_path, dataset, methods=["ridge", "nash"])
+        out = tmp_path / "run"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out), "--seed", "2"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["seed"] == meta["config"]["seed"] == 2  # the flag, as it ran
+        replay_cfg = tmp_path / "replay.json"
+        replay_cfg.write_text(json.dumps(dict(meta["config"], dataset=str(dataset))))
         replay = tmp_path / "replay"
-        assert main(["benchmark", "--config", str(out / "config.json"), "--out", str(replay),
-                     "--scale", "desk", "--seed", "2"]) == 0
-        for name in ("results.csv", "aggregate.json", "metadata.json"):
-            assert (out / name).read_text() == (replay / name).read_text()
+        assert main(["benchmark", "--config", str(replay_cfg), "--out", str(replay)]) == 0
+        assert (replay / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     def test_scale_preset_overrides_sizes(self, tmp_path, capsys):
         dataset = self.write_dataset(tmp_path, rows=80)

@@ -48,6 +48,7 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     base_rhs = X.T @ (c_l * y)
     cy = c_l * y
     damped = np.empty_like(samples)
+    ones = np.ones(samples.shape[0])  # column means as BLAS gemv, as in the Adam gradient
 
     w = np.zeros(spec.m)
     for _ in range(iterations):
@@ -56,9 +57,9 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
         np.multiply(samples, w @ w, out=damped)
         damped += 1.0
         np.divide(samples, damped, out=damped)
-        kbar = gap * damped.mean(axis=0)
+        kbar = gap * (ones @ damped / len(ones))
         damped *= damped
-        quad = float((c_l * gap * gap) @ damped.mean(axis=0))
+        quad = float((c_l * gap * gap) @ (ones @ damped / len(ones)))
         u = X.T @ (c_l * kbar)
         A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w)
         b = base_rhs - w * float(kbar @ cy)

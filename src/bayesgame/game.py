@@ -87,9 +87,17 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+class FieldError(ValueError):
+    """An argument that is invalid on its own: ``field`` names it, ``problem`` says why."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
 def _check_signs(values: np.ndarray, name: str) -> None:
     if not np.all(np.isin(values, (-1.0, 1.0))):
-        raise ValueError(f"{name} must take values in {{-1, +1}} for logistic loss")
+        raise FieldError(name, "must take values in {-1, +1} for logistic loss")
 
 
 @dataclass(frozen=True)
@@ -117,20 +125,20 @@ class GameSpec:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise ValueError("X must be a matrix with n, m >= 1")
+            raise FieldError("X", "must be a matrix with n, m >= 1")
         n = X.shape[0]
         for name in ("y", "z", "c_l"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (n,):
-                raise ValueError(f"{name} must have length n={n}, got shape {v.shape}")
+                raise FieldError(name, f"must have length n={n}, got shape {v.shape}")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "X", X)
         for name in ("X", "y", "z"):
             if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite elementwise")
+                raise FieldError(name, "must be finite elementwise")
         _check_weights(self.c_l, "c_l")
         if not 0 <= self.reg_l < math.inf:
-            raise ValueError("reg_l must be nonnegative and finite")
+            raise FieldError("reg_l", "must be nonnegative and finite")
         if self.learner_loss is LossKind.LOGISTIC:
             _check_signs(self.y, "y")
         if self.adversary_loss is LossKind.LOGISTIC:
@@ -172,7 +180,7 @@ def _check_cd(c_d: np.ndarray, n: int) -> np.ndarray:
 def _check_weights(values: np.ndarray, name: str) -> None:
     """Reject negative, NaN and infinite weights (``min`` is NaN if any entry is)."""
     if values.size and not 0 <= values.min() <= values.max() < math.inf:
-        raise ValueError(f"{name} must be nonnegative and finite elementwise")
+        raise FieldError(name, "must be nonnegative and finite elementwise")
 
 
 def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -269,13 +277,14 @@ class FinitePrior:
         atoms = np.asarray(self.atoms, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
         if atoms.ndim != 2:
-            raise ValueError(f"atoms must be a (K, n) matrix, got shape {atoms.shape}")
+            raise FieldError("atoms", f"must be a (K, n) matrix, got shape {atoms.shape}")
         if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
-            raise ValueError("probs must have one entry per atom")
+            raise FieldError("probs", "must have one entry per atom")
         if not np.all(probs > 0):
-            raise ValueError("atom probabilities must be strictly positive")
-        if not abs(probs.sum() - 1.0) <= 1e-12:
-            raise ValueError(f"atom probabilities sum to {probs.sum()!r}, not 1")
+            raise FieldError("probs", "must hold strictly positive probabilities")
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= 1e-12:
+            raise FieldError("probs", f"sum to {total}, not 1")
         _check_weights(atoms, "atoms")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
@@ -291,7 +300,7 @@ class FinitePrior:
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         self._check_dimension(n)
         idx = rng.choice(self.num_atoms, size=num_samples, p=self.probs)
-        return self.atoms[idx].copy()
+        return self.atoms[idx]  # a fresh array: fancy indexing copies
 
     def mean_vector(self, n: int) -> np.ndarray:
         self._check_dimension(n)
@@ -386,9 +395,14 @@ def sample_prior(prior: Prior, n: int, num_samples: int, seed: int) -> np.ndarra
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    return _clamped_draws(prior, np.random.default_rng(seed), n, num_samples)
+
+
+def _clamped_draws(prior: Prior, rng: np.random.Generator, n: int,
+                   num_samples: int) -> np.ndarray:
+    """``prior.draw`` clamped at 0 in place: every ``draw`` returns a fresh array."""
     draws = prior.draw(rng, n, num_samples)
-    return np.maximum(draws, 0.0)
+    return np.maximum(draws, 0.0, out=draws)
 
 
 def discretize_prior(prior: Prior, n: int, K: int, seed: int) -> FinitePrior:

@@ -21,6 +21,7 @@ from .game import (
     _check_cd,
     _check_w,
     _check_weights,
+    _clamped_draws,
     _loss,
     _loss_slope,
     _project,
@@ -152,23 +153,40 @@ def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
 
     With e = z - X w and r = 1/(1 + s a), a prediction is z - e r and
     z - pred = e r, so only ``a`` varies down a column and the gradient needs
-    two column sums, of l'(pred) r and of l'(pred) a r^2.  ``scratch`` of
-    shape (2, S, n) is overwritten.
+    two column sums, of l'(pred) r and of l'(pred) a r^2.  The quadratic
+    slope 2(z - y) - 2 e r is affine in r, so for that loss the two sums
+    follow from four column moments of the block: sum r, sum r^2, sum a r^2
+    and sum a r^3.  Each column sum is one BLAS gemv against ones, where
+    numpy's ``sum(axis=0)`` runs one inner-loop call per row; the two round
+    differently.  ``scratch`` of shape (2, S, n) is overwritten.
     """
-    damp, slope = scratch
+    damp, work = scratch
+    S = samples.shape[0]
+    ones = np.ones(S)
     e = spec.z - spec.X @ w
     np.multiply(samples, w @ w, out=damp)
     damp += 1.0
     np.reciprocal(damp, out=damp)
-    np.multiply(damp, e, out=slope)
-    np.subtract(spec.z, slope, out=slope)
-    _loss_slope(spec.learner_loss, slope, spec.y, out=slope)
-    slope *= damp
-    x_sum = slope.sum(axis=0)
-    slope *= samples
-    slope *= damp
-    w_coef = 2.0 * float((spec.c_l * e) @ slope.sum(axis=0))
-    return ((spec.c_l * x_sum) @ spec.X + w_coef * w) / samples.shape[0] + 2.0 * spec.reg_l * w
+    if spec.learner_loss is LossKind.QUADRATIC:  # l'(pred) = k ((z - y) - e r) with k = 2
+        np.multiply(damp, damp, out=work)
+        r1, r2 = ones @ damp, ones @ work
+        work *= samples
+        ar2 = ones @ work
+        work *= damp
+        ar3 = ones @ work
+        d = spec.z - spec.y
+        x_sum, w_sum, k = d * r1 - e * r2, d * ar2 - e * ar3, 2.0
+    else:
+        np.multiply(damp, e, out=work)
+        np.subtract(spec.z, work, out=work)
+        _loss_slope(spec.learner_loss, work, spec.y, out=work)
+        work *= damp
+        x_sum = ones @ work
+        work *= samples
+        work *= damp
+        w_sum, k = ones @ work, 1.0  # the sums of l'(pred) itself
+    w_coef = 2.0 * k * float((spec.c_l * e) @ w_sum) / S + 2.0 * spec.reg_l
+    return (spec.c_l * x_sum) @ spec.X * (k / S) + w_coef * w
 
 
 def bayes_adam(
@@ -185,7 +203,7 @@ def bayes_adam(
     weights do not depend on ``record_objective``.
     """
     rng = np.random.default_rng(config.seed)
-    draws = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
+    draws = _clamped_draws(prior, rng, spec.n, config.total_samples)
     w, samples = _check_reduction(project(np.zeros(spec.m), spec.learner_set), spec, draws)
     m1 = np.zeros(spec.m)
     m2 = np.zeros(spec.m)

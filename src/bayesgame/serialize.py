@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .game import _PRIOR_FAMILIES, GameSpec, Prior, _prior_family
+from .game import _PRIOR_FAMILIES, FieldError, GameSpec, Prior, _prior_family
 
 
 class ConfigError(ValueError):
@@ -82,11 +82,16 @@ def _field(value, kind, default, where: str):
 
 
 def _built(make, kwargs: dict, where: str):
-    """``make(**kwargs)``, whose ``ValueError`` is reported against ``where``."""
+    """``make(**kwargs)``, whose ``ValueError`` is reported against ``where``.
+
+    A ``FieldError`` is reported against the field it names, ``where.field``.
+    """
     try:
         return make(**kwargs)
     except ConfigError:
         raise
+    except FieldError as exc:
+        raise ConfigError(f"{where}.{exc.field}: {exc.problem}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -103,7 +108,8 @@ def config_from_jsonable(cls, obj, path: str):
     A field without a default is required, and a key that names no field is
     an error, reported after the fields'.  Keys are named ``path.key``, or
     ``key`` when ``path`` is empty.  A constructor's ``ConfigError`` passes
-    through; its other ``ValueError`` is reported against ``path``.
+    through, its ``FieldError`` is reported against ``path.field`` and its
+    other ``ValueError`` against ``path``.
     """
     _object(obj, path)
     hints = typing.get_type_hints(cls)

@@ -1,5 +1,7 @@
 """Shared instance builders and independent numerical oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,30 @@ def coordinate_descent_adversary(w, X, z, c_d, tol=1e-10, max_sweeps=100_000):
         if biggest < tol:
             return Xbar
     raise AssertionError("coordinate descent did not converge")
+
+
+def desk_shaped_game(n=200, m=57, K=16, seed=3):
+    """A game of the desk benchmark's shape: 0/1 features and labels, wide balls."""
+    rng = np.random.default_rng(seed)
+    X = (rng.random((n, m)) < 0.3) * rng.random((n, m))
+    y = (rng.random(n) < 0.4).astype(float)
+    spec = GameSpec(X=X, y=y, z=1.0 - y, c_l=np.full(n, 0.1),
+                    learner_set=ActionSet.l2_ball(1.0),
+                    adversary_set=ActionSet.l2_ball(2.0 * float(np.linalg.norm(X))))
+    atoms = np.maximum(rng.normal(1.0, 4.0, size=(K, n)), 0.0)
+    return spec, FinitePrior(atoms=atoms, probs=np.full(K, 1.0 / K))
+
+
+def peak_mib(fn, *args, **kwargs) -> float:
+    """Peak traced allocation above the call's start, in MiB."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args, **kwargs)
+        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

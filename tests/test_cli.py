@@ -253,7 +253,10 @@ class TestMalformedConfig:
             ("solve", "game", {"learner_set": {"kind": "unconstrained", "radius": 1.0}},
              "game.learner_set: unconstrained set takes no radius"),
             ("solve", "prior", {"atoms": [[[0.1] * 4]] * 2},
-             "prior: atoms must be a (K, n) matrix, got shape (2, 1, 4)"),
+             "prior.atoms: must be a (K, n) matrix, got shape (2, 1, 4)"),
+            ("solve", "game", {"X": [0.1] * 4}, "game.X: must be a matrix with n, m >= 1"),
+            ("solve", "game", {"y": [0.1]}, "game.y: must have length n=4, got shape (1,)"),
+            ("solve", "prior", {"probs": [0.5, 0.6]}, "prior.probs: sum to 1.1, not 1"),
             ("solve", "game", {"X": [["0.1", "0.2"]] * 4}, "game.X: expected a numeric array"),
             ("benchmark", None, {"dataset": 0}, "dataset: expected a string, got 0"),
             ("benchmark", None, {"dataset": True}, "dataset: expected a string, got True"),
@@ -270,7 +273,8 @@ class TestMalformedConfig:
         ],
         ids=["solver-key", "game-key", "action-set-key", "prior-key", "probe-key",
              "benchmark-key", "z-rule-key", "priors-key", "unconstrained-radius", "3d-atoms",
-             "string-array", "dataset-0", "dataset-true", "action-set-kind", "loss-kind",
+             "1d-X", "short-y", "probs-sum", "string-array", "dataset-0", "dataset-true",
+             "action-set-kind", "loss-kind",
              "solve-top-key", "discretize-k-key", "probe-top-key", "prior-grid-key",
              "empty-priors"],
     )

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -34,8 +35,10 @@ from bayesgame.quadratic import (
 from conftest import (
     central_diff_vector,
     coordinate_descent_adversary,
+    desk_shaped_game,
     fd_step,
     golden_min,
+    peak_mib,
     random_quadratic_game,
     rel_err,
 )
@@ -270,8 +273,11 @@ class TestBayesAdam:
             AdamConfig(batch_size=64, total_samples=32)
 
 
-def reference_adam(spec, prior, config):
-    """The Adam loop as written before the unchecked kernels, on the public functions."""
+def reference_adam(spec, prior, config, gradient=stochastic_gradient):
+    """The Adam loop as written before the unchecked kernels, on the public functions.
+
+    ``gradient(w, spec, batch)`` is the minibatch gradient it steps along.
+    """
     rng = np.random.default_rng(config.seed)
     samples = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
     w = project(np.zeros(spec.m), spec.learner_set)
@@ -283,7 +289,7 @@ def reference_adam(spec, prior, config):
         order = rng.permutation(config.total_samples)
         for lo in range(0, config.total_samples, config.batch_size):
             batch = samples[order[lo : lo + config.batch_size]]
-            g = stochastic_gradient(w, spec, batch)
+            g = gradient(w, spec, batch)
             step += 1
             m1 = quadratic._BETA1 * m1 + (1.0 - quadratic._BETA1) * g
             m2 = quadratic._BETA2 * m2 + (1.0 - quadratic._BETA2) * g * g
@@ -347,6 +353,41 @@ class TestBayesAdamMatchesReference:
         w_lean, trace_lean = bayes_adam(spec, prior, config, record_objective=False)
         assert np.array_equal(w_lean, w_ref)
         assert trace_lean == []
+
+
+class TestBayesAdamDrift:
+    """Adam on the kernel against Adam on the per-element gradient, at desk shape."""
+
+    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    def test_weights_stay_within_1e_10(self, learner_loss):
+        spec, _ = desk_shaped_game()
+        if learner_loss is LossKind.LOGISTIC:
+            spec = dataclasses.replace(spec, y=2.0 * spec.y - 1.0, learner_loss=learner_loss)
+        prior = GaussianPrior(mean=1.0, std=4.0)
+        config = AdamConfig(batch_size=32, epochs=2, total_samples=1000, seed=5)
+        def per_element_gradient(w, spec, batch):
+            return sum(reference_gradient_terms(w, spec, batch))
+
+        w_ref, _ = reference_adam(spec, prior, config, per_element_gradient)
+        w, _ = bayes_adam(spec, prior, config, record_objective=False)
+        assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
+
+
+class TestSampleWorkingSet:
+    """1000 draws of n=200 weights are held once: the clamp at 0 is made in place."""
+
+    spec, _ = desk_shaped_game()
+    prior = GaussianPrior(mean=1.0, std=4.0)
+    S = 1000 * spec.n * 8 / 2**20  # one sample matrix, MiB
+
+    def test_bayes_adam_keeps_one_matrix_and_its_work_blocks(self):
+        config = AdamConfig(batch_size=128, epochs=1, total_samples=1000)
+        blocks = 3 * 128 * self.spec.n * 8 / 2**20
+        peak = peak_mib(bayes_adam, self.spec, self.prior, config, record_objective=False)
+        assert peak <= self.S + blocks + 0.25
+
+    def test_sample_prior_keeps_one_matrix(self):
+        assert peak_mib(sample_prior, self.prior, self.spec.n, 1000, 0) <= self.S + 0.25
 
 
 class TestFusedKernelProperties:

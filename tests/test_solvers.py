@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,10 +41,12 @@ from bayesgame.solvers import (
     step_warnings,
 )
 from conftest import (
+    desk_shaped_game,
     monotone_ball_game,
     random_finite_prior,
     random_logistic_game,
     random_profile,
+    peak_mib,
     random_quadratic_game,
     single_atom_game,
 )
@@ -825,18 +826,6 @@ def reference_probe(spec, prior, trials, seed):
     return lambda_hat, l_hat, g_hat
 
 
-def desk_shaped_game(n=200, m=57, K=16, seed=3):
-    """A game of the desk benchmark's shape: 0/1 features and labels, wide balls."""
-    rng = np.random.default_rng(seed)
-    X = (rng.random((n, m)) < 0.3) * rng.random((n, m))
-    y = (rng.random(n) < 0.4).astype(float)
-    spec = GameSpec(X=X, y=y, z=1.0 - y, c_l=np.full(n, 0.1),
-                    learner_set=ActionSet.l2_ball(1.0),
-                    adversary_set=ActionSet.l2_ball(2.0 * float(np.linalg.norm(X))))
-    atoms = np.maximum(rng.normal(1.0, 4.0, size=(K, n)), 0.0)
-    return spec, FinitePrior(atoms=atoms, probs=np.full(K, 1.0 / K))
-
-
 @pytest.mark.parametrize("name", sorted(GAMES) + ["desk-shaped"])
 def test_probe_matches_reference(name):
     spec, prior = desk_shaped_game() if name == "desk-shaped" else GAMES[name]
@@ -851,18 +840,6 @@ def test_probe_in_chunks_matches_reference(monkeypatch, name, chunking):
     spec, prior = desk_shaped_game() if name == "desk-shaped" else GAMES[name]
     set_chunking(monkeypatch, spec, prior, chunking)
     test_probe_matches_reference(name)
-
-
-def peak_mib(fn, *args, **kwargs) -> float:
-    """Peak traced allocation above the call's start, in MiB."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn(*args, **kwargs)
-        return (tracemalloc.get_traced_memory()[1] - start) / 2**20
-    finally:
-        tracemalloc.stop()
 
 
 class TestDeskWorkingSet:

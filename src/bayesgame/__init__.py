@@ -36,17 +36,19 @@ from .solvers import (
 from .quadratic import (
     AdamConfig,
     bayes_adam,
+    bayes_fp,
     best_response,
+    nash_strategy,
     stochastic_gradient,
     stochastic_objective,
 )
-from .baselines import bayes_fp, nash_strategy, ridge_fit
 from .experiments import (
     BenchmarkConfig,
     Dataset,
     ZRule,
     evaluate,
     load_spambase,
+    ridge_fit,
     run_benchmark,
     split,
 )

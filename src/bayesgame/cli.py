@@ -84,31 +84,37 @@ def _write_metadata(out_dir: Path, config_hash: str, seed: int, config: dict) ->
     (out_dir / "metadata.json").write_text(json.dumps(meta, indent=2, allow_nan=False) + "\n")
 
 
-def _finite_prior(doc: dict, spec_n: int, seed: int) -> FinitePrior:
+def _load_game(path, solver_seed=None):
+    """A solve/probe config: its document, hash, game, solver section and finite prior.
+
+    ``solver_seed``, when not None, replaces the solver section's seed.  A
+    continuous prior is discretized with the solver's seed, so ``solve`` and
+    ``probe`` on one config see the same finite game.
+    """
+    doc, config_hash = _load_json(path, SOLVE_KEYS)
+    spec = game_from_jsonable(doc.get("game"), "game")
+    solver_doc = doc.get("solver", {"max_iters": 10_000, "gamma": 0.01})
+    solver = with_flags(config_from_jsonable(SolverConfig, solver_doc, "solver"), "solver",
+                        seed=solver_seed)
     prior = prior_from_jsonable(doc.get("prior"), "prior")
     k = _typed(doc.get("discretize_k", DEFAULT_DISCRETIZE_K), int, "discretize_k")
     if k < 1:
         raise ConfigError("discretize_k: expected a positive integer")
-    if isinstance(prior, FinitePrior):
-        if prior.atoms.shape[1] != spec_n:
-            raise ConfigError(
-                f"prior.atoms: dimension {prior.atoms.shape[1]} does not match game n={spec_n}"
-            )
-        return prior
-    return discretize_prior(prior, spec_n, k, seed)
+    if not isinstance(prior, FinitePrior):
+        prior = discretize_prior(prior, spec.n, k, solver.seed)
+    elif prior.atoms.shape[1] != spec.n:
+        raise ConfigError(
+            f"prior.atoms: dimension {prior.atoms.shape[1]} does not match game n={spec.n}"
+        )
+    return doc, config_hash, spec, solver, prior
 
 
 def cmd_solve(args) -> int:
-    doc, config_hash = _load_json(args.config, SOLVE_KEYS)
-    spec = game_from_jsonable(doc.get("game"), "game")
-    solver_doc = doc.get("solver", {"max_iters": 10_000, "gamma": 0.01})
-    solver = with_flags(config_from_jsonable(SolverConfig, solver_doc, "solver"), "solver",
-                        seed=args.seed)
+    doc, config_hash, spec, solver, prior = _load_game(args.config, args.seed)
     algo = doc.get("algorithm", args.algo)  # the config's, checked even when the flag replaces it
     if algo not in ALGORITHMS:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algo!r}")
     algo = args.algo or algo
-    prior = _finite_prior(doc, spec.n, solver.seed)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -127,14 +133,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    doc, config_hash = _load_json(args.config, SOLVE_KEYS)
-    spec = game_from_jsonable(doc.get("game"), "game")
+    doc, config_hash, spec, solver, prior = _load_game(args.config)
     probe = with_flags(config_from_jsonable(ProbeConfig, doc.get("probe", {}), "probe"), "probe",
                        seed=args.seed)
-    # the section solve reads, when there is one: its gamma is checked against the estimates
-    solver = doc.get("solver")
-    gamma = None if solver is None else config_from_jsonable(SolverConfig, solver, "solver").gamma
-    prior = _finite_prior(doc, spec.n, probe.seed)
+    gamma = solver.gamma if "solver" in doc else None  # the step solve would take, if set
     diag = assumption_probe(spec, prior, trials=probe.trials, seed=probe.seed)
 
     payload = asdict(diag)

@@ -18,9 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .baselines import bayes_fp, nash_strategy, ridge_fit
 from .game import GameSpec, Prior, _prior_family, sample_prior
-from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam
+from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
 from .serialize import ConfigError
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
@@ -269,6 +268,22 @@ def _train_spec(train: Dataset, config: BenchmarkConfig) -> GameSpec:
         c_l=np.full(n, config.c_l_value),
         reg_l=config.reg_l,
     )
+
+
+def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
+    """Minimizer of |Xw - y|^2 + alpha |w|^2 via the normal equations."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise ValueError("X must be a matrix with n, m >= 1")
+    if y.shape != (X.shape[0],):
+        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite elementwise")
+    if not alpha > 0:
+        raise ValueError("alpha must be positive")
+    m = X.shape[1]
+    return np.linalg.solve(X.T @ X + alpha * np.eye(m), X.T @ y)
 
 
 def _method_grid(method: str, config: BenchmarkConfig) -> list[tuple[str, dict]]:

@@ -1,10 +1,17 @@
-"""Quadratic-generator route: closed-form response, reduced objective, Adam.
+"""Quadratic-generator route: closed-form response, reduced objective, Adam, fixed point.
 
 When the generator's targeting loss is quadratic and its action space is
 unconstrained, its optimal perturbation against a fixed ``w`` is available
-row by row in closed form.  Substituting it back leaves a single (generally
-nonconvex) stochastic objective in ``w`` over draws of the uncertain weights
-``c_d``, minimized here with a from-scratch Adam loop.
+row by row in closed form.  With ``a_i = c_d[i]``, row i moves to
+
+    xbar_i = x_i - a_i (x_i.w - z_i) r_i w,   r_i = 1/(1 + |w|^2 a_i),
+
+so a prediction on a moved row is ``xbar_i.w = z_i - e_i r_i`` with
+``e_i = z_i - x_i.w``.  Every kernel below builds on this response.
+Substituting it back leaves a single (generally nonconvex) stochastic
+objective in ``w`` over draws of the uncertain weights ``c_d``, minimized
+here with a from-scratch Adam loop (``bayes_adam``) or, for a quadratic
+learner loss, by best-response iteration (``bayes_fp``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .game import (
     _loss,
     _loss_slope,
     _project,
+    prior_mean,
     project,
 )
 
@@ -51,16 +59,14 @@ class AdamConfig:
             raise ValueError("total_samples must be >= 1")
         if not (1 <= self.batch_size <= self.total_samples):
             raise ValueError("batch_size must satisfy 1 <= batch_size <= total_samples")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def best_response(
     w: np.ndarray, X: np.ndarray, z: np.ndarray, c_d: np.ndarray
 ) -> np.ndarray:
-    """Generator's optimal unconstrained perturbation of X against w.
-
-    Row i moves x_i along -w proportionally to c_d[i] * (x_i.w - z_i),
-    damped by 1 + |w|^2 * c_d[i].
-    """
+    """Generator's optimal unconstrained perturbation of X against w: the rows xbar_i."""
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -72,13 +78,22 @@ def best_response(
     return X - np.outer(_response_coef(X @ w, z, w @ w, c_d), w)
 
 
+def _damping(c_d, wsq, out=None):
+    """``1 + |w|^2 a`` for each entry ``a`` of ``c_d``, so ``1/r``; into ``out`` if given.
+
+    ``wsq`` is ``w @ w``; unchecked.
+    """
+    out = np.multiply(c_d, wsq, out=out)
+    out += 1.0
+    return out
+
+
 def _response_coef(margins, z, wsq, c_d):
-    """How far the best response moves each row along ``-w``: x_i - coef_i * w.
+    """How far the response moves each row along ``-w``: ``a_i (x_i.w - z_i) r_i``.
 
     ``margins`` is ``X @ w``, ``wsq`` is ``w @ w`` and ``c_d`` is (n,) or (S, n); unchecked.
     """
-    denom = wsq * c_d
-    denom += 1.0
+    denom = _damping(c_d, wsq)
     coef = c_d * (margins - z)
     coef /= denom
     return coef
@@ -87,9 +102,9 @@ def _response_coef(margins, z, wsq, c_d):
 def _perturbed_predictions(w, X, z, samples, w_adv):
     """Predictions ``Xbar @ w`` on the rows the best response to ``w_adv`` moves.
 
-    One row per sample: shape (S, n) for samples of shape (S, n).  The rows
-    are x_i - coef_i * w_adv, so predictions shift by coef_i * (w_adv . w).
-    Unchecked.
+    One row per sample: shape (S, n) for samples of shape (S, n).  Row i
+    moves by ``_response_coef`` along ``-w_adv``, so its prediction shifts by
+    that coefficient times ``w_adv.w``.  Unchecked.
     """
     margins = X @ w
     margins_adv = margins if w_adv is w else X @ w_adv
@@ -98,23 +113,17 @@ def _perturbed_predictions(w, X, z, samples, w_adv):
     return margins - coef
 
 
-def _as_sample_matrix(c_d_samples, n: int) -> np.ndarray:
+def _check_reduction(spec: GameSpec, c_d_samples) -> np.ndarray:
+    """Check the reduction's premise; ``c_d_samples`` as a checked (S, n) matrix."""
+    if spec.adversary_loss is not LossKind.QUADRATIC:
+        raise ValueError("the closed-form reduction requires a quadratic adversary loss")
     samples = np.asarray(c_d_samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[None, :]
-    if samples.ndim != 2 or samples.shape[1] != n or samples.shape[0] < 1:
-        raise ValueError(
-            f"c_d samples must be a nonempty list of vectors of length {n}"
-        )
+    if samples.ndim != 2 or samples.shape[1] != spec.n or samples.shape[0] < 1:
+        raise ValueError(f"c_d samples must be a nonempty list of vectors of length {spec.n}")
     _check_weights(samples, "c_d samples")
     return samples
-
-
-def _check_reduction(w, spec: GameSpec, c_d_samples) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the arguments of the reduced objective and its gradient."""
-    if spec.adversary_loss is not LossKind.QUADRATIC:
-        raise ValueError("the closed-form reduction requires a quadratic adversary loss")
-    return _check_w(w, spec), _as_sample_matrix(c_d_samples, spec.n)
 
 
 def stochastic_objective(
@@ -125,7 +134,7 @@ def stochastic_objective(
     Requires the generator's quadratic loss (the reduction's premise); the
     learner's loss may be quadratic or logistic.
     """
-    w, samples = _check_reduction(w, spec, c_d_samples)
+    w, samples = _check_w(w, spec), _check_reduction(spec, c_d_samples)
     return _stochastic_objective(w, spec, samples)
 
 
@@ -139,20 +148,20 @@ def _stochastic_objective(w, spec: GameSpec, samples) -> float:
 def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
     """Exact gradient of ``stochastic_objective`` restricted to the batch.
 
-    Differentiates through the best response: with s = |w|^2, a = c_d[i],
-    u = x_i.w and pred = (u + s a z_i)/(1 + s a),
+    Differentiates through the response: the prediction z_i - e_i r_i of
+    the module docstring has
 
-        d pred / d w = x_i/(1 + s a) + 2 a (z_i - pred) w / (1 + s a).
+        d pred / d w = r_i x_i + 2 a_i e_i r_i^2 w.
     """
-    w, samples = _check_reduction(w, spec, batch)
+    w, samples = _check_w(w, spec), _check_reduction(spec, batch)
     return _stochastic_gradient(w, spec, samples, np.empty((2,) + samples.shape))
 
 
 def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
     """``stochastic_gradient`` for a checked (S, n) sample matrix; unchecked.
 
-    With e = z - X w and r = 1/(1 + s a), a prediction is z - e r and
-    z - pred = e r, so only ``a`` varies down a column and the gradient needs
+    With the module docstring's e and r, z - pred = e r, so only the
+    sample ``a`` varies down a column and the gradient needs
     two column sums, of l'(pred) r and of l'(pred) a r^2.  The quadratic
     slope 2(z - y) - 2 e r is affine in r, so for that loss the two sums
     follow from four column moments of the block: sum r, sum r^2, sum a r^2
@@ -164,9 +173,7 @@ def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
     S = samples.shape[0]
     ones = np.ones(S)
     e = spec.z - spec.X @ w
-    np.multiply(samples, w @ w, out=damp)
-    damp += 1.0
-    np.reciprocal(damp, out=damp)
+    np.reciprocal(_damping(samples, w @ w, out=damp), out=damp)
     if spec.learner_loss is LossKind.QUADRATIC:  # l'(pred) = k ((z - y) - e r) with k = 2
         np.multiply(damp, damp, out=work)
         r1, r2 = ones @ damp, ones @ work
@@ -204,7 +211,8 @@ def bayes_adam(
     """
     rng = np.random.default_rng(config.seed)
     draws = _clamped_draws(prior, rng, spec.n, config.total_samples)
-    w, samples = _check_reduction(project(np.zeros(spec.m), spec.learner_set), spec, draws)
+    samples = _check_reduction(spec, draws)
+    w = project(np.zeros(spec.m), spec.learner_set)
     m1 = np.zeros(spec.m)
     m2 = np.zeros(spec.m)
     step = 0
@@ -227,3 +235,52 @@ def bayes_adam(
         if record_objective:
             trace.append(_stochastic_objective(w, spec, samples))
     return w, trace
+
+
+def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
+    """Best-response dynamics on the sampled game, quadratic learner loss only.
+
+    Alternates the generator's response for every sample with the learner's
+    exact minimizer of the sample-averaged weighted ridge cost over the moved
+    matrices.  Each moved matrix is X minus a rank-one term, so the learner's
+    normal equations need two column means of the (S, n) block and an
+    iteration costs O(S n + n m^2) instead of O(S n m^2).
+    """
+    if spec.learner_loss is not LossKind.QUADRATIC:
+        raise ValueError("bayes_fp requires a quadratic learner loss")
+    if spec.learner_set.bounded:
+        raise ValueError("bayes_fp requires an unconstrained learner set")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    samples = _check_reduction(spec, c_d_samples)
+
+    X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l
+    base_gram = X.T @ (c_l[:, None] * X) + spec.reg_l * np.eye(spec.m)
+    base_rhs = X.T @ (c_l * y)
+    cy = c_l * y
+    damped = np.empty_like(samples)
+    ones = np.ones(samples.shape[0])  # column means as BLAS gemv, as in the Adam gradient
+
+    w = np.zeros(spec.m)
+    for _ in range(iterations):
+        # rows move to X - outer(kappa_s, w), kappa_s = (X w - z) a r
+        gap = X @ w - z
+        np.divide(samples, _damping(samples, w @ w, out=damped), out=damped)
+        kbar = gap * (ones @ damped / len(ones))
+        damped *= damped
+        quad = float((c_l * gap * gap) @ (ones @ damped / len(ones)))
+        u = X.T @ (c_l * kbar)
+        A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w)
+        b = base_rhs - w * float(kbar @ cy)
+        w = np.linalg.solve(A, b)
+    return w
+
+
+def nash_strategy(spec: GameSpec, prior: Prior, iterations: int) -> np.ndarray:
+    """Complete-information strategy for the prior collapsed to its mean.
+
+    The mean weight vector (clamped at 0) acts as the single known c_d and the
+    resulting game is solved by ``bayes_fp`` for ``iterations`` rounds.
+    """
+    atom = prior_mean(prior, spec.n)
+    return bayes_fp(spec, atom[None, :], iterations=iterations)

@@ -158,10 +158,7 @@ game_to_jsonable = prior_to_jsonable = profile_to_jsonable = to_jsonable
 
 
 def game_from_jsonable(obj, path: str = "game") -> GameSpec:
-    rest = dict(_object(obj, path))
-    if _typed(rest.pop("reg_d", 1.0), float, f"{path}.reg_d") != 1.0:
-        raise ConfigError(f"{path}.reg_d: fixed to 1; rescale c_d instead")
-    return config_from_jsonable(GameSpec, rest, path)
+    return config_from_jsonable(GameSpec, obj, path)
 
 
 def prior_from_jsonable(obj, path: str = "prior") -> Prior:

@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bayesgame.baselines import bayes_fp, ridge_fit
-from bayesgame.experiments import desk_config, load_spambase, run_benchmark
+from bayesgame.experiments import desk_config, load_spambase, ridge_fit, run_benchmark
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -32,6 +31,7 @@ from bayesgame.game import (
 from bayesgame.quadratic import (
     AdamConfig,
     bayes_adam,
+    bayes_fp,
     best_response,
     stochastic_gradient,
     stochastic_objective,

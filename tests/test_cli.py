@@ -27,6 +27,7 @@ from bayesgame.game import (
     LogNormalPrior,
     LossKind,
     StrategyProfile,
+    discretize_prior,
 )
 from bayesgame.serialize import (
     ConfigError,
@@ -37,7 +38,14 @@ from bayesgame.serialize import (
     prior_to_jsonable,
     to_jsonable,
 )
-from bayesgame.solvers import SolverConfig, SolverTrace, TraceRecord, pg_rbc, prg_ie
+from bayesgame.solvers import (
+    SolverConfig,
+    SolverTrace,
+    TraceRecord,
+    assumption_probe,
+    pg_rbc,
+    prg_ie,
+)
 
 
 def small_game(bounded=True):
@@ -115,9 +123,10 @@ class TestSerialize:
 
     def test_reg_d_fixed(self):
         doc = {"X": [[1.0]], "y": [0.0], "z": [0.0], "c_l": [1.0]}
-        assert game_from_jsonable(dict(doc, reg_d=1.0)).n == 1
-        with pytest.raises(ConfigError, match=r"game\.reg_d"):
-            game_from_jsonable(dict(doc, reg_d=2.0))
+        assert game_from_jsonable(doc).n == 1
+        for reg_d in (1.0, 2.0):  # the coefficient is fixed to 1, so the key is a stray one
+            with pytest.raises(ConfigError, match=r"^game\.reg_d: unknown key$"):
+                game_from_jsonable(dict(doc, reg_d=reg_d))
 
 
 reals = st.floats(-1e6, 1e6, allow_nan=False)
@@ -535,6 +544,30 @@ class TestProbe:
         write_solve_config(cfg, solver={"max_iters": 1, "gamma": gamma})
         assert main(["probe", "--config", str(cfg)]) == 1
         assert "configuration error: solver.gamma: expected a number" in capsys.readouterr().err
+
+    def test_probe_discretizes_the_prior_that_solve_does(self, tmp_path, monkeypatch):
+        # a continuous prior's atoms come from the solver's seed in both commands, so the
+        # probed constants describe the finite game that solve runs on
+        cfg = tmp_path / "game.json"
+        doc = write_solve_config(cfg, solver={"max_iters": 10, "gamma": 0.1, "seed": 5})
+        doc.update(prior={"family": "gaussian", "mean": 1.0, "std": 2.0}, discretize_k=4)
+        cfg.write_text(json.dumps(doc))
+        seen = {}
+
+        def spy(name, run):
+            def wrapped(spec, prior, *args, **kwargs):
+                seen[name] = prior
+                return run(spec, prior, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr("bayesgame.cli.pg_rbc", spy("solve", pg_rbc))
+        monkeypatch.setattr("bayesgame.cli.assumption_probe", spy("probe", assumption_probe))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert main(["probe", "--config", str(cfg), "--seed", "9"]) == 0  # seeds only the pairs
+        expected = discretize_prior(GaussianPrior(1.0, 2.0), 4, 4, seed=5)
+        for prior in (seen["solve"], seen["probe"]):
+            assert np.array_equal(prior.atoms, expected.atoms)
+            assert np.array_equal(prior.probs, expected.probs)
 
     def test_probe_out_file(self, tmp_path):
         cfg = tmp_path / "game.json"

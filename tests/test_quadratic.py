@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayesgame import quadratic
-from bayesgame.baselines import bayes_fp, ridge_fit
-from bayesgame.experiments import Dataset, ZRule, evaluate, rmse
+from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -28,6 +27,7 @@ from bayesgame.quadratic import (
     AdamConfig,
     _perturbed_predictions,
     bayes_adam,
+    bayes_fp,
     best_response,
     stochastic_gradient,
     stochastic_objective,
@@ -476,3 +476,8 @@ class TestNonFiniteSamplesRejected:
             best_response(np.ones(2), np.ones((1, 2)), np.zeros(1), np.array([bad]))
         with pytest.raises(ValueError, match="learning_rate"):
             AdamConfig(learning_rate=bad)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_adam_config_rejects_a_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            AdamConfig(seed=seed)

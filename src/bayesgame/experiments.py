@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -54,10 +54,29 @@ def load_spambase(path) -> Dataset:
     """Parse a spambase-format CSV: 58 numeric columns, no header.
 
     Features are standardized per column using full-dataset statistics.
-    Malformed lines raise with their line number.
+    Malformed lines raise with their line number.  numpy's C reader parses the
+    file; what it rejects, or a table that fails a check, is parsed again line
+    by line, which names the bad line or reads what only ``float`` reads (``1_0``).
     """
+    with open(path) as fh, warnings.catch_warnings():  # given a path, loadtxt also fetches URLs
+        warnings.simplefilter("ignore", UserWarning)  # "no data": the line parser says so
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if (table is None or table.shape[1] != SPAMBASE_COLUMNS or not np.isfinite(table).all()
+            or not np.isin(table[:, -1], (0.0, 1.0)).all()):
+        table = _parse_lines(path)
+    features = table[:, :-1]
+    means = features.mean(axis=0)
+    stds = features.std(axis=0)
+    stds = np.where(stds == 0, 1.0, stds)  # constant columns pass through
+    return Dataset((features - means) / stds, table[:, -1].copy())  # a view keeps the table
+
+
+def _parse_lines(path) -> np.ndarray:
+    """The (rows, 58) table, line by line: the first malformed line raises with its number."""
     rows = []
-    labels = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -77,25 +96,20 @@ def load_spambase(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: non-finite value")
             if values[-1] not in (0.0, 1.0):
                 raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
-            rows.append(values[:-1])
-            labels.append(values[-1])
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
-    features = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    means = features.mean(axis=0)
-    stds = features.std(axis=0)
-    stds = np.where(stds == 0, 1.0, stds)  # constant columns pass through
-    return Dataset((features - means) / stds, labels)
+    return np.asarray(rows, dtype=float)
 
 
 def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
-    """Write a spambase-format CSV; floats use repr for exact round-trips."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels)
+    """Write a spambase-format CSV that reads back as written; floats use repr."""
+    data = Dataset(features, labels)
+    if not np.isfinite(data.features).all():
+        raise ValueError("features must be finite")
     with open(path, "w") as fh:
-        for row, label in zip(features, labels):
-            fh.write(",".join(repr(float(v)) for v in row))
+        for row, label in zip(data.features, data.labels):
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write(f",{int(label)}\n")
 
 
@@ -373,6 +387,7 @@ def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> B
         for rep in range(config.repetitions)
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: it costs every run ~2 MB
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cell_rows = list(pool.map(_run_cell, cells))
     else:

@@ -78,13 +78,9 @@ def _project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # numerically stable logistic function
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # numerically stable logistic function: exp only of nonpositive arguments
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 class FieldError(ValueError):

@@ -38,6 +38,7 @@ from .game import (
 
 # Adam's moment decay rates and denominator offset
 _BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-8
+_OBJECTIVE_ROWS = 64  # sample rows per block of the objective's (rows, n) temporaries
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,17 @@ def stochastic_objective(
 
 
 def _stochastic_objective(w, spec: GameSpec, samples) -> float:
-    """``stochastic_objective`` for a checked (S, n) sample matrix; unchecked."""
-    preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
-    losses = _loss(spec.learner_loss, preds, spec.y)
-    return float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
+    """``stochastic_objective`` for a checked (S, n) sample matrix; unchecked.
+
+    Sample losses are summed in blocks of ``_OBJECTIVE_ROWS`` rows at its multiples,
+    a lone last row joining the one before, so BLAS sums rows as for the whole matrix.
+    """
+    edges = [*range(0, max(len(samples) - 1, 1), _OBJECTIVE_ROWS), len(samples)]
+    per_sample = np.empty(len(samples))
+    for lo, hi in zip(edges, edges[1:]):
+        preds = _perturbed_predictions(w, spec.X, spec.z, samples[lo:hi], w)
+        per_sample[lo:hi] = _loss(spec.learner_loss, preds, spec.y) @ spec.c_l
+    return float(np.mean(per_sample) + spec.reg_l * (w @ w))
 
 
 def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:

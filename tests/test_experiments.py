@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import bayesgame
 from bayesgame import experiments, quadratic
 from bayesgame.experiments import (
     _PRESET_SIZES,
@@ -47,7 +51,82 @@ def dataset_file(tmp_path, rng):
     return path, features, labels
 
 
+def reference_load_spambase(path):
+    """The loader as written before numpy's reader: line by line, then standardized."""
+    rows = []
+    labels = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 58:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 58 comma-separated values, found {len(parts)}"
+                )
+            try:
+                values = [float(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}:{lineno}: non-finite value")
+            if values[-1] not in (0.0, 1.0):
+                raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
+            rows.append(values[:-1])
+            labels.append(values[-1])
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    features = np.asarray(rows, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    means = features.mean(axis=0)
+    stds = features.std(axis=0)
+    stds = np.where(stds == 0, 1.0, stds)
+    return Dataset((features - means) / stds, labels)
+
+
+def load_outcome(loader, path):
+    """The loaded arrays' bytes, or the type and message of the ValueError raised."""
+    try:
+        data = loader(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return data.features.shape, data.features.tobytes(), data.labels.tobytes()
+
+
+NUMBER = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-99, 99).map(str))
+# fields only Python's float reads (1_0, " 2 "), that neither reads, and non-finite ones
+ODD_FIELD = st.one_of(
+    st.text(alphabet="0123456789.e-_# ", max_size=4),
+    st.sampled_from(["nan", "-inf", "1_0", " 2 ", "#1", ""]),
+)
+LABEL = st.sampled_from(["0", "1", "0.0", "1.0", " 1", "1\t", "0_0", "1_0", "-0", "2", "nan"])
+
+
+@st.composite
+def spambase_lines(draw):
+    kind = draw(st.sampled_from(["row", "row", "row", "odd", "blank", "space", "width"]))
+    if kind == "blank":
+        return ""
+    if kind == "space":
+        return draw(st.sampled_from([" ", "\t", "  \t "]))
+    width = draw(st.sampled_from([1, 57, 59])) if kind == "width" else 58
+    numbers = draw(st.lists(NUMBER, min_size=1, max_size=4))  # cycled: drawing 57 is slow
+    fields = [numbers[i % len(numbers)] for i in range(width - 1)] + [draw(LABEL)]
+    if kind == "odd":
+        fields[draw(st.integers(0, width - 1))] = draw(ODD_FIELD)
+    return ",".join(fields)
+
+
 class TestLoader:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(spambase_lines(), max_size=5), st.sampled_from(["", "\n", "\r\n"]))
+    def test_same_table_or_message_as_the_line_parser(self, tmp_path_factory, lines, end):
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        path.write_bytes((end or "\n").join(lines).encode() + end.encode())
+        expected = load_outcome(reference_load_spambase, path)
+        assert load_outcome(load_spambase, path) == expected
+
     def test_three_line_fixture_exact(self, tmp_path):
         path = tmp_path / "tiny.csv"
         rows = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.5], [1.0, 1.0, 1.0]])
@@ -107,6 +186,33 @@ class TestLoader:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
             load_spambase(tmp_path / "missing.csv")
+
+
+class TestWriter:
+    @pytest.mark.parametrize("label_dtype", [float, int, bool])
+    def test_bytes_match_the_repr_format(self, tmp_path, rng, label_dtype):
+        features, labels = synthetic_dataset(rng)
+        features[0, :4] = [0.1, -0.0, 1e-300, 2.0**60]
+        path = tmp_path / "out.csv"
+        write_dataset_csv(features, labels.astype(label_dtype), path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + f",{int(label)}\n"
+                           for row, label in zip(features, labels))
+        assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("features, labels, match", [
+        (np.zeros((2, 57)), [0.0, 0.7], "labels must be 0 or 1"),
+        (np.zeros((2, 57)), [0.0, 2.0], "labels must be 0 or 1"),
+        (np.zeros((2, 57)), [0.0, math.nan], "labels must be 0 or 1"),
+        (np.full((2, 57), math.nan), [0.0, 1.0], "features must be finite"),
+        (np.full((2, 57), -math.inf), [0.0, 1.0], "features must be finite"),
+        (np.zeros(57), [1.0], "2-d"),
+        (np.zeros((2, 57)), [1.0], "one entry per feature row"),
+    ], ids=["fraction", "two", "nan-label", "nan", "inf", "vector", "short-labels"])
+    def test_rejects_what_would_not_read_back(self, tmp_path, features, labels, match):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=match):
+            write_dataset_csv(features, np.array(labels), path)
+        assert not path.exists()
 
 
 class TestSplit:
@@ -368,6 +474,16 @@ class TestBenchmark:
 
 
 class TestMisc:
+    def test_import_loads_no_process_pool(self):
+        pool = "('multiprocessing', 'concurrent')"
+        code = ("import sys, bayesgame, bayesgame.cli; "
+                f"print(sorted(m for m in sys.modules if m.startswith({pool})))")
+        src = os.path.dirname(os.path.dirname(bayesgame.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
     def test_prior_labels(self):
         assert prior_label(GaussianPrior(1.0, 4.0)) == ("gaussian", "mean=1,std=4")
         assert prior_label(GammaPrior(2.0, 0.5)) == ("gamma", "shape=2,scale=0.5")

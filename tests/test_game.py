@@ -15,6 +15,7 @@ from bayesgame.game import (
     LogNormalPrior,
     LossKind,
     _loss,
+    _sigmoid,
     adversary_cost,
     discretize_prior,
     grad_adversary_X,
@@ -58,6 +59,21 @@ class TestCosts:
         losses = _loss(LossKind.LOGISTIC, margins, signs)
         assert losses[0] == math.log1p(math.exp(31.0))
         assert losses[1] == 800.0 and 0.0 <= losses[2] < 1e-300
+
+    def test_sigmoid_matches_the_masked_form(self, rng):
+        def masked_sigmoid(t):  # the form before the single-exp kernel
+            out = np.empty_like(t, dtype=float)
+            pos = t >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+            e = np.exp(t[~pos])
+            out[~pos] = e / (1.0 + e)
+            return out
+
+        edges = [40.0, -40.0, 800.0, -800.0, 0.0, -0.0, math.inf, -math.inf, math.nan]
+        t = np.concatenate([rng.normal(scale=10.0, size=(128, 200)).ravel(), edges])
+        assert np.array_equal(_sigmoid(t), masked_sigmoid(t), equal_nan=True)
+        # the tail keeps its relative accuracy, where 0.5 (1 + tanh(t/2)) reads 0
+        assert _sigmoid(np.array([-40.0]))[0] == math.exp(-40.0) / (1.0 + math.exp(-40.0))
 
     def test_learner_cost_zero_case(self, rng):
         spec = GameSpec(X=rng.normal(size=(4, 2)), y=np.zeros(4), z=np.zeros(4), c_l=rng.random(4))

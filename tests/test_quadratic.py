@@ -16,6 +16,7 @@ from bayesgame.game import (
     GammaPrior,
     GaussianPrior,
     LossKind,
+    _loss,
     _loss_slope,
     grad_adversary_X,
     grad_learner_w,
@@ -355,6 +356,22 @@ class TestBayesAdamMatchesReference:
         assert trace_lean == []
 
 
+class TestBlockedObjective:
+    """The objective's row blocks sum each row as the whole-matrix gemv does."""
+
+    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("S", [1, 2, 63, 64, 65, 66, 129, 1000, 1001])
+    def test_equals_the_whole_matrix_form(self, S, learner_loss):
+        rng = np.random.default_rng(S)
+        spec = small_reduction_game(rng, 200, 57, learner_loss)
+        samples = np.maximum(rng.normal(1.0, 4.0, size=(S, spec.n)), 0.0)
+        w = 0.3 * rng.normal(size=spec.m)
+        preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
+        losses = _loss(spec.learner_loss, preds, spec.y)
+        whole = float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
+        assert stochastic_objective(w, spec, samples) == whole
+
+
 class TestBayesAdamDrift:
     """Adam on the kernel against Adam on the per-element gradient, at desk shape."""
 
@@ -385,6 +402,14 @@ class TestSampleWorkingSet:
         blocks = 3 * 128 * self.spec.n * 8 / 2**20
         peak = peak_mib(bayes_adam, self.spec, self.prior, config, record_objective=False)
         assert peak <= self.S + blocks + 0.25
+
+    def test_bayes_adam_objective_works_in_row_blocks(self):
+        # the per-epoch objective holds a few blocks of rows, not (S, n) arrays (5.24 MiB before)
+        config = AdamConfig(batch_size=128, epochs=1, total_samples=1000)
+        blocks = 3 * 128 * self.spec.n * 8 / 2**20
+        objective = 3 * (quadratic._OBJECTIVE_ROWS + 1) * self.spec.n * 8 / 2**20
+        peak = peak_mib(bayes_adam, self.spec, self.prior, config)
+        assert peak <= self.S + blocks + objective + 0.25
 
     def test_sample_prior_keeps_one_matrix(self):
         assert peak_mib(sample_prior, self.prior, self.spec.n, 1000, 0) <= self.S + 0.25

@@ -16,25 +16,25 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bayesgame.experiments import write_dataset_csv  # noqa: E402
+from bayesgame.experiments import SPAMBASE_COLUMNS, write_dataset_csv  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("out")
     parser.add_argument("--rows", type=int, default=1000)
-    parser.add_argument("--cols", type=int, default=57)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
     labels = rng.integers(0, 2, size=args.rows).astype(float)
-    direction = rng.normal(size=args.cols)
+    cols = SPAMBASE_COLUMNS - 1
+    direction = rng.normal(size=cols)
     direction /= np.linalg.norm(direction)
-    base = rng.normal(size=(args.rows, args.cols))
+    base = rng.normal(size=(args.rows, cols))
     features = base + 1.5 * np.outer(labels - 0.5, direction)
     write_dataset_csv(features, labels, args.out)
-    print(f"wrote {args.rows} rows x {args.cols + 1} columns to {args.out}")
+    print(f"wrote {args.rows} rows x {SPAMBASE_COLUMNS} columns to {args.out}")
     return 0
 
 

@@ -18,7 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .game import GameSpec, Prior, _prior_family, sample_prior
+from .game import (GameSpec, Prior, _check_integer, _check_weights, _prior_family,
+                   sample_prior)
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
 from .serialize import ConfigError
 
@@ -105,6 +106,9 @@ def _parse_lines(path) -> np.ndarray:
 def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     """Write a spambase-format CSV that reads back as written; floats use repr."""
     data = Dataset(features, labels)
+    if data.features.shape[1] != SPAMBASE_COLUMNS - 1:
+        raise ValueError(f"features must have {SPAMBASE_COLUMNS - 1} columns, "
+                         f"got {data.features.shape[1]}")
     if not np.isfinite(data.features).all():
         raise ValueError("features must be finite")
     with open(path, "w") as fh:
@@ -151,20 +155,24 @@ def evaluate(
     w: np.ndarray,
     test: Dataset,
     z_rule: ZRule,
-    prior: Prior,
-    test_draws: int,
-    seed: int,
+    draws: np.ndarray,
     adversary_w: np.ndarray | None = None,
 ) -> float:
-    """Mean RMSE over prior draws after the generator transforms the test set.
+    """Mean RMSE over weight draws after the generator transforms the test set.
 
+    ``draws`` holds one draw of the generator's weights per row, shape
+    (draws, len(test)), such as ``sample_prior(prior, len(test), test_draws, seed)``.
     The transformation anticipates ``adversary_w`` (defaults to the evaluated
     model itself); predictions always use ``w``.
     """
     w = np.asarray(w, dtype=float)
     w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[0] < 1 or draws.shape[1] != len(test):
+        raise ValueError(f"draws must be a nonempty matrix with {len(test)} columns, "
+                         f"got shape {draws.shape}")
+    _check_weights(draws, "draws")
     z = z_rule.resolve(test.labels)
-    draws = sample_prior(prior, len(test), test_draws, seed)
     preds = _perturbed_predictions(w, test.features, z, draws, w_adv)
     per_draw = np.sqrt(np.mean((preds - test.labels[None, :]) ** 2, axis=1))
     return float(per_draw.mean())
@@ -200,8 +208,13 @@ class BenchmarkConfig:
     def __post_init__(self):
         if not self.prior_grid:
             raise ConfigError("priors: expected a nonempty list of prior objects")
-        for name in ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
-                     "adam_samples", "fp_samples", "fp_iterations", "nash_iterations"):
+        counts = ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
+                  "adam_samples", "fp_samples", "fp_iterations", "nash_iterations")
+        for name in ("seed",) + counts:
+            _check_integer(getattr(self, name), name)
+        for i, batch in enumerate(self.adam_batch_grid):
+            _check_integer(batch, f"adam_batch_grid[{i}]")
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("c_l_value", "reg_l"):
@@ -268,8 +281,11 @@ def prior_label(prior: Prior) -> tuple[str, str]:
 
 
 def derive_seed(base: int, *tags) -> int:
-    """Stable sub-seed from the base seed and a tag tuple (sha256 of the repr)."""
-    digest = hashlib.sha256(repr((base,) + tags).encode()).digest()
+    """Stable sub-seed from the base seed and a tag tuple (sha256 of the repr).
+
+    A numpy integer base derives what the same Python int does: its repr differs.
+    """
+    digest = hashlib.sha256(repr((int(base),) + tags).encode()).digest()
     return int.from_bytes(digest[:8], "little") % (2**63)
 
 
@@ -357,18 +373,30 @@ def _run_cell(args) -> list[ResultRow]:
         )
         adversary_w, _ = bayes_adam(test_spec, prior, adam, record_objective=False)
 
-    rows = []
+    fits = []  # (method, label, weights or None, training error)
     for method in config.methods:
         for label, params in _method_grid(method, config):
             train_seed = derive_seed(config.seed, "train", prior_idx, rep, method, label)
             try:
-                w = _train_method(method, params, spec, prior, config, train_seed)
-                score = evaluate(w, test, config.z_rule, prior, config.test_draws, eval_seed,
-                                 adversary_w=adversary_w)
-                error = ""
+                w, error = _train_method(method, params, spec, prior, config, train_seed), ""
             except Exception as exc:  # noqa: BLE001 - cell failures must not kill the run
-                score, error = float("nan"), str(exc)
-            rows.append(ResultRow(method, family, params_label, rep, score, label, error))
+                w, error = None, str(exc)
+            fits.append((method, label, w, error))
+
+    # Every fit is scored on the same draws, drawn after the last fit so that
+    # they are never held beside a fit's sample blocks.
+    rows = []
+    test_weights = None
+    for method, label, w, error in fits:
+        score = float("nan")
+        if w is not None:
+            try:
+                if test_weights is None:
+                    test_weights = sample_prior(prior, len(test), config.test_draws, eval_seed)
+                score = evaluate(w, test, config.z_rule, test_weights, adversary_w=adversary_w)
+            except Exception as exc:  # noqa: BLE001 - as for training
+                error = str(exc)
+        rows.append(ResultRow(method, family, params_label, rep, score, label, error))
     return rows
 
 

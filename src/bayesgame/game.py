@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
 
@@ -177,6 +178,12 @@ def _check_weights(values: np.ndarray, name: str) -> None:
     """Reject negative, NaN and infinite weights (``min`` is NaN if any entry is)."""
     if values.size and not 0 <= values.min() <= values.max() < math.inf:
         raise FieldError(name, "must be nonnegative and finite elementwise")
+
+
+def _check_integer(value, name: str) -> None:
+    """Reject a count or seed that is not an integer: a float, or a bool, which Python counts."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .game import (
     LossKind,
     Prior,
     _check_cd,
+    _check_integer,
     _check_w,
     _check_weights,
     _clamped_draws,
@@ -52,6 +53,8 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "total_samples", "seed"):
+            _check_integer(getattr(self, name), name)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 1:
@@ -162,10 +165,30 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
         d pred / d w = r_i x_i + 2 a_i e_i r_i^2 w.
     """
     w, samples = _check_w(w, spec), _check_reduction(spec, batch)
-    return _stochastic_gradient(w, spec, samples, np.empty((2,) + samples.shape))
+    state = _GradientState.build(spec, np.empty((2,) + samples.shape))
+    return _stochastic_gradient(w, spec, samples, state)
 
 
-def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
+@dataclass(frozen=True, slots=True)
+class _GradientState:
+    """What the gradient kernel reuses across a fit's batches of ``S`` sample rows."""
+
+    d: np.ndarray  # z - y
+    two_reg: float  # 2 reg_l
+    ones: np.ndarray  # (S,): a column sum is one BLAS gemv against it
+    scratch: np.ndarray  # (2, S, n), overwritten by every call
+
+    @classmethod
+    def build(cls, spec: GameSpec, scratch: np.ndarray) -> "_GradientState":
+        """The state for batches of ``scratch.shape[1]`` rows, working in ``scratch``."""
+        return cls(spec.z - spec.y, 2.0 * spec.reg_l, np.ones(scratch.shape[1]), scratch)
+
+    def head(self, S: int) -> "_GradientState":
+        """The same state for batches of ``S`` rows, no more than this one's."""
+        return _GradientState(self.d, self.two_reg, self.ones[:S], self.scratch[:, :S])
+
+
+def _stochastic_gradient(w, spec: GameSpec, samples, state: _GradientState) -> np.ndarray:
     """``stochastic_gradient`` for a checked (S, n) sample matrix; unchecked.
 
     With the module docstring's e and r, z - pred = e r, so only the
@@ -175,33 +198,34 @@ def _stochastic_gradient(w, spec: GameSpec, samples, scratch) -> np.ndarray:
     follow from four column moments of the block: sum r, sum r^2, sum a r^2
     and sum a r^3.  Each column sum is one BLAS gemv against ones, where
     numpy's ``sum(axis=0)`` runs one inner-loop call per row; the two round
-    differently.  ``scratch`` of shape (2, S, n) is overwritten.
+    differently.  Products go through ``ndarray.dot``, which calls the same
+    BLAS routine as ``@`` with less dispatch.  ``state`` must be for S rows.
     """
-    damp, work = scratch
+    damp, work = state.scratch
+    ones = state.ones
     S = samples.shape[0]
-    ones = np.ones(S)
-    e = spec.z - spec.X @ w
-    np.reciprocal(_damping(samples, w @ w, out=damp), out=damp)
+    e = spec.z - spec.X.dot(w)
+    np.reciprocal(_damping(samples, w.dot(w), out=damp), out=damp)
     if spec.learner_loss is LossKind.QUADRATIC:  # l'(pred) = k ((z - y) - e r) with k = 2
-        np.multiply(damp, damp, out=work)
-        r1, r2 = ones @ damp, ones @ work
+        np.square(damp, out=work)
+        r1, r2 = ones.dot(damp), ones.dot(work)
         work *= samples
-        ar2 = ones @ work
+        ar2 = ones.dot(work)
         work *= damp
-        ar3 = ones @ work
-        d = spec.z - spec.y
+        ar3 = ones.dot(work)
+        d = state.d
         x_sum, w_sum, k = d * r1 - e * r2, d * ar2 - e * ar3, 2.0
     else:
         np.multiply(damp, e, out=work)
         np.subtract(spec.z, work, out=work)
         _loss_slope(spec.learner_loss, work, spec.y, out=work)
         work *= damp
-        x_sum = ones @ work
+        x_sum = ones.dot(work)
         work *= samples
         work *= damp
-        w_sum, k = ones @ work, 1.0  # the sums of l'(pred) itself
-    w_coef = 2.0 * k * float((spec.c_l * e) @ w_sum) / S + 2.0 * spec.reg_l
-    return (spec.c_l * x_sum) @ spec.X * (k / S) + w_coef * w
+        w_sum, k = ones.dot(work), 1.0  # the sums of l'(pred) itself
+    w_coef = 2.0 * k * float((spec.c_l * e).dot(w_sum)) / S + state.two_reg
+    return (spec.c_l * x_sum).dot(spec.X) * (k / S) + w_coef * w
 
 
 def bayes_adam(
@@ -218,28 +242,43 @@ def bayes_adam(
     weights do not depend on ``record_objective``.
     """
     rng = np.random.default_rng(config.seed)
-    draws = _clamped_draws(prior, rng, spec.n, config.total_samples)
+    total, size = config.total_samples, config.batch_size
+    draws = _clamped_draws(prior, rng, spec.n, total)
     samples = _check_reduction(spec, draws)
     w = project(np.zeros(spec.m), spec.learner_set)
-    m1 = np.zeros(spec.m)
-    m2 = np.zeros(spec.m)
+    work = np.empty((3, size, spec.n))  # the batch, then the kernel's scratch
+    state = _GradientState.build(spec, work[1:])
+    # batch size -> (batch buffer, kernel state); the last batch may be short
+    blocks = {S: (work[0, :S], state.head(S)) for S in (size, total % size or size)}
+    mom = np.zeros((2, spec.m))  # Adam's first and second moments, m1 and m2
+    m1, m2 = mom
+    decay = np.array([[_BETA1], [_BETA2]])
+    gain = 1.0 - decay
+    hat = np.empty((2, spec.m))  # each step's moment update, then the bias-corrected moments
+    m1_hat, m2_hat = hat
     step = 0
     trace: list[float] = []
-    work = np.empty((3, config.batch_size, spec.n))  # the batch, then the kernel's scratch
     for _ in range(config.epochs):
-        order = rng.permutation(config.total_samples)
-        for lo in range(0, config.total_samples, config.batch_size):
-            rows = order[lo : lo + config.batch_size]  # in range: "clip" takes unbuffered
-            batch = np.take(samples, rows, axis=0, out=work[0, : len(rows)], mode="clip")
-            g = _stochastic_gradient(w, spec, batch, work[1:, : len(rows)])
+        order = rng.permutation(total)
+        for lo in range(0, total, size):
+            rows = order[lo : lo + size]  # in range: "clip" takes unbuffered
+            batch, batch_state = blocks[len(rows)]
+            samples.take(rows, axis=0, out=batch, mode="clip")
+            g = _stochastic_gradient(w, spec, batch, batch_state)
             step += 1
-            m1 = _BETA1 * m1 + (1.0 - _BETA1) * g
-            m2 = _BETA2 * m2 + (1.0 - _BETA2) * g * g
-            m1_hat = m1 / (1.0 - _BETA1**step)
-            m2_hat = m2 / (1.0 - _BETA2**step)
-            w = _project(
-                w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + _EPS_HAT), spec.learner_set
-            )
+            # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and the step
+            # lr m1_hat / (sqrt(m2_hat) + eps), each rounded as that formula
+            mom *= decay
+            np.multiply(gain, g, out=hat)
+            m2_hat *= g
+            mom += hat
+            np.divide(m2, 1.0 - _BETA2**step, out=m2_hat)
+            np.sqrt(m2_hat, out=m2_hat)
+            m2_hat += _EPS_HAT
+            np.divide(m1, 1.0 - _BETA1**step, out=m1_hat)
+            m1_hat *= config.learning_rate
+            m1_hat /= m2_hat
+            w = _project(w - m1_hat, spec.learner_set)
         if record_objective:
             trace.append(_stochastic_objective(w, spec, samples))
     return w, trace

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from bayesgame.experiments import (
     evaluate,
     load_spambase,
     prior_label,
+    ridge_fit,
     rmse,
     run_benchmark,
     split,
@@ -207,7 +209,10 @@ class TestWriter:
         (np.full((2, 57), -math.inf), [0.0, 1.0], "features must be finite"),
         (np.zeros(57), [1.0], "2-d"),
         (np.zeros((2, 57)), [1.0], "one entry per feature row"),
-    ], ids=["fraction", "two", "nan-label", "nan", "inf", "vector", "short-labels"])
+        (np.zeros((2, 3)), [0.0, 1.0], "features must have 57 columns, got 3"),
+        (np.zeros((2, 58)), [0.0, 1.0], "features must have 57 columns, got 58"),
+    ], ids=["fraction", "two", "nan-label", "nan", "inf", "vector", "short-labels", "narrow",
+            "wide"])
     def test_rejects_what_would_not_read_back(self, tmp_path, features, labels, match):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match=match):
@@ -270,7 +275,7 @@ class TestEvaluate:
         data = Dataset(features, labels)
         w = rng.normal(size=57) * 0.1
         prior = FinitePrior(atoms=np.zeros((1, 20)), probs=np.array([1.0]))
-        got = evaluate(w, data, ZRule("flip"), prior, test_draws=5, seed=0)
+        got = evaluate(w, data, ZRule("flip"), sample_prior(prior, 20, 5, seed=0))
         assert got == pytest.approx(rmse(features @ w, labels))
 
     def test_perfect_model_zero_prior(self, rng):
@@ -280,7 +285,8 @@ class TestEvaluate:
         data = Dataset(features - np.outer(features @ w, w) / (w @ w), labels)
         # build labels = predictions = 0 by projecting features orthogonal to w
         prior = FinitePrior(atoms=np.zeros((1, 15)), probs=np.array([1.0]))
-        assert evaluate(w, data, ZRule("zero"), prior, 3, seed=1) == pytest.approx(0.0, abs=1e-12)
+        draws = sample_prior(prior, 15, 3, seed=1)
+        assert evaluate(w, data, ZRule("zero"), draws) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_explicit_transformation(self, rng):
         features, labels = synthetic_dataset(rng, rows=10)
@@ -293,7 +299,7 @@ class TestEvaluate:
         expected = np.mean(
             [rmse(best_response(w, features, z, c) @ w, labels) for c in draws]
         )
-        got = evaluate(w, data, ZRule("flip"), prior, test_draws=6, seed=seed)
+        got = evaluate(w, data, ZRule("flip"), draws)
         assert got == pytest.approx(expected)
 
     def test_doubling_draws_stays_in_confidence_band(self, rng):
@@ -302,9 +308,9 @@ class TestEvaluate:
         w = 0.05 * rng.normal(size=57)
         prior = GaussianPrior(mean=1.0, std=2.0)
         seed = 7
-        base = evaluate(w, data, ZRule("flip"), prior, test_draws=200, seed=seed)
-        doubled = evaluate(w, data, ZRule("flip"), prior, test_draws=400, seed=seed)
         draws = sample_prior(prior, 20, 200, seed)
+        base = evaluate(w, data, ZRule("flip"), draws)
+        doubled = evaluate(w, data, ZRule("flip"), sample_prior(prior, 20, 400, seed))
         z = 1.0 - labels
         per_draw = np.array(
             [rmse(best_response(w, features, z, c) @ w, labels) for c in draws]
@@ -318,9 +324,23 @@ class TestEvaluate:
         w = 0.1 * rng.normal(size=57)
         w_adv = 0.1 * rng.normal(size=57)
         prior = GaussianPrior(mean=1.0, std=1.0)
-        default = evaluate(w, data, ZRule("flip"), prior, 4, seed=3)
-        overridden = evaluate(w, data, ZRule("flip"), prior, 4, seed=3, adversary_w=w_adv)
+        draws = sample_prior(prior, 12, 4, seed=3)
+        default = evaluate(w, data, ZRule("flip"), draws)
+        overridden = evaluate(w, data, ZRule("flip"), draws, adversary_w=w_adv)
         assert default != overridden
+
+
+    @pytest.mark.parametrize("draws, match", [
+        (np.ones((2, 11)), r"12 columns, got shape \(2, 11\)"),
+        (np.ones(12), r"12 columns, got shape \(12,\)"),
+        (np.ones((0, 12)), r"nonempty matrix with 12 columns"),
+        (np.full((2, 12), -0.5), "draws must be nonnegative and finite"),
+        (np.full((2, 12), math.nan), "draws must be nonnegative and finite"),
+    ], ids=["columns", "vector", "empty", "negative", "nan"])
+    def test_rejects_malformed_draws(self, rng, draws, match):
+        features, labels = synthetic_dataset(rng, rows=12)
+        with pytest.raises(ValueError, match=match):
+            evaluate(np.zeros(57), Dataset(features, labels), ZRule("flip"), draws)
 
 
 class TestBenchmark:
@@ -440,6 +460,63 @@ class TestBenchmark:
         assert config.adam_samples == 1000 and config.adam_epochs == 20
         assert config.c_l_value == 0.1
 
+    @pytest.mark.parametrize("overrides, name", [
+        ({"adam_batch_grid": (32.5,)}, "adam_batch_grid[0]"),
+        ({"adam_batch_grid": (8, True)}, "adam_batch_grid[1]"),
+        ({"adam_epochs": 1.5}, "adam_epochs"),
+        ({"adam_samples": 16.0}, "adam_samples"),
+        ({"train_n": 20.0}, "train_n"),
+        ({"test_draws": False}, "test_draws"),
+        ({"seed": 0.5}, "seed"),
+    ], ids=["batch", "bool-batch", "epochs", "samples", "train_n", "bool-draws", "seed"])
+    def test_non_integer_count_rejected(self, overrides, name):
+        # each used to pass, then fail in every bayes-adam cell or in the split
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
+            self.make_config(**overrides)
+
+    def test_numpy_integer_counts_run_as_python_ints(self, rng):
+        data = Dataset(*synthetic_dataset(rng))
+        common = dict(methods=("bayes-adam", "ridge"),
+                      prior_grid=(GaussianPrior(mean=1.0, std=1.0),))
+        numpy_ints = self.make_config(
+            adam_batch_grid=(np.int64(8),), adam_epochs=np.int32(2), adam_samples=np.int64(16),
+            train_n=np.int64(20), seed=np.int64(0), **common,
+        )
+        result = run_benchmark(numpy_ints, data)
+        assert not any(r.error for r in result.rows)
+        assert result.rows == run_benchmark(self.make_config(**common), data).rows
+
+    def test_cell_draws_its_test_weights_once(self, rng, monkeypatch):
+        features, labels = synthetic_dataset(rng)
+        data = Dataset(features, labels)
+        prior = GaussianPrior(mean=1.0, std=1.0)
+        config = self.make_config(prior_grid=(prior,), methods=("ridge", "nash"),
+                                  ridge_alpha_grid=(0.01, 0.1, 1.0))
+        eval_seed = derive_seed(config.seed, "eval", 0, 1)
+        events = []
+        train = experiments._train_method
+
+        def recording_draw(*args):
+            events.append(("draw", args[-1]))
+            return sample_prior(*args)
+
+        def recording_train(method, *args):
+            events.append(("train", method))
+            return train(method, *args)
+
+        monkeypatch.setattr(experiments, "sample_prior", recording_draw)
+        monkeypatch.setattr(experiments, "_train_method", recording_train)
+        rows = experiments._run_cell((data, config, 0, 1))
+        # once, and after every fit: the draws are never held beside a fit's samples
+        assert events == [("train", "ridge")] * 3 + [("train", "nash"), ("draw", eval_seed)]
+        # each fit scores as on its own draws of the same seed
+        train, test = split(data, 20, 20, derive_seed(config.seed, "split", 1))
+        draws = sample_prior(prior, 20, config.test_draws, eval_seed)
+        for row, alpha in zip(rows, config.ridge_alpha_grid):
+            w = ridge_fit(train.features, train.labels, alpha)
+            assert row.rmse == evaluate(w, test, config.z_rule, draws)
+        assert [r.method for r in rows] == ["ridge"] * 3 + ["nash"]
+
     @pytest.mark.parametrize("grid", ["adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"])
     def test_empty_grid_rejected(self, grid):
         # an empty grid would leave its method without rows or an aggregate
@@ -493,6 +570,7 @@ class TestMisc:
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(0, "split", 1) == derive_seed(0, "split", 1)
+        assert derive_seed(np.int64(0), "split", 1) == derive_seed(0, "split", 1)
         assert derive_seed(0, "split", 1) != derive_seed(0, "split", 2)
         assert derive_seed(0, "split", 1) != derive_seed(1, "split", 1)
 

@@ -146,7 +146,7 @@ class TestPerturbedPrediction:
             assert pred == pytest.approx(row, rel=1e-12, abs=1e-12)
         expected = np.mean([spec.c_l @ (row - labels) ** 2 for row in rows]) + w @ w
         assert stochastic_objective(w, spec, samples) == pytest.approx(expected, rel=1e-12)
-        got = evaluate(w, Dataset(spec.X, labels), ZRule("flip"), prior, draws, seed=5)
+        got = evaluate(w, Dataset(spec.X, labels), ZRule("flip"), samples)
         assert got == pytest.approx(np.mean([rmse(row, labels) for row in rows]), rel=1e-12)
 
 
@@ -304,6 +304,32 @@ def reference_adam(spec, prior, config, gradient=stochastic_gradient):
     return w, trace
 
 
+def reference_gradient(w, spec, samples):
+    """The four-moment gradient kernel as written with ``@`` products, on public functions.
+
+    Its operations, and so its rounding, are the ones ``bayes_adam``'s kernel must reproduce.
+    """
+    S = samples.shape[0]
+    ones = np.ones(S)
+    e = spec.z - spec.X @ w
+    damp = 1.0 / (samples * (w @ w) + 1.0)
+    if spec.learner_loss is LossKind.QUADRATIC:
+        work = damp * damp
+        r1, r2 = ones @ damp, ones @ work
+        work *= samples
+        ar2 = ones @ work
+        work *= damp
+        ar3 = ones @ work
+        d = spec.z - spec.y
+        x_sum, w_sum, k = d * r1 - e * r2, d * ar2 - e * ar3, 2.0
+    else:
+        work = _loss_slope(spec.learner_loss, spec.z - damp * e, spec.y) * damp
+        x_sum = ones @ work
+        w_sum, k = ones @ (work * samples * damp), 1.0
+    w_coef = 2.0 * k * float((spec.c_l * e) @ w_sum) / S + 2.0 * spec.reg_l
+    return (spec.c_l * x_sum) @ spec.X * (k / S) + w_coef * w
+
+
 def reference_gradient_terms(w, spec, samples):
     """The minibatch gradient's three terms as written before the column-sum kernel."""
     S = samples.shape[0]
@@ -338,22 +364,40 @@ def small_reduction_game(rng, n, m, learner_loss, radius=None):
 
 
 class TestBayesAdamMatchesReference:
+    """``bayes_adam`` against the plain loop on the public gradient and on ``reference_gradient``."""
+
+    @pytest.mark.parametrize("gradient", [stochastic_gradient, reference_gradient],
+                             ids=["public", "reference"])
     @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
     @pytest.mark.parametrize("radius", [None, 0.3], ids=["unconstrained", "ball"])
     @pytest.mark.parametrize("total, batch", [(40, 8), (37, 8)], ids=["full", "partial"])
-    def test_weights_and_trace_bit_identical(self, rng, learner_loss, radius, total, batch):
+    def test_weights_and_trace_bit_identical(self, rng, gradient, learner_loss, radius, total,
+                                             batch):
         spec = small_reduction_game(rng, 7, 4, learner_loss, radius)
         prior = GaussianPrior(mean=1.0, std=2.0)
         config = AdamConfig(
             learning_rate=0.1, batch_size=batch, epochs=4, total_samples=total, seed=3
         )
-        w_ref, trace_ref = reference_adam(spec, prior, config)
+        w_ref, trace_ref = reference_adam(spec, prior, config, gradient)
         w, trace = bayes_adam(spec, prior, config)
         assert np.array_equal(w, w_ref)
         assert trace == trace_ref
         w_lean, trace_lean = bayes_adam(spec, prior, config, record_objective=False)
         assert np.array_equal(w_lean, w_ref)
         assert trace_lean == []
+
+    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
+    def test_desk_shape_bit_identical(self, learner_loss):
+        # BLAS picks its kernels by shape: n=200, m=57 and a short last batch of 8 rows
+        spec, _ = desk_shaped_game()
+        if learner_loss is LossKind.LOGISTIC:
+            spec = dataclasses.replace(spec, y=2.0 * spec.y - 1.0, learner_loss=learner_loss)
+        prior = GaussianPrior(mean=1.0, std=4.0)
+        config = AdamConfig(batch_size=32, epochs=2, total_samples=1000, seed=5)
+        w_ref, trace_ref = reference_adam(spec, prior, config, reference_gradient)
+        w, trace = bayes_adam(spec, prior, config)
+        assert np.array_equal(w, w_ref)
+        assert trace == trace_ref
 
 
 class TestBlockedObjective:
@@ -431,8 +475,11 @@ class TestFusedKernelProperties:
         batch[0] = 0.0  # at least one all-zero row
         w = rng.normal(size=m)
         expected = stochastic_gradient(w, spec, batch)
-        stale = np.full((2,) + batch.shape, np.nan)  # the kernel overwrites its scratch
-        assert np.array_equal(quadratic._stochastic_gradient(w, spec, batch, stale), expected)
+        # the kernel overwrites its scratch; a state built for more rows serves a short batch
+        stale = np.full((2, S + 3, n), np.nan)
+        state = quadratic._GradientState.build(spec, stale).head(S + 1)
+        assert np.array_equal(quadratic._stochastic_gradient(w, spec, batch, state), expected)
+        assert np.array_equal(reference_gradient(w, spec, batch), expected)
         # the column sums round differently from the earlier per-element formula
         assert gradient_drift(w, spec, batch) <= 1e-12
 
@@ -501,6 +548,22 @@ class TestNonFiniteSamplesRejected:
             best_response(np.ones(2), np.ones((1, 2)), np.zeros(1), np.array([bad]))
         with pytest.raises(ValueError, match="learning_rate"):
             AdamConfig(learning_rate=bad)
+
+    @pytest.mark.parametrize("name", ["batch_size", "epochs", "total_samples", "seed"])
+    @pytest.mark.parametrize("value", [1.5, 8.0, True], ids=["fraction", "float", "bool"])
+    def test_adam_config_rejects_a_non_integer(self, name, value):
+        # a float used to pass, then fail in the loop: 'float' object cannot be interpreted ...
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            AdamConfig(**{name: value})
+
+    def test_adam_config_accepts_numpy_integers(self, rng):
+        spec = random_quadratic_game(rng, 3, 2)
+        config = AdamConfig(batch_size=np.int64(3), epochs=np.int32(2),
+                            total_samples=np.uint16(8), seed=np.int64(4))
+        w, trace = bayes_adam(spec, GaussianPrior(1.0, 1.0), config)
+        w_ref, trace_ref = bayes_adam(spec, GaussianPrior(1.0, 1.0),
+                                      AdamConfig(batch_size=3, epochs=2, total_samples=8, seed=4))
+        assert np.array_equal(w, w_ref) and trace == trace_ref
 
     @pytest.mark.parametrize("seed", [-1, -(2**63)])
     def test_adam_config_rejects_a_negative_seed(self, seed):

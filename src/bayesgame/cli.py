@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .experiments import _PRESET_SIZES, BenchmarkConfig, load_spambase, run_benchmark
-from .game import FinitePrior, discretize_prior
+from .game import FinitePrior, _check_count, discretize_prior
 from .serialize import (
     ConfigError,
     _typed,
@@ -29,7 +29,6 @@ from .serialize import (
     with_flags,
 )
 from .solvers import (
-    ConfigurationError,
     SolverConfig,
     SolverError,
     assumption_probe,
@@ -52,10 +51,8 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 2:
-            raise ConfigError("probe.trials: expected an integer >= 2")
-        if self.seed < 0:
-            raise ConfigError(f"probe.seed: expected a nonnegative integer, got {self.seed}")
+        _check_count(self.trials, "trials", 2)
+        _check_count(self.seed, "seed", 0)
 
 
 def _load_json(path, keys=None) -> tuple[dict, str]:
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("benchmark", help="run the evaluation protocol")
     p_bench.add_argument("--config", required=True)
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--scale", choices=("desk", "paper"), help="size preset")
+    p_bench.add_argument("--scale", choices=tuple(_PRESET_SIZES), help="size preset")
     p_bench.add_argument("--seed", type=int, help="override the benchmark seed")
     p_bench.add_argument("--workers", type=int, default=1, help="benchmark worker pool size")
     p_bench.set_defaults(func=cmd_benchmark)
@@ -226,7 +223,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigurationError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, RuntimeError, ValueError, OSError) as exc:

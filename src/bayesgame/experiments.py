@@ -18,10 +18,9 @@ from typing import Literal
 
 import numpy as np
 
-from .game import (GameSpec, Prior, _check_integer, _check_weights, _prior_family,
-                   sample_prior)
+from .game import (FieldError, GameSpec, Prior, _check_count, _check_real, _check_weight_rows,
+                   _prior_family, sample_prior)
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
-from .serialize import ConfigError
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
 METHODS = ("bayes-adam", "bayes-fp", "nash", "ridge")
@@ -119,8 +118,8 @@ def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
 
 def split(data: Dataset, train_n: int, test_n: int, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint uniform train/test subsets, deterministic given the seed."""
-    if train_n < 1 or test_n < 1:
-        raise ValueError("train_n and test_n must be >= 1")
+    _check_count(train_n, "train_n")
+    _check_count(test_n, "test_n")
     if train_n + test_n > len(data):
         raise ValueError(
             f"train_n + test_n = {train_n + test_n} exceeds dataset size {len(data)}"
@@ -168,10 +167,7 @@ def evaluate(
     w = np.asarray(w, dtype=float)
     w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 2 or draws.shape[0] < 1 or draws.shape[1] != len(test):
-        raise ValueError(f"draws must be a nonempty matrix with {len(test)} columns, "
-                         f"got shape {draws.shape}")
-    _check_weights(draws, "draws")
+    _check_weight_rows(draws, len(test), "draws")
     z = z_rule.resolve(test.labels)
     preds = _perturbed_predictions(w, test.features, z, draws, w_adv)
     per_draw = np.sqrt(np.mean((preds - test.labels[None, :]) ** 2, axis=1))
@@ -190,14 +186,14 @@ class BenchmarkConfig:
     test_n: int = 200
     repetitions: int = 3
     test_draws: int = 100
-    methods: tuple = METHODS
+    methods: tuple[str, ...] = METHODS
     c_l_value: float = 0.1
     z_rule: ZRule = field(default_factory=ZRule)
     seed: int = 0
     reg_l: float = 1.0
-    adam_lr_grid: tuple = (0.001, 0.01, 0.1)
-    adam_batch_grid: tuple = (32, 64, 128)
-    ridge_alpha_grid: tuple = (0.01, 0.1, 1.0)
+    adam_lr_grid: tuple[float, ...] = (0.001, 0.01, 0.1)
+    adam_batch_grid: tuple[int, ...] = (32, 64, 128)
+    ridge_alpha_grid: tuple[float, ...] = (0.01, 0.1, 1.0)
     adam_epochs: int = 20
     adam_samples: int = 1000
     fp_samples: int = 1000
@@ -206,30 +202,26 @@ class BenchmarkConfig:
     two_equilibria: bool = False
 
     def __post_init__(self):
-        if not self.prior_grid:
-            raise ConfigError("priors: expected a nonempty list of prior objects")
-        counts = ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
-                  "adam_samples", "fp_samples", "fp_iterations", "nash_iterations")
-        for name in ("seed",) + counts:
-            _check_integer(getattr(self, name), name)
-        for i, batch in enumerate(self.adam_batch_grid):
-            _check_integer(batch, f"adam_batch_grid[{i}]")
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # an empty list would leave the sweep, a method or a grid without rows
+        for name in ("prior_grid", "methods", "adam_lr_grid", "adam_batch_grid",
+                     "ridge_alpha_grid"):
+            if not getattr(self, name):
+                raise FieldError("priors" if name == "prior_grid" else name, "must not be empty")
+        _check_count(self.seed, "seed", 0)
+        for name in ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
+                     "adam_samples", "fp_samples", "fp_iterations", "nash_iterations"):
+            _check_count(getattr(self, name), name)
         for name in ("c_l_value", "reg_l"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
-        if not (self.adam_lr_grid and self.adam_batch_grid and self.ridge_alpha_grid):
-            raise ValueError("hyperparameter grids must not be empty")
-        for name in ("adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"):  # a batch is >= 1
-            if not all(0 < value < math.inf for value in getattr(self, name)):
-                raise ValueError(f"{name} entries must be positive and finite")
-        if not self.methods:
-            raise ValueError("methods must not be empty")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
+            _check_real(getattr(self, name), name, "nonnegative")
+        for name in ("adam_lr_grid", "ridge_alpha_grid"):
+            for i, value in enumerate(getattr(self, name)):
+                _check_real(value, f"{name}[{i}]", "positive")
+        for i, batch in enumerate(self.adam_batch_grid):
+            _check_count(batch, f"adam_batch_grid[{i}]")
+        for i, method in enumerate(self.methods):
+            if method not in METHODS:
+                raise FieldError(f"methods[{i}]", f"must be one of {', '.join(METHODS)}, "
+                                                  f"got {method!r}")
 
 
 @dataclass
@@ -310,8 +302,7 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite elementwise")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    _check_real(alpha, "alpha", "positive")
     m = X.shape[1]
     return np.linalg.solve(X.T @ X + alpha * np.eye(m), X.T @ y)
 
@@ -363,15 +354,10 @@ def _run_cell(args) -> list[ResultRow]:
     adversary_w = None
     if config.two_equilibria:
         # the generator anticipates the equilibrium model of the test-side
-        # game, computed once per cell with default hyperparameters
-        test_spec = _train_spec(test, config)
-        adam = AdamConfig(
-            batch_size=min(32, config.adam_samples),
-            total_samples=config.adam_samples,
-            epochs=config.adam_epochs,
-            seed=derive_seed(config.seed, "testside", prior_idx, rep),
-        )
-        adversary_w, _ = bayes_adam(test_spec, prior, adam, record_objective=False)
+        # game, fitted once per cell with Adam's default hyperparameters
+        adversary_w = _train_method("bayes-adam", {"lr": 0.01, "batch": 32},
+                                    _train_spec(test, config), prior, config,
+                                    derive_seed(config.seed, "testside", prior_idx, rep))
 
     fits = []  # (method, label, weights or None, training error)
     for method in config.methods:

@@ -39,8 +39,7 @@ class ActionSet:
         if self.kind not in ("unconstrained", "l2_ball"):
             raise ValueError(f"unknown action set kind {self.kind!r}")
         if self.kind == "l2_ball":
-            if self.radius is None or not 0 < self.radius < math.inf:
-                raise ValueError("l2_ball radius must be positive and finite")
+            _check_real(self.radius, "radius", "positive")
         elif self.radius is not None:
             raise ValueError("unconstrained set takes no radius")
 
@@ -54,6 +53,7 @@ class ActionSet:
 
     @staticmethod
     def l2_ball(radius: float) -> "ActionSet":
+        _check_real(radius, "radius", "positive")  # before float() turns True into 1.0
         return ActionSet("l2_ball", float(radius))
 
 
@@ -84,12 +84,34 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+class ConfigError(ValueError):
+    """Malformed configuration document, or a game that a solver cannot handle."""
+
+
 class FieldError(ValueError):
     """An argument that is invalid on its own: ``field`` names it, ``problem`` says why."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
         self.field, self.problem = field, problem
+
+
+def _check_count(value, name: str, low: int = 1) -> None:
+    """Reject a count or seed that is not an integer of at least ``low``: a float, or a
+    bool, which Python counts as one, is not a count; a numpy integer is."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FieldError(name, f"must be an integer, got {value!r}")
+    if value < low:
+        raise FieldError(name, f"must be >= {low}")
+
+
+def _check_real(value, name: str, sign: str = "") -> None:
+    """Reject a value that is not a finite real number (a bool is not one), or that is
+    not ``sign``: "positive", "nonnegative", or "" for either sign."""
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real)
+    if (not (real and math.isfinite(value)) or (sign == "positive" and value <= 0)
+            or (sign == "nonnegative" and value < 0)):
+        raise FieldError(name, f"must be {sign} and finite" if sign else "must be finite")
 
 
 def _check_signs(values: np.ndarray, name: str) -> None:
@@ -134,8 +156,7 @@ class GameSpec:
             if not np.isfinite(getattr(self, name)).all():
                 raise FieldError(name, "must be finite elementwise")
         _check_weights(self.c_l, "c_l")
-        if not 0 <= self.reg_l < math.inf:
-            raise FieldError("reg_l", "must be nonnegative and finite")
+        _check_real(self.reg_l, "reg_l", "nonnegative")
         if self.learner_loss is LossKind.LOGISTIC:
             _check_signs(self.y, "y")
         if self.adversary_loss is LossKind.LOGISTIC:
@@ -180,10 +201,12 @@ def _check_weights(values: np.ndarray, name: str) -> None:
         raise FieldError(name, "must be nonnegative and finite elementwise")
 
 
-def _check_integer(value, name: str) -> None:
-    """Reject a count or seed that is not an integer: a float, or a bool, which Python counts."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_weight_rows(values: np.ndarray, n: int, name: str) -> None:
+    """Reject anything but a nonempty (rows, n) float matrix of ``_check_weights`` weights."""
+    if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] != n:
+        raise FieldError(name, f"must be a nonempty matrix with {n} columns, "
+                               f"got shape {values.shape}")
+    _check_weights(values, name)
 
 
 def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -318,8 +341,8 @@ class GaussianPrior:
     std: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and 0 < self.std < math.inf):
-            raise ValueError("mean must be finite and std positive and finite")
+        _check_real(self.mean, "mean")
+        _check_real(self.std, "std", "positive")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.normal(self.mean, self.std, size=(num_samples, n))
@@ -334,8 +357,8 @@ class GammaPrior:
     scale: float
 
     def __post_init__(self):
-        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
-            raise ValueError("gamma shape and scale must be positive and finite")
+        _check_real(self.shape, "shape", "positive")
+        _check_real(self.scale, "scale", "positive")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.gamma(self.shape, self.scale, size=(num_samples, n))
@@ -350,8 +373,8 @@ class LogNormalPrior:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0 < self.sigma < math.inf):
-            raise ValueError("lognormal mu must be finite and sigma positive and finite")
+        _check_real(self.mu, "mu")
+        _check_real(self.sigma, "sigma", "positive")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=(num_samples, n))
@@ -396,8 +419,7 @@ def sample_prior(prior: Prior, n: int, num_samples: int, seed: int) -> np.ndarra
 
     Returns an array of shape (num_samples, n); row s is one draw of c_d.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
+    _check_count(num_samples, "num_samples")
     return _clamped_draws(prior, np.random.default_rng(seed), n, num_samples)
 
 
@@ -413,8 +435,7 @@ def discretize_prior(prior: Prior, n: int, K: int, seed: int) -> FinitePrior:
 
     A finite prior whose atom count already equals K passes through unchanged.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count(K, "K")
     if isinstance(prior, FinitePrior) and prior.num_atoms == K:
         return prior
     atoms = sample_prior(prior, n, K, seed)

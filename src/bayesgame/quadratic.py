@@ -16,19 +16,20 @@ learner loss, by best-response iteration (``bayes_fp``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .game import (
+    FieldError,
     GameSpec,
     LossKind,
     Prior,
     _check_cd,
-    _check_integer,
+    _check_count,
+    _check_real,
     _check_w,
-    _check_weights,
+    _check_weight_rows,
     _clamped_draws,
     _loss,
     _loss_slope,
@@ -53,18 +54,11 @@ class AdamConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs", "total_samples", "seed"):
-            _check_integer(getattr(self, name), name)
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.total_samples < 1:
-            raise ValueError("total_samples must be >= 1")
-        if not (1 <= self.batch_size <= self.total_samples):
-            raise ValueError("batch_size must satisfy 1 <= batch_size <= total_samples")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_real(self.learning_rate, "learning_rate", "positive")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("total_samples", 1), ("seed", 0)):
+            _check_count(getattr(self, name), name, low)
+        if self.batch_size > self.total_samples:
+            raise FieldError("batch_size", "must be <= total_samples")
 
 
 def best_response(
@@ -124,9 +118,7 @@ def _check_reduction(spec: GameSpec, c_d_samples) -> np.ndarray:
     samples = np.asarray(c_d_samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[None, :]
-    if samples.ndim != 2 or samples.shape[1] != spec.n or samples.shape[0] < 1:
-        raise ValueError(f"c_d samples must be a nonempty list of vectors of length {spec.n}")
-    _check_weights(samples, "c_d samples")
+    _check_weight_rows(samples, spec.n, "c_d samples")
     return samples
 
 
@@ -297,8 +289,7 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
         raise ValueError("bayes_fp requires a quadratic learner loss")
     if spec.learner_set.bounded:
         raise ValueError("bayes_fp requires an unconstrained learner set")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _check_count(iterations, "iterations")
     samples = _check_reduction(spec, c_d_samples)
 
     X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l

@@ -15,11 +15,12 @@ from functools import partial
 
 import numpy as np
 
-from .game import _PRIOR_FAMILIES, FieldError, GameSpec, Prior, _prior_family
+from .game import _PRIOR_FAMILIES, ConfigError, FieldError, GameSpec, Prior, _prior_family
 
 
-class ConfigError(ValueError):
-    """Malformed configuration document."""
+def _key(path: str, key: str) -> str:
+    """The JSON path of ``key`` in the object at ``path``: ``path.key``, or ``key`` at the top."""
+    return f"{path}.{key}" if path else key
 
 
 def _object(obj, path: str) -> dict:
@@ -46,8 +47,8 @@ def _choice(value, choices, where: str):
     return value
 
 
-def _field(value, kind, default, where: str):
-    """``value`` decoded as a field of type ``kind`` whose default is ``default``."""
+def _field(value, kind, where: str):
+    """``value`` decoded as a field of type ``kind``."""
     if kind == Prior:  # its family key names the dataclass
         obj = dict(_object(value, where))
         name = obj.pop("family", MISSING)
@@ -71,29 +72,26 @@ def _field(value, kind, default, where: str):
             raise ConfigError(f"{where}: expected a numeric array")
         return arr
     options = typing.get_args(kind)  # tuple[X, ...]: (X, ...); float | None: (float, NoneType)
-    if kind is tuple or typing.get_origin(kind) is tuple:
+    if typing.get_origin(kind) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        item = options[0] if options else type(default[0])
-        return tuple(_field(v, item, MISSING, f"{where}[{i}]") for i, v in enumerate(value))
+        return tuple(_field(v, options[0], f"{where}[{i}]") for i, v in enumerate(value))
     if type(None) in options:
-        return None if value is None else _field(value, options[0], default, where)
+        return None if value is None else _field(value, options[0], where)
     return _typed(value, kind, where)
 
 
-def _built(make, kwargs: dict, where: str):
-    """``make(**kwargs)``, whose ``ValueError`` is reported against ``where``.
+def _built(make, kwargs: dict, path: str):
+    """``make(**kwargs)``, whose ``ValueError`` is reported against the object at ``path``.
 
-    A ``FieldError`` is reported against the field it names, ``where.field``.
+    A ``FieldError`` is reported against the field it names, ``path.field``.
     """
     try:
         return make(**kwargs)
-    except ConfigError:
-        raise
     except FieldError as exc:
-        raise ConfigError(f"{where}.{exc.field}: {exc.problem}") from None
+        raise ConfigError(f"{_key(path, exc.field)}: {exc.problem}") from None
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def config_from_jsonable(cls, obj, path: str):
@@ -101,36 +99,35 @@ def config_from_jsonable(cls, obj, path: str):
 
     A field is a bool, int, float or str (an int may stand for a float), an
     optional one of these (``float | None`` also accepts null), a tuple of
-    the ``X`` of ``tuple[X, ...]`` (else of its default's first item's
-    type), an enum or ``Literal`` (one of its values), a numeric
-    ``np.ndarray``, a ``Prior`` (its ``family`` names the dataclass) or a
-    nested dataclass.  Its key is its metadata's ``"json"``, else its name.
+    the ``X`` of ``tuple[X, ...]``, an enum or ``Literal`` (one of its
+    values), a numeric ``np.ndarray``, a ``Prior`` (its ``family`` names the
+    dataclass) or a nested dataclass.  Its key is its metadata's ``"json"``, else its name.
     A field without a default is required, and a key that names no field is
     an error, reported after the fields'.  Keys are named ``path.key``, or
-    ``key`` when ``path`` is empty.  A constructor's ``ConfigError`` passes
-    through, its ``FieldError`` is reported against ``path.field`` and its
-    other ``ValueError`` against ``path``.
+    ``key`` when ``path`` is empty.  A constructor's ``FieldError`` is
+    reported against ``path.field`` and its other ``ValueError`` against
+    ``path``.
     """
     _object(obj, path)
     hints = typing.get_type_hints(cls)
     kwargs, keys = {}, set()
     for f in fields(cls):
         keys.add(key := f.metadata.get("json", f.name))
-        where = f"{path}.{key}" if path else key
+        where = _key(path, key)
         if key in obj:
-            kwargs[f.name] = _field(obj[key], hints[f.name], f.default, where)
+            kwargs[f.name] = _field(obj[key], hints[f.name], where)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required field")
     for key in obj:
         if key not in keys:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-    return _built(cls, kwargs, path or cls.__name__)
+            raise ConfigError(f"{_key(path, key)}: unknown key")
+    return _built(cls, kwargs, path)
 
 
 def with_flags(config, path: str, **flags):
     """``config`` with each flag that is not None in place of its field, checked as decoded."""
     flags = {key: value for key, value in flags.items() if value is not None}
-    return _built(partial(replace, config), flags, path or type(config).__name__)
+    return _built(partial(replace, config), flags, path)
 
 
 def to_jsonable(value):
@@ -162,4 +159,4 @@ def game_from_jsonable(obj, path: str = "game") -> GameSpec:
 
 
 def prior_from_jsonable(obj, path: str = "prior") -> Prior:
-    return _field(obj, Prior, MISSING, path)
+    return _field(obj, Prior, path)

@@ -32,10 +32,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .game import (
+    ConfigError,
     FinitePrior,
     GameSpec,
     StrategyProfile,
     _grad_adversary_X,
+    _check_count,
+    _check_real,
     _grad_learner_w,
     _project,
     grad_adversary_X,  # noqa: F401 - perfbench's traced run rebinds these names here
@@ -43,10 +46,6 @@ from .game import (
     origin_profile,
     project,  # noqa: F401
 )
-
-
-class ConfigurationError(ValueError):
-    """A solver was invoked on a game it cannot handle."""
 
 
 class SolverError(RuntimeError):
@@ -76,20 +75,14 @@ class SolverConfig:
     strong_monotonicity: float | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if not 0 <= self.tol < math.inf:
-            raise ValueError("tol must be nonnegative and finite")
+        _check_count(self.max_iters, "max_iters")
+        _check_real(self.gamma, "gamma", "positive")
+        _check_count(self.seed, "seed", 0)
+        _check_real(self.tol, "tol", "nonnegative")
+        _check_count(self.trace_every, "trace_every")
         for name in ("lipschitz", "strong_monotonicity"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-        if self.trace_every < 1:
-            raise ValueError("trace_every must be >= 1")
+            if getattr(self, name) is not None:
+                _check_real(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -291,8 +284,7 @@ def assumption_probe(
     and per-block gradient norm seen.  These are sampled estimates: lambda_hat
     overestimates the true modulus and L_hat/G_hat underestimate the suprema.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _check_count(trials, "trials", 2)
     rng = np.random.default_rng(seed)
     probs = prior.probs
     K = prior.num_atoms
@@ -432,9 +424,7 @@ def prg_ie(
     ``config.lipschitz``, and each message it returns is warned.
     """
     if not (spec.learner_set.bounded and spec.adversary_set.bounded):
-        raise ConfigurationError(
-            "prg_ie requires bounded l2_ball action sets for both players"
-        )
+        raise ConfigError("prg_ie requires bounded l2_ball action sets for both players")
     init = origin_profile(spec, prior.num_atoms)
     _check_profile(init, prior, spec)
     for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
@@ -610,7 +600,6 @@ def extragradient_reference(
     """High-precision equilibrium oracle: ``extragradient`` with a first trial step of
     1 until the squared natural-map residual is at most ``tol``; ``SolverError``
     (naming the last residual) if it is not reached."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_real(tol, "tol", "positive")
     config = SolverConfig(max_iters=max_iters, gamma=1.0, tol=tol, trace_every=1)
     return _converged(extragradient(spec, prior, config), config).final_profile

@@ -277,8 +277,7 @@ class TestMalformedConfig:
             ("solve", None, {"discretize_kk": 4}, "discretize_kk: unknown key"),
             ("probe", None, {"algoritm": "pg-rbc"}, "algoritm: unknown key"),
             ("benchmark", None, {"prior_grid": 5}, "prior_grid: unknown key"),
-            ("benchmark", None, {"priors": []},
-             "priors: expected a nonempty list of prior objects"),
+            ("benchmark", None, {"priors": []}, "priors: must not be empty"),
         ],
         ids=["solver-key", "game-key", "action-set-key", "prior-key", "probe-key",
              "benchmark-key", "z-rule-key", "priors-key", "unconstrained-radius", "3d-atoms",
@@ -288,6 +287,29 @@ class TestMalformedConfig:
              "empty-priors"],
     )
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, section, update, message):
+        self.check(tmp_path, capsys, command, section, update, [], message)
+
+    @pytest.mark.parametrize(
+        "command, section, update, message",
+        [
+            ("solve", "solver", {"gamma": 0}, "solver.gamma: must be positive and finite"),
+            ("solve", "solver", {"trace_every": 0}, "solver.trace_every: must be >= 1"),
+            ("probe", "probe", {"trials": 1}, "probe.trials: must be >= 2"),
+            ("solve", None, {"prior": {"family": "gaussian", "mean": 1.0, "std": -1.0}},
+             "prior.std: must be positive and finite"),
+            ("solve", "game", {"learner_set": {"kind": "l2_ball", "radius": 0.0}},
+             "game.learner_set.radius: must be positive and finite"),
+            ("benchmark", None, {"reg_l": -1.0}, "reg_l: must be nonnegative and finite"),
+            ("benchmark", None, {"seed": -1}, "seed: must be >= 0"),
+            ("benchmark", None, {"adam_batch_grid": [32, 0]}, "adam_batch_grid[1]: must be >= 1"),
+            ("benchmark", None, {"methods": ["ridge", "lasso"]},
+             "methods[1]: must be one of bayes-adam, bayes-fp, nash, ridge, got 'lasso'"),
+        ],
+        ids=["solver-gamma", "solver-trace-every", "probe-trials", "prior-std", "ball-radius",
+             "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method"],
+    )
+    def test_a_rejected_value_names_its_field(self, tmp_path, capsys, command, section, update,
+                                              message):
         self.check(tmp_path, capsys, command, section, update, [], message)
 
     @pytest.mark.parametrize(
@@ -411,8 +433,8 @@ class TestSolve:
             ({"seed": True}, [], "solver.seed: expected an integer, got True"),
             ({"tol": "x"}, [], "solver.tol: expected a number, got 'x'"),
             ({"lipschitz": "1"}, [], "solver.lipschitz: expected a number, got '1'"),
-            ({"seed": -1}, [], "solver: seed must be >= 0"),
-            ({}, ["--seed", "-1"], "solver: seed must be >= 0"),
+            ({"seed": -1}, [], "solver.seed: must be >= 0"),
+            ({}, ["--seed", "-1"], "solver.seed: must be >= 0"),
         ],
         ids=["float-seed", "float-trace-every", "bool-seed", "string-tol", "string-lipschitz",
              "negative-seed", "negative-seed-flag"],
@@ -526,7 +548,7 @@ class TestProbe:
         cfg.write_text(json.dumps(doc))
         assert main(["probe", "--config", str(cfg), *argv]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: probe.seed: expected a nonnegative integer")
+        assert err == "configuration error: probe.seed: must be >= 0\n"
 
     @pytest.mark.parametrize("key", ["probe", "solver"])
     def test_section_must_be_an_object(self, tmp_path, capsys, key):

@@ -520,7 +520,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("grid", ["adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"])
     def test_empty_grid_rejected(self, grid):
         # an empty grid would leave its method without rows or an aggregate
-        with pytest.raises(ValueError, match="grids must not be empty"):
+        with pytest.raises(ValueError, match=f"^{grid} must not be empty$"):
             self.make_config(**{grid: ()})
 
     def test_equal_priors_are_separate_entries(self, rng):

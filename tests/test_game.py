@@ -194,6 +194,10 @@ class TestProjection:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             ActionSet.l2_ball(0.0)
+        with pytest.raises(ValueError, match="^radius must be positive and finite$"):
+            ActionSet("l2_ball", True)  # a bool is no radius, though Python counts it as 1
+        with pytest.raises(ValueError, match="^radius must be positive and finite$"):
+            ActionSet.l2_ball(True)
 
 
 class TestConvexity:
@@ -289,6 +293,10 @@ class TestPriors:
             GammaPrior(shape=-1.0, scale=1.0)
         with pytest.raises(ValueError):
             LogNormalPrior(mu=0.0, sigma=-2.0)
+        with pytest.raises(ValueError, match="^mean must be finite$"):
+            GaussianPrior(mean="x", std=1.0)
+        with pytest.raises(ValueError, match="^shape must be positive and finite$"):
+            GammaPrior(shape=True, scale=1.0)
 
     def test_prior_mean_clamped(self):
         assert prior_mean(GaussianPrior(mean=-2.0, std=1.0), 3) == pytest.approx(np.zeros(3))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayesgame import quadratic
-from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse
+from bayesgame.cli import ProbeConfig
+from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse, split
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -18,6 +19,7 @@ from bayesgame.game import (
     LossKind,
     _loss,
     _loss_slope,
+    discretize_prior,
     grad_adversary_X,
     grad_learner_w,
     learner_cost,
@@ -33,6 +35,7 @@ from bayesgame.quadratic import (
     stochastic_gradient,
     stochastic_objective,
 )
+from bayesgame.solvers import assumption_probe
 from conftest import (
     central_diff_vector,
     coordinate_descent_adversary,
@@ -555,6 +558,23 @@ class TestNonFiniteSamplesRejected:
         # a float used to pass, then fail in the loop: 'float' object cannot be interpreted ...
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
             AdamConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, call", [
+        ("trials", lambda spec, prior: ProbeConfig(trials=2.5)),
+        ("trials", lambda spec, prior: assumption_probe(spec, prior, trials=2.5, seed=0)),
+        ("K", lambda spec, prior: discretize_prior(prior, spec.n, 2.5, seed=0)),
+        ("iterations", lambda spec, prior: bayes_fp(spec, prior.atoms, iterations=2.5)),
+        ("num_samples", lambda spec, prior: sample_prior(prior, spec.n, 2.5, seed=0)),
+        ("train_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 2.5, 1, 0)),
+        ("test_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 1, 2.5, 0)),
+    ], ids=["probe-config", "assumption_probe", "discretize_prior", "bayes_fp", "sample_prior",
+            "split-train", "split-test"])
+    def test_public_counts_reject_a_non_integer(self, rng, name, call):
+        # each but ProbeConfig's used to fail inside numpy or range() with a TypeError
+        spec = random_quadratic_game(rng, 4, 2)
+        prior = FinitePrior(atoms=rng.random((2, 4)), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            call(spec, prior)
 
     def test_adam_config_accepts_numpy_integers(self, rng):
         spec = random_quadratic_game(rng, 3, 2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bayesgame import solvers
 from bayesgame.game import (
     ActionSet,
+    ConfigError,
     FinitePrior,
     GameSpec,
     GaussianPrior,
@@ -24,7 +25,6 @@ from bayesgame.game import (
     project,
 )
 from bayesgame.solvers import (
-    ConfigurationError,
     SolverConfig,
     SolverError,
     SolverTrace,
@@ -166,7 +166,7 @@ class TestPrgIe:
         spec = random_quadratic_game(rng, 3, 2, bounded=False)
         prior = random_finite_prior(rng, 3, 2)
         config = SolverConfig(max_iters=10, gamma=1e-3)
-        with pytest.raises(ConfigurationError, match="bounded"):
+        with pytest.raises(ConfigError, match="bounded"):
             prg_ie(spec, prior, config)
 
     def test_deterministic(self):
@@ -923,6 +923,7 @@ class TestNoAliasing:
 @pytest.mark.parametrize("field, value", [
     ("gamma", float("nan")), ("gamma", float("inf")), ("tol", float("nan")),
     ("lipschitz", float("nan")), ("strong_monotonicity", float("inf")),
+    ("max_iters", 10.5), ("trace_every", 2.5), ("seed", True), ("gamma", "x"),
 ])
 def test_solver_config_rejects_non_finite(field, value):
     kwargs = {"max_iters": 10, "gamma": 0.1, field: value}

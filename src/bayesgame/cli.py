@@ -113,16 +113,15 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algo!r}")
     algo = args.algo or algo
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     # looked up per call, so that a rebound module name is the one that runs
     run = {"prg-ie": prg_ie, "pg-rbc": pg_rbc, "extragradient": extragradient}[algo]
     trace = run(spec, prior, solver)
+    # a failed run or a non-finite profile raises before anything is written
+    profile = json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "trace.csv")
-    (out_dir / "profile.json").write_text(
-        json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False) + "\n"
-    )
+    (out_dir / "profile.json").write_text(profile + "\n")
     _write_metadata(out_dir, config_hash, solver.seed,
                     {"algorithm": algo, "solver": to_jsonable(solver)})
     print(f"final residual: {trace.iterations[-1].residual:.6e}")

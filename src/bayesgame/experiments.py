@@ -120,6 +120,7 @@ def split(data: Dataset, train_n: int, test_n: int, seed: int) -> tuple[Dataset,
     """Disjoint uniform train/test subsets, deterministic given the seed."""
     _check_count(train_n, "train_n")
     _check_count(test_n, "test_n")
+    _check_count(seed, "seed", 0)
     if train_n + test_n > len(data):
         raise ValueError(
             f"train_n + test_n = {train_n + test_n} exceeds dataset size {len(data)}"
@@ -208,6 +209,8 @@ class BenchmarkConfig:
             if not getattr(self, name):
                 raise FieldError("priors" if name == "prior_grid" else name, "must not be empty")
         _check_count(self.seed, "seed", 0)
+        if not isinstance(self.two_equilibria, bool):  # a truthy "no" would turn it on
+            raise FieldError("two_equilibria", f"must be a bool, got {self.two_equilibria!r}")
         for name in ("train_n", "test_n", "repetitions", "test_draws", "adam_epochs",
                      "adam_samples", "fp_samples", "fp_iterations", "nash_iterations"):
             _check_count(getattr(self, name), name)

@@ -256,8 +256,12 @@ def _grad_learner_w(w, Xbar, margins, spec: GameSpec) -> np.ndarray:
 
     ``margins`` is ``Xbar @ w``.  Returns shape (..., m).
     """
-    coef = spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y)
-    return (coef[..., None, :] @ Xbar)[..., 0, :] + 2.0 * spec.reg_l * w
+    coef = _loss_slope(spec.learner_loss, margins, spec.y)
+    coef *= spec.c_l
+    # ndarray.dot on one block; on a stack .dot sums in another order than matmul
+    row = coef.dot(Xbar) if Xbar.ndim == 2 else (coef[..., None, :] @ Xbar)[..., 0, :]
+    row += 2.0 * spec.reg_l * w
+    return row
 
 
 def grad_adversary_X(
@@ -273,14 +277,19 @@ def _grad_adversary_X(w, Xbar, margins, c_d, spec: GameSpec, out=None, scratch=N
 
     ``margins`` is ``Xbar @ w`` and ``c_d`` has shape (..., n), one row per matrix.
     The gradient is written into ``out`` and ``scratch`` is overwritten, both
-    of ``Xbar``'s shape and allocated when not given; neither may alias ``Xbar``.
+    of ``Xbar``'s shape and allocated when not given; neither may alias ``Xbar``,
+    and ``out`` must be C-contiguous.
     """
     if out is None:
-        out = np.empty_like(Xbar)
+        out = np.empty(Xbar.shape)
     if scratch is None:
         scratch = np.empty_like(Xbar)
-    coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
-    np.multiply(coef[..., None], w, out=out)
+    coef = _loss_slope(spec.adversary_loss, margins, spec.z)
+    coef *= c_d
+    # the rank-one term coef_i w_j of every row as one (rows, 1) x (1, m) BLAS
+    # product: each entry is the one product, as a broadcast multiply gives it
+    # (+0.0 where that gives -0.0), without the broadcast's inner-loop call per row
+    coef.reshape(-1, 1).dot(w[None, :], out=out.reshape(-1, w.size))
     np.subtract(Xbar, spec.X, out=scratch)
     scratch *= 2.0
     out += scratch
@@ -420,6 +429,7 @@ def sample_prior(prior: Prior, n: int, num_samples: int, seed: int) -> np.ndarra
     Returns an array of shape (num_samples, n); row s is one draw of c_d.
     """
     _check_count(num_samples, "num_samples")
+    _check_count(seed, "seed", 0)
     return _clamped_draws(prior, np.random.default_rng(seed), n, num_samples)
 
 
@@ -436,6 +446,7 @@ def discretize_prior(prior: Prior, n: int, K: int, seed: int) -> FinitePrior:
     A finite prior whose atom count already equals K passes through unchanged.
     """
     _check_count(K, "K")
+    _check_count(seed, "seed", 0)
     if isinstance(prior, FinitePrior) and prior.num_atoms == K:
         return prior
     atoms = sample_prior(prior, n, K, seed)

@@ -175,7 +175,7 @@ def stacked_map(
     """
     _check_profile(profile, prior, spec)
     w, sigma = profile.w, profile.sigma
-    rows, out = np.empty((prior.num_atoms, spec.m)), np.empty_like(sigma)
+    rows, out = np.empty((prior.num_atoms, spec.m)), np.empty(sigma.shape)  # C order
     _chunk_map(w, sigma, prior.atoms, spec, rows, out, None)
     return prior.probs @ rows, out
 
@@ -285,6 +285,7 @@ def assumption_probe(
     overestimates the true modulus and L_hat/G_hat underestimate the suprema.
     """
     _check_count(trials, "trials", 2)
+    _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     probs = prior.probs
     K = prior.num_atoms
@@ -487,7 +488,8 @@ def pg_rbc(
 
 def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
-    indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs)
+    # Python ints: indexing a stack by one is cheaper than by a numpy integer
+    indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs).tolist()
 
     w_cur, sig_cur = init.w, init.sigma
     atoms, w_set, sig_set = prior.atoms, spec.learner_set, spec.adversary_set
@@ -496,8 +498,10 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
         sig_j = sig_cur[j]
-        margins = sig_j @ w_cur
-        w_next = _project(w_cur - gamma_t * _grad_learner_w(w_cur, sig_j, margins, spec), w_set)
+        margins = sig_j.dot(w_cur)  # the block's products by ndarray.dot, as @ gives them
+        w_next = _grad_learner_w(w_cur, sig_j, margins, spec)  # a new array, stepped in place
+        w_next *= gamma_t
+        _project(np.subtract(w_cur, w_next, out=w_next), w_set)
         _grad_adversary_X(w_cur, sig_j, margins, atoms[j], spec, step, scratch)
         step *= gamma_t
         sig_j -= step

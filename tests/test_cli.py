@@ -385,7 +385,7 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "last finite residual" in capsys.readouterr().err
-        assert not (out / "profile.json").exists()
+        assert not out.exists()
 
     def test_non_finite_profile_is_not_written(self, tmp_path, monkeypatch, capsys):
         def nan_solver(spec, prior, config):
@@ -399,7 +399,7 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
-        assert not (out / "profile.json").exists()
+        assert not out.exists()
 
     def test_prg_ie_rejects_unbounded_sets(self, tmp_path, capsys):
         cfg = tmp_path / "game.json"

@@ -18,6 +18,7 @@ from bayesgame.experiments import (
     Dataset,
     ZRule,
     derive_seed,
+    desk_config,
     evaluate,
     load_spambase,
     prior_label,
@@ -473,6 +474,14 @@ class TestBenchmark:
         # each used to pass, then fail in every bayes-adam cell or in the split
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
             self.make_config(**overrides)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_two_equilibria_must_be_a_bool(self, value):
+        # "no" used to pass and, being truthy, turned the test-side Adam fit on
+        with pytest.raises(ValueError, match=f"^two_equilibria must be a bool, got {value!r}$"):
+            self.make_config(two_equilibria=value)
+        with pytest.raises(ValueError, match="^two_equilibria must be a bool"):
+            desk_config([GaussianPrior(1.0, 1.0)], two_equilibria=value)
 
     def test_numpy_integer_counts_run_as_python_ints(self, rng):
         data = Dataset(*synthetic_dataset(rng))

@@ -576,6 +576,26 @@ class TestNonFiniteSamplesRejected:
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
             call(spec, prior)
 
+    @pytest.mark.parametrize("call", [
+        lambda spec, prior, seed: assumption_probe(spec, prior, trials=2, seed=seed),
+        lambda spec, prior, seed: discretize_prior(prior, spec.n, 2, seed=seed),
+        lambda spec, prior, seed: discretize_prior(GaussianPrior(1.0, 1.0), spec.n, 2, seed=seed),
+        lambda spec, prior, seed: sample_prior(prior, spec.n, 3, seed=seed),
+        lambda spec, prior, seed: split(Dataset(spec.X, np.zeros(spec.n)), 1, 1, seed),
+    ], ids=["assumption_probe", "discretize_prior-finite", "discretize_prior-gaussian",
+            "sample_prior", "split"])
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        (-1, "seed must be >= 0"),
+    ], ids=["fraction", "bool", "negative"])
+    def test_public_seeds_reject_a_non_seed(self, rng, call, seed, message):
+        # 1.5 and -1 used to fail inside numpy, and True passed as the seed 1
+        spec = random_quadratic_game(rng, 4, 2)
+        prior = FinitePrior(atoms=rng.random((2, 4)), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(spec, prior, seed)
+
     def test_adam_config_accepts_numpy_integers(self, rng):
         spec = random_quadratic_game(rng, 3, 2)
         config = AdamConfig(batch_size=np.int64(3), epochs=np.int32(2),

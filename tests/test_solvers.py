@@ -15,9 +15,11 @@ from bayesgame.game import (
     FinitePrior,
     GameSpec,
     GaussianPrior,
+    LossKind,
     StrategyProfile,
     _grad_adversary_X,
     _grad_learner_w,
+    _loss_slope,
     discretize_prior,
     grad_adversary_X,
     grad_learner_w,
@@ -699,6 +701,62 @@ class TestTraceSchedule:
         shorter = run(spec, prior, SolverConfig(max_iters=t_stop, trace_every=20, **kwargs))
         assert np.array_equal(trace.final_profile.w, shorter.final_profile.w)
         assert np.array_equal(trace.final_profile.sigma, shorter.final_profile.sigma)
+
+
+def reference_grad_learner_w(w, Xbar, margins, spec):
+    """The learner's gradient kernel as first written: one matmul, whatever the stack."""
+    coef = spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y)
+    return (coef[..., None, :] @ Xbar)[..., 0, :] + 2.0 * spec.reg_l * w
+
+
+def reference_grad_adversary_X(w, Xbar, margins, c_d, spec):
+    """The generator's gradient kernel as first written: a broadcast rank-one term."""
+    coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
+    return coef[..., None] * w + 2.0 * (Xbar - spec.X)
+
+
+KERNEL_SHAPES = {"fixture": (10, 5, 4), "desk": (200, 57, 16)}  # n, m, K
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+@given(seed=st.integers(0, 2**32 - 1), stack=st.sampled_from([None, 1, 2, "K"]),
+       learner_logistic=st.booleans(), adversary_logistic=st.booleans(), buffers=st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_gradient_kernels_equal_their_first_form(shape, seed, stack, learner_logistic,
+                                                 adversary_logistic, buffers):
+    # on one block (stack None) and on stacks of 1, 2 and K blocks, into the
+    # caller's buffers (filled with NaN) or into the kernel's own
+    n, m, K = KERNEL_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    signs = lambda: rng.choice([-1.0, 1.0], size=n)  # noqa: E731 - targets for either loss
+    spec = GameSpec(
+        X=rng.normal(size=(n, m)), y=signs(), z=signs(), c_l=rng.random(n),
+        reg_l=float(rng.uniform(0.1, 2.0)),
+        learner_loss=LossKind.LOGISTIC if learner_logistic else LossKind.QUADRATIC,
+        adversary_loss=LossKind.LOGISTIC if adversary_logistic else LossKind.QUADRATIC,
+    )
+    lead = () if stack is None else (K if stack == "K" else stack,)
+    Xbar = 3.0 * rng.normal(size=lead + (n, m))
+    c_d = rng.random(lead + (n,)) * (rng.random(lead + (n,)) < 0.8)  # with zero weights
+    w = rng.normal(size=m) * (rng.random(m) < 0.8)  # and zero entries: products of +-0.0
+    margins = Xbar @ w
+    out, scratch = (np.full_like(Xbar, np.nan) for _ in range(2)) if buffers else (None, None)
+    learner = _grad_learner_w(w, Xbar, margins, spec)
+    adversary = _grad_adversary_X(w, Xbar, margins, c_d, spec, out, scratch)
+    assert np.array_equal(learner, reference_grad_learner_w(w, Xbar, margins, spec))
+    assert np.array_equal(adversary, reference_grad_adversary_X(w, Xbar, margins, c_d, spec))
+    assert out is None or adversary is out
+
+
+def test_stacked_map_of_a_fortran_ordered_profile():
+    # the generator kernel writes through a (rows, m) view of its output, which
+    # must be C-ordered whatever the input's order; the products of the other
+    # layout may round differently
+    spec, prior = GAMES["fixture"]
+    profile = random_profile(np.random.default_rng(9), spec, prior.num_atoms, scale=3.0)
+    fortran = StrategyProfile(w=profile.w, sigma=np.asfortranarray(profile.sigma))
+    for got, expected in zip(stacked_map(fortran, prior, spec), stacked_map(profile, prior, spec)):
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("name", sorted(GAMES))

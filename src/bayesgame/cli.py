@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .experiments import _PRESET_SIZES, BenchmarkConfig, load_spambase, run_benc
 from .game import FinitePrior, _check_count, discretize_prior
 from .serialize import (
     ConfigError,
+    _built,
     _typed,
     config_from_jsonable,
     game_from_jsonable,
@@ -115,7 +117,13 @@ def cmd_solve(args) -> int:
 
     # looked up per call, so that a rebound module name is the one that runs
     run = {"prg-ie": prg_ie, "pg-rbc": pg_rbc, "extragradient": extragradient}[algo]
-    trace = run(spec, prior, solver)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = run(spec, prior, solver)
+        finally:  # a failed run's warnings come before its error line
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
     # a failed run or a non-finite profile raises before anything is written
     profile = json.dumps(profile_to_jsonable(trace.final_profile), indent=2, allow_nan=False)
     out_dir = Path(args.out)
@@ -136,8 +144,8 @@ def cmd_probe(args) -> int:
     diag = assumption_probe(spec, prior, trials=probe.trials, seed=probe.seed)
 
     payload = asdict(diag)
-    warnings = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
-    payload["warnings"] = warnings
+    messages = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
+    payload["warnings"] = messages
     payload["config_sha256"] = config_hash
     payload["version"] = __version__
     text = json.dumps(payload, indent=2, allow_nan=False)
@@ -145,12 +153,13 @@ def cmd_probe(args) -> int:
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n")
-    for message in warnings:
+    for message in messages:
         print(f"warning: {message}", file=sys.stderr)
     return 0
 
 
 def cmd_benchmark(args) -> int:
+    _built(_check_count, {"value": args.workers, "name": "workers"}, "")  # before any work
     doc, config_hash = _load_json(args.config)
     dataset_path = doc.pop("dataset", None)  # the one key with no BenchmarkConfig field
     config = config_from_jsonable(BenchmarkConfig, doc, "")

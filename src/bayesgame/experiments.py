@@ -392,17 +392,20 @@ def _run_cell(args) -> list[ResultRow]:
 def run_benchmark(config: BenchmarkConfig, data: Dataset, workers: int = 1) -> BenchmarkResult:
     """Full sweep over priors, repetitions, methods and hyperparameter grids.
 
-    Cells are independent and may run in a process pool; results are gathered
-    in a deterministic order.  Per (method, prior), the grid configuration
-    with the best mean RMSE across repetitions is selected for the report: a
-    configuration with a failed repetition scores inf, and ties go to the
-    first label in sorted order.
+    Cells are independent and may run in a pool of up to ``workers`` processes,
+    never more than one per cell; results are gathered in a deterministic
+    order.  Per (method, prior), the grid configuration with the best mean
+    RMSE across repetitions is selected for the report: a configuration with
+    a failed repetition scores inf, and ties go to the first label in sorted
+    order.
     """
+    _check_count(workers, "workers")
     cells = [
         (data, config, prior_idx, rep)
         for prior_idx in range(len(config.prior_grid))
         for rep in range(config.repetitions)
     ]
+    workers = min(workers, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here: it costs every run ~2 MB
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -68,13 +68,20 @@ def _project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
     Callers pass a temporary or a buffer they own: ``point`` is scaled only
     when it lies outside the ball.
     """
-    if not action_set.bounded:
-        return point
-    flat = point.ravel(order="K")
+    radius = action_set.radius  # None exactly when the set is unconstrained
+    return point if radius is None else _into_ball(point, point.ravel(order="K"), radius)
+
+
+def _into_ball(point: np.ndarray, flat: np.ndarray, radius: float) -> np.ndarray:
+    """Scale ``point`` into the centered ball of ``radius`` in place; returns ``point``.
+
+    ``flat`` holds the entries of ``point`` in one dimension, as a view or a
+    copy; the solver loops pass a flat view built once, so that a projection
+    is one norm.  A NaN norm scales ``point`` to NaN.
+    """
     norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
-    if norm <= action_set.radius:
-        return point
-    point *= action_set.radius / norm
+    if not norm <= radius:
+        point *= radius / norm
     return point
 
 
@@ -248,20 +255,7 @@ def adversary_cost(
 def grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Analytic gradient of ``learner_cost`` in ``w``."""
     w, Xbar = _check_w(w, spec), _check_xbar(Xbar, spec)
-    return _grad_learner_w(w, Xbar, Xbar @ w, spec)
-
-
-def _grad_learner_w(w, Xbar, margins, spec: GameSpec) -> np.ndarray:
-    """``grad_learner_w`` at each matrix of ``Xbar`` (shape (..., n, m)), unchecked.
-
-    ``margins`` is ``Xbar @ w``.  Returns shape (..., m).
-    """
-    coef = _loss_slope(spec.learner_loss, margins, spec.y)
-    coef *= spec.c_l
-    # ndarray.dot on one block; on a stack .dot sums in another order than matmul
-    row = coef.dot(Xbar) if Xbar.ndim == 2 else (coef[..., None, :] @ Xbar)[..., 0, :]
-    row += 2.0 * spec.reg_l * w
-    return row
+    return _gradients_at(w, Xbar, np.zeros(spec.n), spec)[0]
 
 
 def grad_adversary_X(
@@ -269,31 +263,91 @@ def grad_adversary_X(
 ) -> np.ndarray:
     """Analytic gradient of ``adversary_cost`` in ``Xbar`` (n-by-m)."""
     w, Xbar, c_d = _check_w(w, spec), _check_xbar(Xbar, spec), _check_cd(c_d, spec.n)
-    return _grad_adversary_X(w, Xbar, Xbar @ w, c_d, spec)
+    return _gradients_at(w, Xbar, c_d, spec)[1]
 
 
-def _grad_adversary_X(w, Xbar, margins, c_d, spec: GameSpec, out=None, scratch=None):
-    """``grad_adversary_X`` at each matrix of ``Xbar`` (shape (..., n, m)), unchecked.
+def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' gradients at one checked matrix ``Xbar`` against weights ``c_d``,
+    in new arrays."""
+    state = _OperatorState.build(spec, c_d[None, :])
+    row, out = np.empty(spec.m), np.empty(Xbar.shape)
+    _gradients(state, w, Xbar, state.weights[0], np.empty((2, spec.n)), row, out,
+               np.empty(Xbar.shape))
+    return row, out
 
-    ``margins`` is ``Xbar @ w`` and ``c_d`` has shape (..., n), one row per matrix.
-    The gradient is written into ``out`` and ``scratch`` is overwritten, both
-    of ``Xbar``'s shape and allocated when not given; neither may alias ``Xbar``,
-    and ``out`` must be C-contiguous.
+
+@dataclass(frozen=True, slots=True)
+class _OperatorState:
+    """What the operator kernels reuse across one solve of a game on K atoms.
+
+    A quadratic player's loss slope is ``2 (x.w - t)``; its 2 is folded into
+    the weights, which is exact: ``(x.w - t) (2 c)`` rounds as ``((x.w - t) 2) c``
+    does, since doubling a float changes only its exponent.  Atom k's weights
+    ``weights[k]`` are one contiguous (2, n) array, laid out as a block's
+    slopes are.
     """
-    if out is None:
-        out = np.empty(Xbar.shape)
-    if scratch is None:
-        scratch = np.empty_like(Xbar)
-    coef = _loss_slope(spec.adversary_loss, margins, spec.z)
-    coef *= c_d
-    # the rank-one term coef_i w_j of every row as one (rows, 1) x (1, m) BLAS
+
+    X: np.ndarray
+    targets: np.ndarray  # (2, n): the learner's y over the generator's z
+    weights: np.ndarray  # (K, 2, n): c_l over each atom's c_d, doubled for a quadratic loss
+    logistic: tuple[int, ...]  # the players, 0 learner and 1 generator, with a logistic loss
+    two_reg: float  # 2 reg_l
+    radii: tuple  # the learner's and the generator's radius, None when unconstrained
+
+    @classmethod
+    def build(cls, spec: GameSpec, atoms: np.ndarray) -> "_OperatorState":
+        """The state for ``spec`` at the (K, n) weight vectors ``atoms``."""
+        losses = (spec.learner_loss, spec.adversary_loss)
+        weights = np.empty((len(atoms), 2, spec.n))
+        weights[:, 0], weights[:, 1] = spec.c_l, atoms
+        for player, loss in enumerate(losses):
+            if loss is LossKind.QUADRATIC:
+                weights[:, player] *= 2.0
+        return cls(spec.X, np.stack([spec.y, spec.z]), weights,
+                   tuple(p for p, loss in enumerate(losses) if loss is LossKind.LOGISTIC),
+                   2.0 * spec.reg_l, (spec.learner_set.radius, spec.adversary_set.radius))
+
+    def chunk(self, atoms: slice) -> np.ndarray:
+        """The (2, c, n) slope weights of a chunk of atoms, laid out as its slopes are."""
+        return self.weights[atoms].swapaxes(0, 1)
+
+
+def _slopes(state: _OperatorState, margins, weights, out) -> None:
+    """Both players' weighted loss slopes at ``margins`` (..., n), unchecked: the
+    learner's into ``out[0]`` and the generator's into ``out[1]``, ``out`` and
+    ``weights`` of shape (2, ..., n)."""
+    targets = state.targets if margins.ndim == 1 else state.targets[:, None, :]
+    np.subtract(margins, targets, out=out)  # a quadratic slope, less its 2
+    for player in state.logistic:
+        _loss_slope(LossKind.LOGISTIC, margins, targets[player], out=out[player])
+    out *= weights
+
+
+def _gradients(state: _OperatorState, w, Xbar, weights, coef, row, out, scratch) -> None:
+    """Both players' gradients at one matrix ``Xbar`` (n, m) or each of a stack
+    (c, n, m), unchecked.
+
+    ``weights`` (2, ..., n) are the slope weights of the matrices, from
+    ``state.weights``.  The learner's gradient goes into ``row`` ((m,) or
+    (c, m)) and the generator's into ``out`` (``Xbar``'s shape, C-contiguous);
+    ``coef`` (2, ..., n) takes the weighted slopes and ``scratch``
+    (``Xbar``'s shape) is overwritten.  No buffer may alias ``Xbar``.
+    """
+    # the rank-one term coef_i w_j of every row is one (rows, 1) x (1, m) BLAS
     # product: each entry is the one product, as a broadcast multiply gives it
     # (+0.0 where that gives -0.0), without the broadcast's inner-loop call per row
-    coef.reshape(-1, 1).dot(w[None, :], out=out.reshape(-1, w.size))
-    np.subtract(Xbar, spec.X, out=scratch)
+    if Xbar.ndim == 2:
+        _slopes(state, Xbar.dot(w), weights, coef)
+        coef[0].dot(Xbar, out=row)
+        coef[1, :, None].dot(w[None, :], out=out)
+    else:  # on a stack ndarray.dot sums in another order than matmul
+        _slopes(state, Xbar @ w, weights, coef)
+        np.matmul(coef[0][:, None, :], Xbar, out=row[:, None, :])
+        coef[1].reshape(-1, 1).dot(w[None, :], out=out.reshape(-1, w.size))
+    row += state.two_reg * w
+    np.subtract(Xbar, state.X, out=scratch)
     scratch *= 2.0
     out += scratch
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -36,10 +36,11 @@ from .game import (
     FinitePrior,
     GameSpec,
     StrategyProfile,
-    _grad_adversary_X,
     _check_count,
     _check_real,
-    _grad_learner_w,
+    _gradients,
+    _into_ball,
+    _OperatorState,
     _project,
     grad_adversary_X,  # noqa: F401 - perfbench's traced run rebinds these names here
     grad_learner_w,  # noqa: F401
@@ -136,16 +137,25 @@ class AssumptionDiagnostics:
 # --------------------------------------------------------------------------
 
 
-def _check_profile(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> None:
+def _check_profile(profile: StrategyProfile, prior: FinitePrior, n: int, m: int,
+                   name: str = "profile") -> None:
+    """Reject a ``name`` profile that is not one of K (n, m) blocks and a (m,) learner,
+    or a prior whose atoms are not of dimension n."""
     K = prior.num_atoms
-    if profile.sigma.shape != (K, spec.n, spec.m):
-        raise ValueError(
-            f"profile sigma has shape {profile.sigma.shape}, "
-            f"expected ({K}, {spec.n}, {spec.m})"
-        )
-    if profile.w.shape != (spec.m,):
-        raise ValueError(f"profile w has shape {profile.w.shape}, expected ({spec.m},)")
-    prior._check_dimension(spec.n)
+    if profile.sigma.shape != (K, n, m):
+        raise ValueError(f"{name} sigma has shape {profile.sigma.shape}, expected ({K}, {n}, {m})")
+    if profile.w.shape != (m,):
+        raise ValueError(f"{name} w has shape {profile.w.shape}, expected ({m},)")
+    prior._check_dimension(n)
+
+
+def _check_start(spec: GameSpec, prior: FinitePrior, reference) -> StrategyProfile:
+    """A solver's origin start, after checking the prior and ``reference`` against the game."""
+    init = origin_profile(spec, prior.num_atoms)
+    _check_profile(init, prior, spec.n, spec.m)
+    if reference is not None:
+        _check_profile(reference, prior, spec.n, spec.m, "reference")
+    return init
 
 
 # Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
@@ -173,20 +183,13 @@ def stacked_map(
     Returns the probability-weighted learner gradient (shape (m,)) and the
     unweighted generator block for each atom (shape (K, n, m)).
     """
-    _check_profile(profile, prior, spec)
+    _check_profile(profile, prior, spec.n, spec.m)
     w, sigma = profile.w, profile.sigma
+    state = _OperatorState.build(spec, prior.atoms)
     rows, out = np.empty((prior.num_atoms, spec.m)), np.empty(sigma.shape)  # C order
-    _chunk_map(w, sigma, prior.atoms, spec, rows, out, None)
+    coef = np.empty((2,) + sigma.shape[:2])
+    _gradients(state, w, sigma, state.chunk(slice(None)), coef, rows, out, np.empty(sigma.shape))
     return prior.probs @ rows, out
-
-
-def _chunk_map(w, sigma, atoms, spec: GameSpec, rows, out, scratch) -> None:
-    """The operator at a chunk of atoms, unchecked: each atom's learner gradient into
-    ``rows`` (c, m), later weighted by ``probs @ rows``, and its generator block
-    into ``out`` (c, n, m); ``scratch`` as in ``game._grad_adversary_X``."""
-    margins = sigma @ w  # (c, n)
-    rows[...] = _grad_learner_w(w, sigma, margins, spec)
-    _grad_adversary_X(w, sigma, margins, atoms, spec, out, scratch)
 
 
 def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> float:
@@ -196,23 +199,39 @@ def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: Gam
     sets this is the squared operator norm.  The operator is evaluated one
     chunk of atoms at a time, so no sigma-sized array is allocated.
     """
-    _check_profile(profile, prior, spec)
+    _check_profile(profile, prior, spec.n, spec.m)
     w, sigma = profile.w, profile.sigma
+    state = _OperatorState.build(spec, prior.atoms)
     chunks, out, scratch = _chunks(sigma, 2)
+    coef = np.empty((2,) + scratch.shape[:2])
     rows = np.empty((prior.num_atoms, spec.m))
     block_sums: list[float] = []
     for s, c in chunks:
-        _chunk_map(w, sigma[s], prior.atoms[s], spec, rows[s], out[:c], scratch[:c])
-        _block_residuals(sigma[s], out[:c], scratch[:c], spec.adversary_set, block_sums)
+        _gradients(state, w, sigma[s], state.chunk(s), coef[:, :c], rows[s], out[:c],
+                   scratch[:c])
+        _block_residuals(sigma[s], out[:c], scratch[:c], state.radii[1], block_sums)
     return _natural_residual(w, prior.probs @ rows, block_sums, spec)
 
 
-def _block_residuals(sigma, t_sig, buf, action_set, block_sums: list) -> None:
+def _flat_blocks(stack) -> list:
+    """Flat views of the (n, m) blocks of a C-contiguous stack, for ``_into_ball``."""
+    return list(stack.reshape(len(stack), -1))
+
+
+def _project_blocks(flats, radius) -> None:
+    """Project each block, given as a flat view, onto the ball of ``radius`` (None: no
+    bound) in place; unchecked."""
+    if radius is not None:
+        for flat in flats:
+            _into_ball(flat, flat, radius)
+
+
+def _block_residuals(sigma, t_sig, buf, radius, block_sums: list) -> None:
     """Append each ``|sigma_k - project(sigma_k - t_sig_k)|^2``, the blocks' terms of
-    the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape) is overwritten."""
+    the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape, C-contiguous)
+    is overwritten."""
     np.subtract(sigma, t_sig, out=buf)
-    for block in buf:
-        _project(block, action_set)
+    _project_blocks(buf.reshape(len(buf), -1), radius)
     np.subtract(sigma, buf, out=buf)
     np.square(buf, out=buf)
     block_sums.extend(float(np.sum(block)) for block in buf)
@@ -228,12 +247,12 @@ def _natural_residual(w, t_w, block_sums, spec: GameSpec) -> float:
     return total
 
 
-def _projected_step(sigma, t_sig, gamma, action_set, out):
-    """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``out``."""
+def _projected_step(sigma, t_sig, gamma, radius, out, flats):
+    """Blockwise ``project(sigma[k] - gamma * t_sig[k])``, written into ``out``, whose
+    blocks ``flats`` views flat."""
     np.multiply(gamma, t_sig, out=out)
     np.subtract(sigma, out, out=out)
-    for block in out:
-        _project(block, action_set)  # scales the block in place if outside the ball
+    _project_blocks(flats, radius)
     return out
 
 
@@ -241,8 +260,9 @@ def epsilon_distance(
     profile: StrategyProfile, reference: StrategyProfile, prior: FinitePrior
 ) -> float:
     """Squared equilibrium-approximation distance under the prior weights."""
-    if profile.num_atoms != reference.num_atoms or profile.num_atoms != prior.num_atoms:
-        raise ValueError("profiles and prior must share the same atom count")
+    n, m = profile.sigma.shape[1:]
+    _check_profile(profile, prior, n, m)
+    _check_profile(reference, prior, n, m, "reference")
     dw = profile.w - reference.w
     dsig = profile.sigma - reference.sigma
     return float(dw @ dw + prior.probs @ np.sum(dsig * dsig, axis=(1, 2)))
@@ -293,8 +313,10 @@ def assumption_probe(
     # inner products are formed chunk by chunk into per-atom sums
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
+    state = _OperatorState.build(spec, prior.atoms)
     chunks, scratch = _chunks(sigma[0], 1)
     t_sig = np.empty((2,) + scratch.shape)
+    coef = np.empty((2,) + scratch.shape[:2])
     rows = np.empty((2, K, spec.m))
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
@@ -310,8 +332,8 @@ def assumption_probe(
             _draw_feasible_profile(rng, spec, w[i], sigma[i])
         for s, c in chunks:
             for i in (0, 1):
-                _chunk_map(w[i], sigma[i, s], prior.atoms[s], spec, rows[i, s], t_sig[i, :c],
-                           scratch[:c])
+                _gradients(state, w[i], sigma[i, s], state.chunk(s), coef[:, :c],
+                           rows[i, s], t_sig[i, :c], scratch[:c])
                 block_dots(t_sig[i, :c], t_sig[i, :c], sq_norms[i, s])
             dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
             dtsig = np.subtract(t_sig[0, :c], t_sig[1, :c], out=t_sig[0, :c])
@@ -398,12 +420,15 @@ def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> Solve
     """
     start = time.perf_counter()
     records: list[TraceRecord] = []
-    for t, (w, sigma, *known) in enumerate(iterates, start=1):
-        if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
-            profile = StrategyProfile(w=w, sigma=sigma)
-            residual = _trace_point(records, t, profile, prior, spec, reference, start, *known)
-            if config.tol > 0 and residual <= config.tol:
-                return SolverTrace(records, profile, converged=True)
+    # an overflow or NaN shows as a non-finite residual, which the trace point
+    # reports as divergence; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, (w, sigma, *known) in enumerate(iterates, start=1):
+            if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
+                profile = StrategyProfile(w=w, sigma=sigma)
+                residual = _trace_point(records, t, profile, prior, spec, reference, start, *known)
+                if config.tol > 0 and residual <= config.tol:
+                    return SolverTrace(records, profile, converged=True)
     return SolverTrace(records, StrategyProfile(w=w, sigma=sigma), converged=False)
 
 
@@ -426,14 +451,15 @@ def prg_ie(
     """
     if not (spec.learner_set.bounded and spec.adversary_set.bounded):
         raise ConfigError("prg_ie requires bounded l2_ball action sets for both players")
-    init = origin_profile(spec, prior.num_atoms)
-    _check_profile(init, prior, spec)
+    init = _check_start(spec, prior, reference)
     for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
         warnings.warn(message, stacklevel=2)
     return _traced_run(_prg_ie_iterates(init, prior, spec, config), config, prior, spec, reference)
 
 
 def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
+    state = _OperatorState.build(spec, prior.atoms)
+    w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
     w_til_prev, w_til = init.w.copy(), init.w.copy()
     # sigma is kept in three stacks, one per iterate; each chunk's reflected
@@ -441,24 +467,28 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # is written over the previous one once the reflected point has read it
     til_a, til_b = init.sigma.copy(), init.sigma.copy()
     chunks, sig_ref, scratch = _chunks(sig_cur, 2)
+    coef = np.empty((2,) + scratch.shape[:2])
     rows = np.empty((prior.num_atoms, spec.m))
-    # per chunk: current, tilde, previous tilde, atoms, learner rows, reflected point, scratch
-    views = [(sig_cur[s], til_a[s], til_b[s], prior.atoms[s], rows[s], sig_ref[:c], scratch[:c])
-             for s, c in chunks]
+    # per chunk: current, tilde, previous tilde and its flat blocks, slope
+    # weights, learner rows, reflected point, scratch and slopes
+    views = [(sig_cur[s], til_a[s], til_b[s], _flat_blocks(til_b[s]), state.chunk(s),
+              rows[s], sig_ref[:c], scratch[:c], coef[:, :c]) for s, c in chunks]
     # the tilde stacks swap roles every iteration
-    swapped = [(cur, prev, til, *rest) for cur, til, prev, *rest in views]
+    swapped = [(cur, prev, til, _flat_blocks(til), *rest)
+               for cur, til, prev, _, *rest in views]
     gamma, probs = config.gamma, prior.probs
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
-        for cur, til, til_prev, atoms, rows_c, ref, scr in views:
+        for cur, til, til_prev, flats, weights, rows_c, ref, scr, coef_c in views:
             np.multiply(2.0, til, out=ref)
             ref -= til_prev
-            _chunk_map(w_ref, ref, atoms, spec, rows_c, til_prev, scr)
-            _projected_step(cur, til_prev, gamma, spec.adversary_set, til_prev)  # new tilde
+            _gradients(state, w_ref, ref, weights, coef_c, rows_c, til_prev, scr)
+            _projected_step(cur, til_prev, gamma, sig_radius, til_prev, flats)  # new tilde
             cur *= delta / 2.0
             cur += np.multiply(1.0 - delta, til_prev, out=scr)
-        w_til_next = _project(w_cur - gamma * (probs @ rows), spec.learner_set)
+        w_til_next = w_cur - gamma * (probs @ rows)
+        _into_ball(w_til_next, w_til_next, w_radius)
         w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
         w_til_prev, w_til = w_til, w_til_next
         views, swapped = swapped, views
@@ -479,8 +509,7 @@ def pg_rbc(
     ``step_warnings`` checks the initial step against
     ``config.strong_monotonicity``, and each message it returns is warned.
     """
-    init = origin_profile(spec, prior.num_atoms)
-    _check_profile(init, prior, spec)
+    init = _check_start(spec, prior, reference)
     for message in step_warnings(config.gamma, strong_monotonicity=config.strong_monotonicity):
         warnings.warn(message, stacklevel=2)
     return _traced_run(_pg_rbc_iterates(init, prior, spec, config), config, prior, spec, reference)
@@ -491,22 +520,28 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # Python ints: indexing a stack by one is cheaper than by a numpy integer
     indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs).tolist()
 
+    state = _OperatorState.build(spec, prior.atoms)
+    w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
-    atoms, w_set, sig_set = prior.atoms, spec.learner_set, spec.adversary_set
-    step, scratch = np.empty_like(sig_cur[0]), np.empty_like(sig_cur[0])  # block-sized
+    # per atom: its block of sig_cur, the block's flat view and its slope weights
+    blocks, flats, weights = list(sig_cur), _flat_blocks(sig_cur), list(state.weights)
+    # w_next takes each step's learner, then swaps with w_cur; the rest are block-sized
+    w_next, coef = np.empty_like(w_cur), np.empty((2, spec.n))
+    step, scratch = np.empty_like(sig_cur[0]), np.empty_like(sig_cur[0])
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
-        sig_j = sig_cur[j]
-        margins = sig_j.dot(w_cur)  # the block's products by ndarray.dot, as @ gives them
-        w_next = _grad_learner_w(w_cur, sig_j, margins, spec)  # a new array, stepped in place
+        sig_j = blocks[j]
+        _gradients(state, w_cur, sig_j, weights[j], coef, w_next, step, scratch)
         w_next *= gamma_t
-        _project(np.subtract(w_cur, w_next, out=w_next), w_set)
-        _grad_adversary_X(w_cur, sig_j, margins, atoms[j], spec, step, scratch)
+        np.subtract(w_cur, w_next, out=w_next)
+        if w_radius is not None:
+            _into_ball(w_next, w_next, w_radius)
         step *= gamma_t
         sig_j -= step
-        _project(sig_j, sig_set)  # block j of sig_cur, updated in place
-        w_cur = w_next
+        if sig_radius is not None:
+            _into_ball(sig_j, flats[j], sig_radius)  # block j of sig_cur, in place
+        w_cur, w_next = w_next, w_cur
         yield w_cur, sig_cur
 
 
@@ -518,14 +553,16 @@ def extragradient(
 ) -> SolverTrace:
     """Extragradient from the origin with ``_extragradient_iterates``' backtracking
     step, ``config.gamma`` its first trial; no Lipschitz constant is needed."""
-    init = origin_profile(spec, prior.num_atoms)
-    _check_profile(init, prior, spec)
+    init = _check_start(spec, prior, reference)
+    state = _OperatorState.build(spec, prior.atoms)
     chunks, scratch = _chunks(init.sigma, 1)
+    coef = np.empty((2,) + scratch.shape[:2])
     rows = np.empty((prior.num_atoms, spec.m))
 
     def map_fn(w, sigma, out):
         for s, c in chunks:
-            _chunk_map(w, sigma[s], prior.atoms[s], spec, rows[s], out[s], scratch[:c])
+            _gradients(state, w, sigma[s], state.chunk(s), coef[:, :c], rows[s], out[s],
+                       scratch[:c])
         return prior.probs @ rows
 
     iterates = _extragradient_iterates(map_fn, init, spec, config.gamma, config.max_iters)
@@ -545,12 +582,14 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
     w, sigma = x0.w, x0.sigma
     t_sig, half, t_half = (np.empty_like(sigma) for _ in range(3))
     chunks, buf = _chunks(sigma, 1)
-    w_set, sig_set = spec.learner_set, spec.adversary_set
+    w_set, sig_radius = spec.learner_set, spec.adversary_set.radius
+    half_flats = _flat_blocks(half)
     t_w = map_fn(w, sigma, t_sig)
     for t in range(1, max_iters + 1):
         for _ in range(61):  # the first trial and 60 halvings
             w_half = _project(w - gamma * t_w, w_set)
-            t_w_half = map_fn(w_half, _projected_step(sigma, t_sig, gamma, sig_set, half), t_half)
+            _projected_step(sigma, t_sig, gamma, sig_radius, half, half_flats)
+            t_w_half = map_fn(w_half, half, t_half)
             moved = _squared_distance(w, w_half, sigma, half, chunks, buf)
             change = _squared_distance(t_w, t_w_half, t_sig, t_half, chunks, buf)
             if gamma * math.sqrt(change) <= 0.9 * math.sqrt(moved):
@@ -561,11 +600,12 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
                               f"squared distances {change:.6e} (map), {moved:.6e} (iterate)")
         w = _project(w - gamma * t_w_half, w_set)
         # the new x is written over the map at y; the old x's array takes the next one
-        sigma, t_half = _projected_step(sigma, t_half, gamma, sig_set, t_half), sigma
+        sigma, t_half = _projected_step(sigma, t_half, gamma, sig_radius, t_half,
+                                        t_half.reshape(len(t_half), -1)), sigma
         t_w = map_fn(w, sigma, t_sig)
         block_sums: list[float] = []
         for s, c in chunks:
-            _block_residuals(sigma[s], t_sig[s], buf[:c], sig_set, block_sums)
+            _block_residuals(sigma[s], t_sig[s], buf[:c], sig_radius, block_sums)
         if moved > 0:
             gamma *= 1.5
         yield w, sigma, _natural_residual(w, t_w, block_sums, spec)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from dataclasses import fields, is_dataclass, replace
 
@@ -45,6 +46,7 @@ from bayesgame.solvers import (
     assumption_probe,
     pg_rbc,
     prg_ie,
+    step_warnings,
 )
 
 
@@ -377,14 +379,19 @@ class TestSolve:
             b / "trace.csv"
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_2_without_profile(self, tmp_path, capsys):
         cfg = tmp_path / "game.json"
         write_solve_config(cfg, bounded=False,
                            solver={"max_iters": 500, "gamma": 50.0, "seed": 3, "trace_every": 100})
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "last finite residual" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an escaped numpy warning fails the run
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        # stderr is the solver's one warning, then the error: no numpy warnings
+        (warning,) = step_warnings(50.0)
+        assert re.fullmatch(rf"warning: {re.escape(warning)}\n"
+                            r"error: diverged at t=\d+: residual (inf|nan), "
+                            r"last finite residual \d[^\n]*\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_non_finite_profile_is_not_written(self, tmp_path, monkeypatch, capsys):
@@ -659,6 +666,15 @@ class TestBenchmarkCommand:
         del doc["dataset"]
         cfg.write_text(json.dumps(doc))
         assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path, self.write_dataset(tmp_path))
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out),
+                     "--workers", workers]) == 1
+        assert capsys.readouterr().err == "configuration error: workers: must be >= 1\n"
+        assert not out.exists()
 
     def test_workers_flag(self, tmp_path):
         dataset = self.write_dataset(tmp_path)

@@ -388,6 +388,42 @@ class TestBenchmark:
             (r.method, r.repetition, r.rmse) for r in parallel.rows
         ]
 
+    def test_pool_starts_at_most_one_process_per_cell(self, rng, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:  # runs the cells here, recording the pool size asked for
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        features, labels = synthetic_dataset(rng)
+        data = Dataset(features, labels)
+        config = self.make_config(repetitions=3)  # three cells
+        serial = run_benchmark(config, data)
+        for workers in (2, 3, 64):
+            rows = run_benchmark(config, data, workers=workers).rows
+            assert [(r.method, r.repetition, r.rmse) for r in rows] == [
+                (r.method, r.repetition, r.rmse) for r in serial.rows
+            ]
+        assert sizes == [2, 3, 3]
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_workers_must_be_a_positive_count(self, rng, workers):
+        features, labels = synthetic_dataset(rng)
+        with pytest.raises(ValueError, match="workers must be"):
+            run_benchmark(self.make_config(), Dataset(features, labels), workers=workers)
+
     def test_cell_failure_recorded_not_fatal(self, rng, monkeypatch):
         def failing_bayes_fp(*args, **kwargs):
             raise ValueError("bayes_fp failed")

@@ -17,9 +17,9 @@ from bayesgame.game import (
     GaussianPrior,
     LossKind,
     StrategyProfile,
-    _grad_adversary_X,
-    _grad_learner_w,
+    _gradients,
     _loss_slope,
+    _OperatorState,
     discretize_prior,
     grad_adversary_X,
     grad_learner_w,
@@ -151,7 +151,8 @@ class TestResidualAndDistance:
         prior = random_finite_prior(rng, 3, 2)
         a = StrategyProfile(w=np.zeros(2), sigma=np.zeros((2, 3, 2)))
         b = StrategyProfile(w=np.zeros(2), sigma=np.zeros((3, 3, 2)))
-        with pytest.raises(ValueError, match="atom count"):
+        with pytest.raises(ValueError, match=r"reference sigma has shape \(3, 3, 2\), "
+                                             r"expected \(2, 3, 2\)"):
             epsilon_distance(a, b, prior)
 
 
@@ -583,10 +584,14 @@ def with_balls(spec, learner_radius, adversary_radius):
 
 
 def equivalence_games():
+    # every branch of the slope kernel: both losses quadratic, both logistic,
+    # and each mixed pair; and one game of the desk's shape
     fixture = monotone_ball_game()
     ball, free, single = single_atom_game()
     logistic = random_logistic_game(np.random.default_rng(5), 8, 4)
     logistic_prior = random_finite_prior(np.random.default_rng(6), 8, 3)
+    mixed = random_logistic_game(np.random.default_rng(12), 8, 4, adversary_logistic=False)
+    mixed_prior = random_finite_prior(np.random.default_rng(13), 8, 3)
     return {
         "fixture": fixture,
         "fixture-tight-balls": (with_balls(fixture[0], 0.05, 0.1), fixture[1]),
@@ -594,6 +599,11 @@ def equivalence_games():
         "k1-free": (free, single),
         "logistic-ball": (with_balls(logistic, 1.0, 2.0), logistic_prior),
         "logistic-free": (logistic, logistic_prior),
+        "logistic-learner": (with_balls(mixed, 1.0, 2.0), mixed_prior),
+        "logistic-generator": (dataclasses.replace(
+            with_balls(mixed, 1.0, 2.0), learner_loss=LossKind.QUADRATIC,
+            adversary_loss=LossKind.LOGISTIC), mixed_prior),
+        "desk": desk_shaped_game(K=3),
     }
 
 
@@ -715,17 +725,32 @@ def reference_grad_adversary_X(w, Xbar, margins, c_d, spec):
     return coef[..., None] * w + 2.0 * (Xbar - spec.X)
 
 
+def kernel_gradients(w, Xbar, c_d, spec):
+    """``_gradients`` at one matrix ``Xbar`` (with ``c_d`` (n,)) or a stack (with one
+    row of ``c_d`` per matrix), into NaN-filled buffers: the slopes, the learner's
+    gradient and the generator's."""
+    state = _OperatorState.build(spec, c_d.reshape(-1, spec.n))
+    lead = Xbar.shape[:-2]
+    weights = state.chunk(slice(None)) if lead else state.weights[0]
+    coef = np.full((2,) + lead + (spec.n,), np.nan)
+    row = np.full(lead + (spec.m,), np.nan)
+    out, scratch = np.full_like(Xbar, np.nan), np.full_like(Xbar, np.nan)
+    _gradients(state, w, Xbar, weights, coef, row, out, scratch)
+    return coef, row, out
+
+
 KERNEL_SHAPES = {"fixture": (10, 5, 4), "desk": (200, 57, 16)}  # n, m, K
 
 
 @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
 @given(seed=st.integers(0, 2**32 - 1), stack=st.sampled_from([None, 1, 2, "K"]),
-       learner_logistic=st.booleans(), adversary_logistic=st.booleans(), buffers=st.booleans())
+       learner_logistic=st.booleans(), adversary_logistic=st.booleans())
 @settings(max_examples=20, deadline=None)
 def test_gradient_kernels_equal_their_first_form(shape, seed, stack, learner_logistic,
-                                                 adversary_logistic, buffers):
-    # on one block (stack None) and on stacks of 1, 2 and K blocks, into the
-    # caller's buffers (filled with NaN) or into the kernel's own
+                                                 adversary_logistic):
+    # on one block (stack None) and on stacks of 1, 2 and K blocks, into
+    # caller's buffers filled with NaN; the slopes carry their weights, and a
+    # quadratic player's factor 2 rides on its weight, which rounds the same
     n, m, K = KERNEL_SHAPES[shape]
     rng = np.random.default_rng(seed)
     signs = lambda: rng.choice([-1.0, 1.0], size=n)  # noqa: E731 - targets for either loss
@@ -740,12 +765,14 @@ def test_gradient_kernels_equal_their_first_form(shape, seed, stack, learner_log
     c_d = rng.random(lead + (n,)) * (rng.random(lead + (n,)) < 0.8)  # with zero weights
     w = rng.normal(size=m) * (rng.random(m) < 0.8)  # and zero entries: products of +-0.0
     margins = Xbar @ w
-    out, scratch = (np.full_like(Xbar, np.nan) for _ in range(2)) if buffers else (None, None)
-    learner = _grad_learner_w(w, Xbar, margins, spec)
-    adversary = _grad_adversary_X(w, Xbar, margins, c_d, spec, out, scratch)
+    coef, learner, adversary = kernel_gradients(w, Xbar, c_d, spec)
+    assert np.array_equal(coef[0], spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y))
+    assert np.array_equal(coef[1], c_d * _loss_slope(spec.adversary_loss, margins, spec.z))
     assert np.array_equal(learner, reference_grad_learner_w(w, Xbar, margins, spec))
     assert np.array_equal(adversary, reference_grad_adversary_X(w, Xbar, margins, c_d, spec))
-    assert out is None or adversary is out
+    if stack is None:  # the public gradients run the same kernel
+        assert np.array_equal(grad_learner_w(w, Xbar, spec), learner)
+        assert np.array_equal(grad_adversary_X(w, Xbar, c_d, spec), adversary)
 
 
 def test_stacked_map_of_a_fortran_ordered_profile():
@@ -766,9 +793,9 @@ def test_batched_kernels_equal_per_atom_gradients(name):
     w, sigma = profile.w, profile.sigma
     learner = np.stack([grad_learner_w(w, s, spec) for s in sigma])
     adversary = np.stack([grad_adversary_X(w, s, a, spec) for s, a in zip(sigma, prior.atoms)])
-    margins = sigma @ w
-    assert np.array_equal(_grad_learner_w(w, sigma, margins, spec), learner)
-    assert np.array_equal(_grad_adversary_X(w, sigma, margins, prior.atoms, spec), adversary)
+    _, rows, blocks = kernel_gradients(w, sigma, prior.atoms, spec)
+    assert np.array_equal(rows, learner)
+    assert np.array_equal(blocks, adversary)
     t_w, t_sig = stacked_map(profile, prior, spec)
     assert np.array_equal(t_w, prior.probs @ learner)
     assert np.array_equal(t_sig, adversary)
@@ -792,6 +819,33 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="atoms"):
             run(spec, wrong_n)
 
+    @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 1e-3), (extragradient, 1.0)],
+                             ids=["pg_rbc", "prg_ie", "extragradient"])
+    @pytest.mark.parametrize("w_shape, sigma_shape, message", [
+        ((5,), (4, 1, 5), r"reference sigma has shape \(4, 1, 5\), expected \(4, 10, 5\)"),
+        ((1,), (4, 10, 5), r"reference w has shape \(1,\), expected \(5,\)"),
+    ], ids=["sigma", "w"])
+    def test_reference_of_wrong_shape(self, solver, gamma, w_shape, sigma_shape, message):
+        spec, prior = monotone_ball_game()
+        reference = StrategyProfile(w=np.zeros(w_shape), sigma=np.zeros(sigma_shape))
+        config = SolverConfig(max_iters=5, gamma=gamma, lipschitz=2.0, strong_monotonicity=2.0)
+        with pytest.raises(ValueError, match=message):
+            solver(spec, prior, config, reference=reference)
+
+    @pytest.mark.parametrize("w_shape, sigma_shape, message", [
+        ((1,), (2, 1, 3), r"reference sigma has shape \(2, 1, 3\), expected \(2, 4, 3\)"),
+        ((1,), (2, 4, 3), r"reference w has shape \(1,\), expected \(3,\)"),
+    ], ids=["sigma", "w"])
+    def test_epsilon_distance_rejects_a_mismatched_reference(self, w_shape, sigma_shape, message):
+        # these shapes broadcast: unchecked, the first returned 15.0
+        prior = FinitePrior(atoms=np.zeros((2, 4)), probs=np.array([0.5, 0.5]))
+        profile = StrategyProfile(w=np.ones(3), sigma=np.ones((2, 4, 3)))
+        reference = StrategyProfile(w=np.zeros(w_shape), sigma=np.zeros(sigma_shape))
+        with pytest.raises(ValueError, match=message):
+            epsilon_distance(profile, reference, prior)
+        with pytest.raises(ValueError, match=r"prior atoms have dimension 5, expected 4"):
+            epsilon_distance(profile, profile, FinitePrior(np.zeros((2, 5)), np.array([0.5, 0.5])))
+
     def test_public_gradients_validate(self):
         spec, prior = monotone_ball_game()
         Xbar = spec.X.copy()
@@ -806,7 +860,6 @@ class TestBoundaryValidation:
 
 
 class TestDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_pg_rbc_divergence_raises(self):
         spec = dataclasses.replace(
             monotone_ball_game()[0],
@@ -816,8 +869,12 @@ class TestDivergence:
         prior = monotone_ball_game()[1]
         config = SolverConfig(max_iters=500, gamma=50.0, seed=3, trace_every=100,
                               strong_monotonicity=2.0)
-        with pytest.raises(SolverError, match=r"t=\d+.*last finite residual \d"):
-            pg_rbc(spec, prior, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverError, match=r"t=\d+.*last finite residual \d"):
+                pg_rbc(spec, prior, config)
+        # the overflow is reported once, as the divergence, not as numpy warnings
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 1e-3)],
                              ids=["pg_rbc", "prg_ie"])

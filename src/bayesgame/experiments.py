@@ -18,8 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .game import (FieldError, GameSpec, Prior, _check_count, _check_real, _check_weight_rows,
-                   _prior_family, sample_prior)
+from .game import (FieldError, GameSpec, Prior, _check_count, _check_real, _check_shape,
+                   _check_weight_rows, _prior_family, sample_prior)
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
@@ -165,8 +165,8 @@ def evaluate(
     The transformation anticipates ``adversary_w`` (defaults to the evaluated
     model itself); predictions always use ``w``.
     """
-    w = np.asarray(w, dtype=float)
-    w_adv = w if adversary_w is None else np.asarray(adversary_w, dtype=float)
+    w = _check_shape(w, test.features.shape[1:], "w")
+    w_adv = w if adversary_w is None else _check_shape(adversary_w, w.shape, "adversary_w")
     draws = np.asarray(draws, dtype=float)
     _check_weight_rows(draws, len(test), "draws")
     z = z_rule.resolve(test.labels)
@@ -298,11 +298,9 @@ def _train_spec(train: Dataset, config: BenchmarkConfig) -> GameSpec:
 def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Minimizer of |Xw - y|^2 + alpha |w|^2 via the normal equations."""
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("X must be a matrix with n, m >= 1")
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    y = _check_shape(y, (X.shape[0],), "y")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite elementwise")
     _check_real(alpha, "alpha", "positive")

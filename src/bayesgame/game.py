@@ -59,29 +59,24 @@ class ActionSet:
 
 def project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
     """Euclidean projection onto the set (Frobenius norm for matrices); a new array."""
-    return _project(np.array(point, dtype=float), action_set)
+    point = np.array(point, dtype=float)
+    return _into_ball(point, point.ravel(order="K"), action_set.radius)
 
 
-def _project(point: np.ndarray, action_set: ActionSet) -> np.ndarray:
-    """``project`` of a float array in place, unchecked; returns ``point``.
+def _into_ball(point: np.ndarray, flat: np.ndarray, radius: float | None) -> np.ndarray:
+    """Project ``point`` onto the centered ball of ``radius``, or onto all of R^d when
+    ``radius`` is None, in place and unchecked; returns ``point``.
 
     Callers pass a temporary or a buffer they own: ``point`` is scaled only
-    when it lies outside the ball.
+    when it lies outside the ball.  ``flat`` holds the entries of ``point`` in
+    one dimension, as a view or a copy; the solver loops pass a flat view
+    built once, so that a projection is one norm.  A NaN norm scales
+    ``point`` to NaN.
     """
-    radius = action_set.radius  # None exactly when the set is unconstrained
-    return point if radius is None else _into_ball(point, point.ravel(order="K"), radius)
-
-
-def _into_ball(point: np.ndarray, flat: np.ndarray, radius: float) -> np.ndarray:
-    """Scale ``point`` into the centered ball of ``radius`` in place; returns ``point``.
-
-    ``flat`` holds the entries of ``point`` in one dimension, as a view or a
-    copy; the solver loops pass a flat view built once, so that a projection
-    is one norm.  A NaN norm scales ``point`` to NaN.
-    """
-    norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
-    if not norm <= radius:
-        point *= radius / norm
+    if radius is not None:
+        norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes, without its dispatch
+        if not norm <= radius:
+            point *= radius / norm
     return point
 
 
@@ -119,6 +114,14 @@ def _check_real(value, name: str, sign: str = "") -> None:
     if (not (real and math.isfinite(value)) or (sign == "positive" and value <= 0)
             or (sign == "nonnegative" and value < 0)):
         raise FieldError(name, f"must be {sign} and finite" if sign else "must be finite")
+
+
+def _check_shape(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float array, or ``FieldError`` if its shape is not ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise FieldError(name, f"has shape {value.shape}, expected {shape}")
+    return value
 
 
 def _check_signs(values: np.ndarray, name: str) -> None:
@@ -178,26 +181,8 @@ class GameSpec:
         return self.X.shape[1]
 
 
-def _check_xbar(Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
-    Xbar = np.asarray(Xbar, dtype=float)
-    if Xbar.shape != spec.X.shape:
-        raise ValueError(
-            f"Xbar has shape {Xbar.shape}, expected {spec.X.shape} (game matrix)"
-        )
-    return Xbar
-
-
-def _check_w(w: np.ndarray, spec: GameSpec) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (spec.m,):
-        raise ValueError(f"w has shape {w.shape}, expected ({spec.m},)")
-    return w
-
-
 def _check_cd(c_d: np.ndarray, n: int) -> np.ndarray:
-    c_d = np.asarray(c_d, dtype=float)
-    if c_d.shape != (n,):
-        raise ValueError(f"c_d has shape {c_d.shape}, expected ({n},)")
+    c_d = _check_shape(c_d, (n,), "c_d")
     _check_weights(c_d, "c_d")
     return c_d
 
@@ -234,8 +219,7 @@ def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray, out=None) ->
 
 def learner_cost(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> float:
     """Weighted empirical loss of the learner plus ridge penalty."""
-    w = _check_w(w, spec)
-    Xbar = _check_xbar(Xbar, spec)
+    w, Xbar = _check_shape(w, (spec.m,), "w"), _check_shape(Xbar, spec.X.shape, "Xbar")
     per_instance = _loss(spec.learner_loss, Xbar @ w, spec.y)
     return float(spec.c_l @ per_instance + spec.reg_l * (w @ w))
 
@@ -244,8 +228,7 @@ def adversary_cost(
     w: np.ndarray, Xbar: np.ndarray, c_d: np.ndarray, spec: GameSpec
 ) -> float:
     """Generator's targeting loss plus the Frobenius perturbation penalty."""
-    w = _check_w(w, spec)
-    Xbar = _check_xbar(Xbar, spec)
+    w, Xbar = _check_shape(w, (spec.m,), "w"), _check_shape(Xbar, spec.X.shape, "Xbar")
     c_d = _check_cd(c_d, spec.n)
     per_instance = _loss(spec.adversary_loss, Xbar @ w, spec.z)
     diff = Xbar - spec.X
@@ -254,7 +237,7 @@ def adversary_cost(
 
 def grad_learner_w(w: np.ndarray, Xbar: np.ndarray, spec: GameSpec) -> np.ndarray:
     """Analytic gradient of ``learner_cost`` in ``w``."""
-    w, Xbar = _check_w(w, spec), _check_xbar(Xbar, spec)
+    w, Xbar = _check_shape(w, (spec.m,), "w"), _check_shape(Xbar, spec.X.shape, "Xbar")
     return _gradients_at(w, Xbar, np.zeros(spec.n), spec)[0]
 
 
@@ -262,8 +245,8 @@ def grad_adversary_X(
     w: np.ndarray, Xbar: np.ndarray, c_d: np.ndarray, spec: GameSpec
 ) -> np.ndarray:
     """Analytic gradient of ``adversary_cost`` in ``Xbar`` (n-by-m)."""
-    w, Xbar, c_d = _check_w(w, spec), _check_xbar(Xbar, spec), _check_cd(c_d, spec.n)
-    return _gradients_at(w, Xbar, c_d, spec)[1]
+    w, Xbar = _check_shape(w, (spec.m,), "w"), _check_shape(Xbar, spec.X.shape, "Xbar")
+    return _gradients_at(w, Xbar, _check_cd(c_d, spec.n), spec)[1]
 
 
 def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -482,6 +465,7 @@ def sample_prior(prior: Prior, n: int, num_samples: int, seed: int) -> np.ndarra
 
     Returns an array of shape (num_samples, n); row s is one draw of c_d.
     """
+    _check_count(n, "n")
     _check_count(num_samples, "num_samples")
     _check_count(seed, "seed", 0)
     return _clamped_draws(prior, np.random.default_rng(seed), n, num_samples)
@@ -497,11 +481,14 @@ def _clamped_draws(prior: Prior, rng: np.random.Generator, n: int,
 def discretize_prior(prior: Prior, n: int, K: int, seed: int) -> FinitePrior:
     """Monte-Carlo instantiation of a prior as K equally weighted atoms.
 
-    A finite prior whose atom count already equals K passes through unchanged.
+    A finite prior whose atom count already equals K passes through unchanged,
+    once its atoms are checked to have dimension n.
     """
+    _check_count(n, "n")
     _check_count(K, "K")
     _check_count(seed, "seed", 0)
     if isinstance(prior, FinitePrior) and prior.num_atoms == K:
+        prior._check_dimension(n)
         return prior
     atoms = sample_prior(prior, n, K, seed)
     return FinitePrior(atoms=atoms, probs=np.full(K, 1.0 / K))

@@ -28,12 +28,12 @@ from .game import (
     _check_cd,
     _check_count,
     _check_real,
-    _check_w,
+    _check_shape,
     _check_weight_rows,
     _clamped_draws,
+    _into_ball,
     _loss,
     _loss_slope,
-    _project,
     prior_mean,
     project,
 )
@@ -67,11 +67,9 @@ def best_response(
     """Generator's optimal unconstrained perturbation of X against w: the rows xbar_i."""
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
-    z = np.asarray(z, dtype=float)
     if X.ndim != 2 or X.shape[1] != w.shape[0]:
         raise ValueError(f"X has shape {X.shape}, incompatible with w of shape {w.shape}")
-    if z.shape != (X.shape[0],):
-        raise ValueError(f"z has shape {z.shape}, expected ({X.shape[0]},)")
+    z = _check_shape(z, (X.shape[0],), "z")
     c_d = _check_cd(c_d, X.shape[0])
     return X - np.outer(_response_coef(X @ w, z, w @ w, c_d), w)
 
@@ -130,7 +128,7 @@ def stochastic_objective(
     Requires the generator's quadratic loss (the reduction's premise); the
     learner's loss may be quadratic or logistic.
     """
-    w, samples = _check_w(w, spec), _check_reduction(spec, c_d_samples)
+    w, samples = _check_shape(w, (spec.m,), "w"), _check_reduction(spec, c_d_samples)
     return _stochastic_objective(w, spec, samples)
 
 
@@ -156,7 +154,7 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
 
         d pred / d w = r_i x_i + 2 a_i e_i r_i^2 w.
     """
-    w, samples = _check_w(w, spec), _check_reduction(spec, batch)
+    w, samples = _check_shape(w, (spec.m,), "w"), _check_reduction(spec, batch)
     state = _GradientState.build(spec, np.empty((2,) + samples.shape))
     return _stochastic_gradient(w, spec, samples, state)
 
@@ -270,7 +268,8 @@ def bayes_adam(
             np.divide(m1, 1.0 - _BETA1**step, out=m1_hat)
             m1_hat *= config.learning_rate
             m1_hat /= m2_hat
-            w = _project(w - m1_hat, spec.learner_set)
+            w = w - m1_hat
+            _into_ball(w, w, spec.learner_set.radius)
         if record_objective:
             trace.append(_stochastic_objective(w, spec, samples))
     return w, trace

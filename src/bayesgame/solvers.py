@@ -38,10 +38,10 @@ from .game import (
     StrategyProfile,
     _check_count,
     _check_real,
+    _check_shape,
     _gradients,
     _into_ball,
     _OperatorState,
-    _project,
     grad_adversary_X,  # noqa: F401 - perfbench's traced run rebinds these names here
     grad_learner_w,  # noqa: F401
     origin_profile,
@@ -141,21 +141,17 @@ def _check_profile(profile: StrategyProfile, prior: FinitePrior, n: int, m: int,
                    name: str = "profile") -> None:
     """Reject a ``name`` profile that is not one of K (n, m) blocks and a (m,) learner,
     or a prior whose atoms are not of dimension n."""
-    K = prior.num_atoms
-    if profile.sigma.shape != (K, n, m):
-        raise ValueError(f"{name} sigma has shape {profile.sigma.shape}, expected ({K}, {n}, {m})")
-    if profile.w.shape != (m,):
-        raise ValueError(f"{name} w has shape {profile.w.shape}, expected ({m},)")
+    _check_shape(profile.sigma, (prior.num_atoms, n, m), f"{name} sigma")
+    _check_shape(profile.w, (m,), f"{name} w")
     prior._check_dimension(n)
 
 
 def _check_start(spec: GameSpec, prior: FinitePrior, reference) -> StrategyProfile:
     """A solver's origin start, after checking the prior and ``reference`` against the game."""
-    init = origin_profile(spec, prior.num_atoms)
-    _check_profile(init, prior, spec.n, spec.m)
+    prior._check_dimension(spec.n)
     if reference is not None:
         _check_profile(reference, prior, spec.n, spec.m, "reference")
-    return init
+    return origin_profile(spec, prior.num_atoms)
 
 
 # Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
@@ -218,20 +214,13 @@ def _flat_blocks(stack) -> list:
     return list(stack.reshape(len(stack), -1))
 
 
-def _project_blocks(flats, radius) -> None:
-    """Project each block, given as a flat view, onto the ball of ``radius`` (None: no
-    bound) in place; unchecked."""
-    if radius is not None:
-        for flat in flats:
-            _into_ball(flat, flat, radius)
-
-
 def _block_residuals(sigma, t_sig, buf, radius, block_sums: list) -> None:
     """Append each ``|sigma_k - project(sigma_k - t_sig_k)|^2``, the blocks' terms of
     the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape, C-contiguous)
     is overwritten."""
     np.subtract(sigma, t_sig, out=buf)
-    _project_blocks(buf.reshape(len(buf), -1), radius)
+    for flat in buf.reshape(len(buf), -1):
+        _into_ball(flat, flat, radius)
     np.subtract(sigma, buf, out=buf)
     np.square(buf, out=buf)
     block_sums.extend(float(np.sum(block)) for block in buf)
@@ -240,7 +229,8 @@ def _block_residuals(sigma, t_sig, buf, radius, block_sums: list) -> None:
 def _natural_residual(w, t_w, block_sums, spec: GameSpec) -> float:
     """Squared natural-map residual at w from the learner map ``t_w`` there
     and the ``_block_residuals`` sums, which are added in atom order."""
-    w_step = _project(w - t_w, spec.learner_set)
+    w_step = w - t_w
+    _into_ball(w_step, w_step, spec.learner_set.radius)
     total = float(np.sum((w - w_step) ** 2))
     for block_sum in block_sums:
         total += block_sum
@@ -252,7 +242,8 @@ def _projected_step(sigma, t_sig, gamma, radius, out, flats):
     blocks ``flats`` views flat."""
     np.multiply(gamma, t_sig, out=out)
     np.subtract(sigma, out, out=out)
-    _project_blocks(flats, radius)
+    for flat in flats:
+        _into_ball(flat, flat, radius)
     return out
 
 
@@ -535,12 +526,10 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
         _gradients(state, w_cur, sig_j, weights[j], coef, w_next, step, scratch)
         w_next *= gamma_t
         np.subtract(w_cur, w_next, out=w_next)
-        if w_radius is not None:
-            _into_ball(w_next, w_next, w_radius)
+        _into_ball(w_next, w_next, w_radius)
         step *= gamma_t
         sig_j -= step
-        if sig_radius is not None:
-            _into_ball(sig_j, flats[j], sig_radius)  # block j of sig_cur, in place
+        _into_ball(sig_j, flats[j], sig_radius)  # block j of sig_cur, in place
         w_cur, w_next = w_next, w_cur
         yield w_cur, sig_cur
 
@@ -582,12 +571,13 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
     w, sigma = x0.w, x0.sigma
     t_sig, half, t_half = (np.empty_like(sigma) for _ in range(3))
     chunks, buf = _chunks(sigma, 1)
-    w_set, sig_radius = spec.learner_set, spec.adversary_set.radius
+    w_radius, sig_radius = spec.learner_set.radius, spec.adversary_set.radius
     half_flats = _flat_blocks(half)
     t_w = map_fn(w, sigma, t_sig)
     for t in range(1, max_iters + 1):
         for _ in range(61):  # the first trial and 60 halvings
-            w_half = _project(w - gamma * t_w, w_set)
+            w_half = w - gamma * t_w
+            _into_ball(w_half, w_half, w_radius)
             _projected_step(sigma, t_sig, gamma, sig_radius, half, half_flats)
             t_w_half = map_fn(w_half, half, t_half)
             moved = _squared_distance(w, w_half, sigma, half, chunks, buf)
@@ -598,7 +588,8 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
         else:
             raise SolverError(f"extragradient found no step at t={t} within 60 halvings: "
                               f"squared distances {change:.6e} (map), {moved:.6e} (iterate)")
-        w = _project(w - gamma * t_w_half, w_set)
+        w = w - gamma * t_w_half
+        _into_ball(w, w, w_radius)
         # the new x is written over the map at y; the old x's array takes the next one
         sigma, t_half = _projected_step(sigma, t_half, gamma, sig_radius, t_half,
                                         t_half.reshape(len(t_half), -1)), sigma

@@ -29,6 +29,7 @@ from bayesgame.experiments import (
     write_dataset_csv,
 )
 from bayesgame.game import (
+    FieldError,
     FinitePrior,
     GameSpec,
     GammaPrior,
@@ -342,6 +343,17 @@ class TestEvaluate:
         features, labels = synthetic_dataset(rng, rows=12)
         with pytest.raises(ValueError, match=match):
             evaluate(np.zeros(57), Dataset(features, labels), ZRule("flip"), draws)
+
+    @pytest.mark.parametrize("w, adversary_w, match", [
+        (np.ones(2), None, r"^w has shape \(2,\), expected \(3,\)$"),
+        (np.ones((3, 1)), None, r"^w has shape \(3, 1\), expected \(3,\)$"),
+        (np.ones(3), np.ones(2), r"^adversary_w has shape \(2,\), expected \(3,\)$"),
+    ], ids=["w", "w-column", "adversary_w"])
+    def test_rejects_weights_of_another_shape(self, w, adversary_w, match):
+        # each used to fail inside numpy's matmul, naming no argument
+        test = Dataset(np.ones((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]))
+        with pytest.raises(FieldError, match=match):
+            evaluate(w, test, ZRule(), np.ones((2, 4)), adversary_w=adversary_w)
 
 
 class TestBenchmark:

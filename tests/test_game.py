@@ -278,6 +278,12 @@ class TestPriors:
         prior = FinitePrior(atoms=np.ones((3, 2)), probs=np.array([0.2, 0.3, 0.5]))
         assert discretize_prior(prior, 2, 3, seed=0) is prior
 
+    def test_discretize_finite_passthrough_checks_dimension(self):
+        # K=3 already raised this, in the draw; with K=2 the prior came back unchecked
+        prior = FinitePrior(atoms=np.ones((2, 4)), probs=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="^prior atoms have dimension 4, expected 7$"):
+            discretize_prior(prior, 7, 2, seed=0)
+
     def test_discretize_single_atom_expands(self):
         atom = np.array([1.0, 2.0])
         prior = FinitePrior(atoms=atom[None, :], probs=np.array([1.0]))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from bayesgame.cli import ProbeConfig
 from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse, split
 from bayesgame.game import (
     ActionSet,
+    FieldError,
     FinitePrior,
     GameSpec,
     GammaPrior,
@@ -19,6 +21,7 @@ from bayesgame.game import (
     LossKind,
     _loss,
     _loss_slope,
+    adversary_cost,
     discretize_prior,
     grad_adversary_X,
     grad_learner_w,
@@ -501,15 +504,15 @@ class TestFusedKernelProperties:
                             probs=np.array([0.5, 0.5]))
         config = AdamConfig(learning_rate=0.5, batch_size=3, epochs=3, total_samples=10,
                             seed=int(rng.integers(1000)))
-        project_kernel = quadratic._project
+        project_kernel = quadratic._into_ball
         iterates = []
 
-        def recording_project(point, action_set):
-            out = project_kernel(point, action_set)
+        def recording_project(point, flat, radius):
+            out = project_kernel(point, flat, radius)
             iterates.append(out)
             return out
 
-        with mock.patch.object(quadratic, "_project", recording_project):
+        with mock.patch.object(quadratic, "_into_ball", recording_project):
             w, _ = bayes_adam(spec, prior, config, record_objective=False)
         assert len(iterates) == 3 * 4  # ceil(10 / 3) steps per epoch
         assert all(np.linalg.norm(v) <= radius + 1e-12 for v in iterates)
@@ -567,8 +570,10 @@ class TestNonFiniteSamplesRejected:
         ("num_samples", lambda spec, prior: sample_prior(prior, spec.n, 2.5, seed=0)),
         ("train_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 2.5, 1, 0)),
         ("test_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 1, 2.5, 0)),
+        ("n", lambda spec, prior: sample_prior(GaussianPrior(1.0, 1.0), 2.5, 3, seed=0)),
+        ("n", lambda spec, prior: discretize_prior(GaussianPrior(1.0, 1.0), 2.5, 2, seed=0)),
     ], ids=["probe-config", "assumption_probe", "discretize_prior", "bayes_fp", "sample_prior",
-            "split-train", "split-test"])
+            "split-train", "split-test", "sample_prior-n", "discretize_prior-n"])
     def test_public_counts_reject_a_non_integer(self, rng, name, call):
         # each but ProbeConfig's used to fail inside numpy or range() with a TypeError
         spec = random_quadratic_game(rng, 4, 2)
@@ -596,6 +601,16 @@ class TestNonFiniteSamplesRejected:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(spec, prior, seed)
 
+    @pytest.mark.parametrize("call", [
+        lambda n: sample_prior(GaussianPrior(1.0, 1.0), n, 3, seed=0),
+        lambda n: discretize_prior(GaussianPrior(1.0, 1.0), n, 2, seed=0),
+    ], ids=["sample_prior", "discretize_prior"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_prior_draws_reject_a_dimension_below_one(self, call, n):
+        # -1 used to fail inside numpy, and 0 returned draws with no entries
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            call(n)
+
     def test_adam_config_accepts_numpy_integers(self, rng):
         spec = random_quadratic_game(rng, 3, 2)
         config = AdamConfig(batch_size=np.int64(3), epochs=np.int32(2),
@@ -609,3 +624,28 @@ class TestNonFiniteSamplesRejected:
     def test_adam_config_rejects_a_negative_seed(self, seed):
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             AdamConfig(seed=seed)
+
+
+class TestShapeErrors:
+    """One rule names a public argument of the wrong shape: ``FieldError``, a
+    ``ValueError``, reading ``<name> has shape <got>, expected <shape>``."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda spec: learner_cost(np.ones(2), spec.X, spec), "w has shape (2,), expected (3,)"),
+        (lambda spec: learner_cost(np.ones(3), spec.X.T, spec),
+         "Xbar has shape (3, 4), expected (4, 3)"),
+        (lambda spec: grad_adversary_X(np.ones(3), spec.X, np.ones(5), spec),
+         "c_d has shape (5,), expected (4,)"),
+        (lambda spec: adversary_cost(np.ones((3, 1)), spec.X, np.ones(4), spec),
+         "w has shape (3, 1), expected (3,)"),
+        (lambda spec: stochastic_gradient(np.ones(4), spec, np.ones((2, 4))),
+         "w has shape (4,), expected (3,)"),
+        (lambda spec: best_response(np.ones(3), spec.X, np.ones(3), np.ones(4)),
+         "z has shape (3,), expected (4,)"),
+        (lambda spec: ridge_fit(spec.X, np.ones((4, 1)), 1.0), "y has shape (4, 1), expected (4,)"),
+    ], ids=["learner_cost-w", "learner_cost-Xbar", "grad_adversary_X-c_d", "adversary_cost-w",
+            "stochastic_gradient-w", "best_response-z", "ridge_fit-y"])
+    def test_message(self, rng, call, message):
+        spec = random_quadratic_game(rng, 4, 3)
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+            call(spec)

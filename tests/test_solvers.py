@@ -473,16 +473,47 @@ class TestTraceSerialization:
 
 # --------------------------------------------------------------------------
 # The solver loops run unchecked kernels; these reference loops are the
-# per-call loop bodies they replaced, built on the public validating functions.
+# per-call loop bodies they replaced, built on the gradients and the
+# projection as first written, so that they share no kernel with the loops.
 # --------------------------------------------------------------------------
 
 
+def reference_grad_learner_w(w, Xbar, margins, spec):
+    """The learner's gradient kernel as first written: one matmul, whatever the stack."""
+    coef = spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y)
+    return (coef[..., None, :] @ Xbar)[..., 0, :] + 2.0 * spec.reg_l * w
+
+
+def reference_grad_adversary_X(w, Xbar, margins, c_d, spec):
+    """The generator's gradient kernel as first written: a broadcast rank-one term."""
+    coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
+    return coef[..., None] * w + 2.0 * (Xbar - spec.X)
+
+
+def reference_map(w, sigma, prior, spec):
+    """The operator from the first-form gradients: the probability-weighted learner
+    gradient and the generator's block for each atom."""
+    margins = sigma @ w
+    learner = reference_grad_learner_w(w, sigma, margins, spec)
+    return prior.probs @ learner, reference_grad_adversary_X(w, sigma, margins, prior.atoms, spec)
+
+
+def reference_project(point, action_set):
+    """Projection onto the set from ``np.linalg.norm``, which is ``sqrt(x.x)``; a point
+    outside the ball is multiplied once by ``radius / norm``, as the kernel rounds."""
+    point = np.array(point, dtype=float)
+    norm = np.linalg.norm(point)
+    if action_set.bounded and not norm <= action_set.radius:
+        point = point * (action_set.radius / norm)
+    return point
+
+
 def reference_residual(w, sigma, prior, spec):
-    """Natural-map residual (probe step 1), one public projection per block."""
-    t_w, t_sig = stacked_map(StrategyProfile(w=w, sigma=sigma), prior, spec)
-    total = float(np.sum((w - project(w - t_w, spec.learner_set)) ** 2))
+    """Natural-map residual (probe step 1), one reference projection per block."""
+    t_w, t_sig = reference_map(w, sigma, prior, spec)
+    total = float(np.sum((w - reference_project(w - t_w, spec.learner_set)) ** 2))
     for k in range(prior.num_atoms):
-        step = project(sigma[k] - t_sig[k], spec.adversary_set)
+        step = reference_project(sigma[k] - t_sig[k], spec.adversary_set)
         total += float(np.sum((sigma[k] - step) ** 2))
     return total
 
@@ -495,25 +526,23 @@ def reference_pg_rbc(spec, prior, config):
     K = prior.num_atoms
     rng = np.random.default_rng(config.seed)
     indices = rng.choice(K, size=config.max_iters, p=prior.probs)
-    w = project(np.zeros(spec.m), spec.learner_set)
-    sigma = np.stack([project(np.zeros((spec.n, spec.m)), spec.adversary_set) for _ in range(K)])
+    w, sigma = np.zeros(spec.m), np.zeros((K, spec.n, spec.m))
     residuals = []
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
-        w_next = project(w - gamma_t * grad_learner_w(w, sigma[j], spec), spec.learner_set)
-        sigma[j] = project(
-            sigma[j] - gamma_t * grad_adversary_X(w, sigma[j], prior.atoms[j], spec),
-            spec.adversary_set,
-        )
-        w = w_next
+        margins = sigma[j] @ w
+        t_w = reference_grad_learner_w(w, sigma[j], margins, spec)
+        t_sig = reference_grad_adversary_X(w, sigma[j], margins, prior.atoms[j], spec)
+        w = reference_project(w - gamma_t * t_w, spec.learner_set)
+        sigma[j] = reference_project(sigma[j] - gamma_t * t_sig, spec.adversary_set)
         if is_trace_point(t + 1, config):
             residuals.append(reference_residual(w, sigma, prior, spec))
     return w, sigma, residuals
 
 
 def reference_prg_ie(spec, prior, config):
-    """prg_ie with the operator from the validating ``stacked_map`` at each step."""
+    """prg_ie with the operator from ``reference_map`` at each step."""
     K, gamma = prior.num_atoms, config.gamma
     w_cur = w_til_prev = w_til = np.zeros(spec.m)
     sig_cur = sig_til_prev = sig_til = np.zeros((K, spec.n, spec.m))
@@ -522,11 +551,11 @@ def reference_prg_ie(spec, prior, config):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
         sig_ref = 2.0 * sig_til - sig_til_prev
-        learner, adv = stacked_map(StrategyProfile(w=w_ref, sigma=sig_ref), prior, spec)
-        w_til_next = project(w_cur - gamma * learner, spec.learner_set)
+        learner, adv = reference_map(w_ref, sig_ref, prior, spec)
+        w_til_next = reference_project(w_cur - gamma * learner, spec.learner_set)
         sig_til_next = np.empty_like(sig_cur)
         for k in range(K):
-            sig_til_next[k] = project(sig_cur[k] - gamma * adv[k], spec.adversary_set)
+            sig_til_next[k] = reference_project(sig_cur[k] - gamma * adv[k], spec.adversary_set)
         w_next = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
         sig_next = (delta / 2.0) * sig_cur + (1.0 - delta) * sig_til_next
         w_til_prev, sig_til_prev = w_til, sig_til
@@ -544,11 +573,11 @@ def reference_extragradient(spec, prior, gamma, tol):
     w, sigma = np.zeros(spec.m), np.zeros((prior.num_atoms, spec.n, spec.m))
 
     def operator(at_w, at_sigma):
-        return stacked_map(StrategyProfile(w=at_w, sigma=at_sigma), prior, spec)
+        return reference_map(at_w, at_sigma, prior, spec)
 
     def step(size, t_w, t_sig):  # from the current iterate
-        return project(w - size * t_w, spec.learner_set), np.stack(
-            [project(s - size * t, spec.adversary_set) for s, t in zip(sigma, t_sig)]
+        return reference_project(w - size * t_w, spec.learner_set), np.stack(
+            [reference_project(s - size * t, spec.adversary_set) for s, t in zip(sigma, t_sig)]
         )
 
     def distance(a_w, a_sig, b_w, b_sig):  # Euclidean over (w, sigma), added block by block
@@ -711,18 +740,6 @@ class TestTraceSchedule:
         shorter = run(spec, prior, SolverConfig(max_iters=t_stop, trace_every=20, **kwargs))
         assert np.array_equal(trace.final_profile.w, shorter.final_profile.w)
         assert np.array_equal(trace.final_profile.sigma, shorter.final_profile.sigma)
-
-
-def reference_grad_learner_w(w, Xbar, margins, spec):
-    """The learner's gradient kernel as first written: one matmul, whatever the stack."""
-    coef = spec.c_l * _loss_slope(spec.learner_loss, margins, spec.y)
-    return (coef[..., None, :] @ Xbar)[..., 0, :] + 2.0 * spec.reg_l * w
-
-
-def reference_grad_adversary_X(w, Xbar, margins, c_d, spec):
-    """The generator's gradient kernel as first written: a broadcast rank-one term."""
-    coef = c_d * _loss_slope(spec.adversary_loss, margins, spec.z)
-    return coef[..., None] * w + 2.0 * (Xbar - spec.X)
 
 
 def kernel_gradients(w, Xbar, c_d, spec):

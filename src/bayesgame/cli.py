@@ -22,6 +22,7 @@ from .game import FinitePrior, _check_count, discretize_prior
 from .serialize import (
     ConfigError,
     _built,
+    _choice,
     _typed,
     config_from_jsonable,
     game_from_jsonable,
@@ -97,22 +98,17 @@ def _load_game(path, solver_seed=None):
                         seed=solver_seed)
     prior = prior_from_jsonable(doc.get("prior"), "prior")
     k = _typed(doc.get("discretize_k", DEFAULT_DISCRETIZE_K), int, "discretize_k")
-    if k < 1:
-        raise ConfigError("discretize_k: expected a positive integer")
-    if not isinstance(prior, FinitePrior):
+    _built(_check_count, {"value": k, "name": "discretize_k"}, "")
+    if isinstance(prior, FinitePrior):
+        _built(prior._check_dimension, {"n": spec.n}, "prior")
+    else:
         prior = discretize_prior(prior, spec.n, k, solver.seed)
-    elif prior.atoms.shape[1] != spec.n:
-        raise ConfigError(
-            f"prior.atoms: dimension {prior.atoms.shape[1]} does not match game n={spec.n}"
-        )
     return doc, config_hash, spec, solver, prior
 
 
 def cmd_solve(args) -> int:
     doc, config_hash, spec, solver, prior = _load_game(args.config, args.seed)
-    algo = doc.get("algorithm", args.algo)  # the config's, checked even when the flag replaces it
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"algorithm: expected one of {ALGORITHMS}, got {algo!r}")
+    algo = _choice(doc.get("algorithm", args.algo), ALGORITHMS, "algorithm")  # even under --algo
     algo = args.algo or algo
 
     # looked up per call, so that a rebound module name is the one that runs

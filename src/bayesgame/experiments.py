@@ -18,8 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .game import (FieldError, GameSpec, Prior, _check_count, _check_real, _check_shape,
-                   _check_weight_rows, _prior_family, sample_prior)
+from .game import (FieldError, GameSpec, Prior, _check_count, _check_finite, _check_matrix,
+                   _check_real, _check_shape, _check_weight_rows, _prior_family, sample_prior)
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
@@ -35,11 +35,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must have one entry per feature row")
+        self.labels = _check_shape(self.labels, self.features.shape[:1], "labels")
         if not np.all(np.isin(self.labels, (0.0, 1.0))):
             raise ValueError("labels must be 0 or 1")
 
@@ -108,8 +106,7 @@ def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     if data.features.shape[1] != SPAMBASE_COLUMNS - 1:
         raise ValueError(f"features must have {SPAMBASE_COLUMNS - 1} columns, "
                          f"got {data.features.shape[1]}")
-    if not np.isfinite(data.features).all():
-        raise ValueError("features must be finite")
+    _check_finite(data.features, "features")
     with open(path, "w") as fh:
         for row, label in zip(data.features, data.labels):
             fh.write(",".join(map(repr, row.tolist())))
@@ -130,10 +127,8 @@ def split(data: Dataset, train_n: int, test_n: int, seed: int) -> tuple[Dataset,
 
 
 def rmse(predictions: np.ndarray, targets: np.ndarray) -> float:
-    predictions = np.asarray(predictions, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise ValueError("predictions and targets must have matching shapes")
+    predictions = _check_shape(predictions, targets.shape, "predictions")
     return float(np.sqrt(np.mean((predictions - targets) ** 2)))
 
 
@@ -297,12 +292,9 @@ def _train_spec(train: Dataset, config: BenchmarkConfig) -> GameSpec:
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, alpha: float) -> np.ndarray:
     """Minimizer of |Xw - y|^2 + alpha |w|^2 via the normal equations."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError("X must be a matrix with n, m >= 1")
-    y = _check_shape(y, (X.shape[0],), "y")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("X and y must be finite elementwise")
+    X = _check_matrix(X, "X")
+    y = _check_shape(y, X.shape[:1], "y")
+    _check_finite(y, "y")
     _check_real(alpha, "alpha", "positive")
     m = X.shape[1]
     return np.linalg.solve(X.T @ X + alpha * np.eye(m), X.T @ y)
@@ -328,17 +320,15 @@ def _train_method(method, params, spec, prior, config: BenchmarkConfig, train_se
     if method == "bayes-fp":
         samples = sample_prior(prior, spec.n, config.fp_samples, train_seed)
         return bayes_fp(spec, samples, iterations=config.fp_iterations)
-    if method == "bayes-adam":
-        adam = AdamConfig(
-            learning_rate=params["lr"],
-            batch_size=min(params["batch"], config.adam_samples),
-            epochs=config.adam_epochs,
-            total_samples=config.adam_samples,
-            seed=train_seed,
-        )
-        w, _ = bayes_adam(spec, prior, adam, record_objective=False)
-        return w
-    raise ValueError(f"unknown method {method!r}")
+    adam = AdamConfig(  # bayes-adam, the one method left: BenchmarkConfig rejects others
+        learning_rate=params["lr"],
+        batch_size=min(params["batch"], config.adam_samples),
+        epochs=config.adam_epochs,
+        total_samples=config.adam_samples,
+        seed=train_seed,
+    )
+    w, _ = bayes_adam(spec, prior, adam, record_objective=False)
+    return w
 
 
 def _run_cell(args) -> list[ResultRow]:

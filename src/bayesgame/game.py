@@ -124,6 +124,20 @@ def _check_shape(value, shape: tuple, name: str) -> np.ndarray:
     return value
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise FieldError(name, "must be finite elementwise")
+
+
+def _check_matrix(value, name: str) -> np.ndarray:
+    """``value`` as a finite float matrix with n, m >= 1, or ``FieldError``."""
+    value = np.asarray(value, dtype=float)
+    if value.ndim != 2 or value.shape[0] < 1 or value.shape[1] < 1:
+        raise FieldError(name, "must be a matrix with n, m >= 1")
+    _check_finite(value, name)
+    return value
+
+
 def _check_signs(values: np.ndarray, name: str) -> None:
     if not np.all(np.isin(values, (-1.0, 1.0))):
         raise FieldError(name, "must take values in {-1, +1} for logistic loss")
@@ -152,19 +166,11 @@ class GameSpec:
     reg_l: float = 1.0
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise FieldError("X", "must be a matrix with n, m >= 1")
-        n = X.shape[0]
+        object.__setattr__(self, "X", _check_matrix(self.X, "X"))
         for name in ("y", "z", "c_l"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (n,):
-                raise FieldError(name, f"must have length n={n}, got shape {v.shape}")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "X", X)
-        for name in ("X", "y", "z"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise FieldError(name, "must be finite elementwise")
+            object.__setattr__(self, name, _check_shape(getattr(self, name), (self.n,), name))
+        _check_finite(self.y, "y")
+        _check_finite(self.z, "z")
         _check_weights(self.c_l, "c_l")
         _check_real(self.reg_l, "reg_l", "nonnegative")
         if self.learner_loss is LossKind.LOGISTIC:
@@ -210,8 +216,8 @@ def _loss(kind: LossKind, margins: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _loss_slope(kind: LossKind, margins: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
     """Derivative of ``_loss`` in the margins, into ``out`` if given; unchecked, broadcasts."""
-    if kind is LossKind.QUADRATIC:  # operators when out is None: fewer calls on tiny arrays
-        slope = margins - t if out is None else np.subtract(margins, t, out=out)
+    if kind is LossKind.QUADRATIC:
+        slope = np.subtract(margins, t, out=out)
         slope *= 2.0
         return slope
     return np.multiply(-t, _sigmoid(-t * margins), out=out)
@@ -347,11 +353,9 @@ class FinitePrior:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
         if atoms.ndim != 2:
             raise FieldError("atoms", f"must be a (K, n) matrix, got shape {atoms.shape}")
-        if probs.ndim != 1 or probs.shape[0] != atoms.shape[0]:
-            raise FieldError("probs", "must have one entry per atom")
+        probs = _check_shape(self.probs, atoms.shape[:1], "probs")
         if not np.all(probs > 0):
             raise FieldError("probs", "must hold strictly positive probabilities")
         total = float(probs.sum())
@@ -367,7 +371,7 @@ class FinitePrior:
 
     def _check_dimension(self, n: int) -> None:
         if self.atoms.shape[1] != n:
-            raise ValueError(f"prior atoms have dimension {self.atoms.shape[1]}, expected {n}")
+            raise FieldError("atoms", f"have dimension {self.atoms.shape[1]}, expected {n}")
 
     def draw(self, rng: np.random.Generator, n: int, num_samples: int) -> np.ndarray:
         self._check_dimension(n)

@@ -27,6 +27,7 @@ from .game import (
     Prior,
     _check_cd,
     _check_count,
+    _check_matrix,
     _check_real,
     _check_shape,
     _check_weight_rows,
@@ -65,11 +66,8 @@ def best_response(
     w: np.ndarray, X: np.ndarray, z: np.ndarray, c_d: np.ndarray
 ) -> np.ndarray:
     """Generator's optimal unconstrained perturbation of X against w: the rows xbar_i."""
-    w = np.asarray(w, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != w.shape[0]:
-        raise ValueError(f"X has shape {X.shape}, incompatible with w of shape {w.shape}")
-    z = _check_shape(z, (X.shape[0],), "z")
+    X = _check_matrix(X, "X")
+    w, z = _check_shape(w, X.shape[1:], "w"), _check_shape(z, X.shape[:1], "z")
     c_d = _check_cd(c_d, X.shape[0])
     return X - np.outer(_response_coef(X @ w, z, w @ w, c_d), w)
 

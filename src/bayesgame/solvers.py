@@ -27,7 +27,7 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +81,10 @@ class SolverConfig:
         _check_count(self.seed, "seed", 0)
         _check_real(self.tol, "tol", "nonnegative")
         _check_count(self.trace_every, "trace_every")
-        for name in ("lipschitz", "strong_monotonicity"):
-            if getattr(self, name) is not None:
-                _check_real(getattr(self, name), name)
+        if self.lipschitz is not None:
+            _check_real(self.lipschitz, "lipschitz", "nonnegative")
+        if self.strong_monotonicity is not None:  # lambda <= 0: the instance is non-monotone
+            _check_real(self.strong_monotonicity, "strong_monotonicity")
 
 
 @dataclass(frozen=True)
@@ -107,18 +108,6 @@ class SolverTrace:
             for rec in self.iterations:
                 err = "" if rec.error_to_reference is None else repr(rec.error_to_reference)
                 writer.writerow([rec.t, repr(rec.residual), err, f"{rec.wall_time_s:.6f}"])
-
-    def to_json(self) -> dict:
-        """Strict-JSON document (``allow_nan=False`` safe): non-finite numbers are null."""
-        iterations = [
-            {key: v if v is None or math.isfinite(v) else None for key, v in asdict(rec).items()}
-            for rec in self.iterations
-        ]
-        return {
-            "converged": self.converged,
-            "iterations": iterations,
-            "final_residual": iterations[-1]["residual"] if iterations else None,
-        }
 
 
 @dataclass(frozen=True)

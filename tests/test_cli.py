@@ -171,7 +171,7 @@ priors = (finite_priors() | st.builds(GaussianPrior, reals, positive)
           | st.builds(GammaPrior, positive, positive) | st.builds(LogNormalPrior, reals, positive))
 solver_configs = st.builds(
     SolverConfig, max_iters=counts, gamma=positive, seed=seeds, tol=nonnegative,
-    trace_every=counts, lipschitz=optional, strong_monotonicity=optional,
+    trace_every=counts, lipschitz=st.none() | nonnegative, strong_monotonicity=optional,
 )
 probe_configs = st.builds(ProbeConfig, trials=st.integers(2, 10**6), seed=seeds)
 benchmark_configs = st.builds(
@@ -266,7 +266,7 @@ class TestMalformedConfig:
             ("solve", "prior", {"atoms": [[[0.1] * 4]] * 2},
              "prior.atoms: must be a (K, n) matrix, got shape (2, 1, 4)"),
             ("solve", "game", {"X": [0.1] * 4}, "game.X: must be a matrix with n, m >= 1"),
-            ("solve", "game", {"y": [0.1]}, "game.y: must have length n=4, got shape (1,)"),
+            ("solve", "game", {"y": [0.1]}, "game.y: has shape (1,), expected (4,)"),
             ("solve", "prior", {"probs": [0.5, 0.6]}, "prior.probs: sum to 1.1, not 1"),
             ("solve", "game", {"X": [["0.1", "0.2"]] * 4}, "game.X: expected a numeric array"),
             ("benchmark", None, {"dataset": 0}, "dataset: expected a string, got 0"),
@@ -296,6 +296,11 @@ class TestMalformedConfig:
         [
             ("solve", "solver", {"gamma": 0}, "solver.gamma: must be positive and finite"),
             ("solve", "solver", {"trace_every": 0}, "solver.trace_every: must be >= 1"),
+            ("solve", "solver", {"lipschitz": -3.0},
+             "solver.lipschitz: must be nonnegative and finite"),
+            ("solve", None, {"discretize_k": 0}, "discretize_k: must be >= 1"),
+            ("solve", "prior", {"atoms": [[0.1] * 7] * 2},
+             "prior.atoms: have dimension 7, expected 4"),
             ("probe", "probe", {"trials": 1}, "probe.trials: must be >= 2"),
             ("solve", None, {"prior": {"family": "gaussian", "mean": 1.0, "std": -1.0}},
              "prior.std: must be positive and finite"),
@@ -307,7 +312,8 @@ class TestMalformedConfig:
             ("benchmark", None, {"methods": ["ridge", "lasso"]},
              "methods[1]: must be one of bayes-adam, bayes-fp, nash, ridge, got 'lasso'"),
         ],
-        ids=["solver-gamma", "solver-trace-every", "probe-trials", "prior-std", "ball-radius",
+        ids=["solver-gamma", "solver-trace-every", "solver-lipschitz", "discretize-k",
+             "prior-dimension", "probe-trials", "prior-std", "ball-radius",
              "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method"],
     )
     def test_a_rejected_value_names_its_field(self, tmp_path, capsys, command, section, update,
@@ -328,7 +334,7 @@ class TestMalformedConfig:
             ("benchmark", None, {"seed": "x", "train_n": "lots", "prior_grid": 5},
              ["--seed", "1", "--scale", "desk"], "train_n: expected an integer, got 'lots'"),
             ("solve", None, {"algorithm": "pg_rbc"}, ["--algo", "pg-rbc"],
-             "algorithm: expected one of ('prg-ie', 'pg-rbc', 'extragradient'), got 'pg_rbc'"),
+             "algorithm: expected prg-ie or pg-rbc or extragradient, got 'pg_rbc'"),
         ],
         ids=["solve-seed", "probe-seed", "benchmark-seed", "paper-train-n", "desk-train-n",
              "algorithm"],

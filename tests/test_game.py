@@ -281,7 +281,7 @@ class TestPriors:
     def test_discretize_finite_passthrough_checks_dimension(self):
         # K=3 already raised this, in the draw; with K=2 the prior came back unchecked
         prior = FinitePrior(atoms=np.ones((2, 4)), probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="^prior atoms have dimension 4, expected 7$"):
+        with pytest.raises(ValueError, match="^atoms have dimension 4, expected 7$"):
             discretize_prior(prior, 7, 2, seed=0)
 
     def test_discretize_single_atom_expands(self):

@@ -627,8 +627,9 @@ class TestNonFiniteSamplesRejected:
 
 
 class TestShapeErrors:
-    """One rule names a public argument of the wrong shape: ``FieldError``, a
-    ``ValueError``, reading ``<name> has shape <got>, expected <shape>``."""
+    """A public argument of the wrong shape, or a matrix that is empty or not finite, is
+    rejected by one rule: ``FieldError``, a ``ValueError``, whose ``field`` names the
+    argument; a shape reads ``<name> has shape <got>, expected <shape>``."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda spec: learner_cost(np.ones(2), spec.X, spec), "w has shape (2,), expected (3,)"),
@@ -642,10 +643,29 @@ class TestShapeErrors:
          "w has shape (4,), expected (3,)"),
         (lambda spec: best_response(np.ones(3), spec.X, np.ones(3), np.ones(4)),
          "z has shape (3,), expected (4,)"),
+        (lambda spec: best_response(np.ones(2), spec.X, np.ones(4), np.ones(4)),
+         "w has shape (2,), expected (3,)"),
+        (lambda spec: best_response(np.ones(3), spec.X[0], np.ones(4), np.ones(4)),
+         "X must be a matrix with n, m >= 1"),
+        (lambda spec: best_response(np.ones(3), spec.X * np.nan, np.ones(4), np.ones(4)),
+         "X must be finite elementwise"),
         (lambda spec: ridge_fit(spec.X, np.ones((4, 1)), 1.0), "y has shape (4, 1), expected (4,)"),
+        (lambda spec: ridge_fit(spec.X[:, :0], spec.y, 1.0), "X must be a matrix with n, m >= 1"),
+        (lambda spec: ridge_fit(spec.X, np.full(4, np.inf), 1.0), "y must be finite elementwise"),
+        (lambda spec: rmse(np.ones(3), spec.y), "predictions has shape (3,), expected (4,)"),
+        (lambda spec: Dataset(spec.X, np.ones(3)), "labels has shape (3,), expected (4,)"),
+        (lambda spec: dataclasses.replace(spec, z=np.ones(3)), "z has shape (3,), expected (4,)"),
+        (lambda spec: FinitePrior(np.ones((2, 4)), np.ones(3) / 3),
+         "probs has shape (3,), expected (2,)"),
+        (lambda spec: FinitePrior(np.ones((2, 5)), np.full(2, 0.5)).mean_vector(spec.n),
+         "atoms have dimension 5, expected 4"),
     ], ids=["learner_cost-w", "learner_cost-Xbar", "grad_adversary_X-c_d", "adversary_cost-w",
-            "stochastic_gradient-w", "best_response-z", "ridge_fit-y"])
+            "stochastic_gradient-w", "best_response-z", "best_response-w", "best_response-X",
+            "best_response-nan-X", "ridge_fit-y", "ridge_fit-X", "ridge_fit-inf-y",
+            "rmse-predictions", "Dataset-labels", "GameSpec-z", "FinitePrior-probs",
+            "FinitePrior-atoms"])
     def test_message(self, rng, call, message):
         spec = random_quadratic_game(rng, 4, 3)
-        with pytest.raises(FieldError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as raised:
             call(spec)
+        assert raised.value.field == message.split()[0]

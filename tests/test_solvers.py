@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import warnings
 
@@ -29,8 +28,6 @@ from bayesgame.game import (
 from bayesgame.solvers import (
     SolverConfig,
     SolverError,
-    SolverTrace,
-    TraceRecord,
     _extragradient_on_map,
     assumption_probe,
     epsilon_distance,
@@ -449,7 +446,7 @@ class TestFixedPointInvariant:
 
 
 class TestTraceSerialization:
-    def test_csv_and_json(self, tmp_path):
+    def test_csv(self, tmp_path):
         spec, prior = monotone_ball_game()
         ref = extragradient_reference(spec, prior, tol=1e-8)
         config = SolverConfig(max_iters=200, gamma=2e-3, trace_every=50, lipschitz=2.3)
@@ -459,9 +456,6 @@ class TestTraceSerialization:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,residual,error_to_reference,wall_time_s"
         assert len(lines) == len(trace.iterations) + 1
-        payload = trace.to_json()
-        assert payload["iterations"][0]["t"] == 1
-        assert payload["final_residual"] == trace.iterations[-1].residual
 
     def test_tol_stopping_marks_converged(self):
         spec, prior = zero_game()
@@ -860,7 +854,7 @@ class TestBoundaryValidation:
         reference = StrategyProfile(w=np.zeros(w_shape), sigma=np.zeros(sigma_shape))
         with pytest.raises(ValueError, match=message):
             epsilon_distance(profile, reference, prior)
-        with pytest.raises(ValueError, match=r"prior atoms have dimension 5, expected 4"):
+        with pytest.raises(ValueError, match=r"^atoms have dimension 5, expected 4$"):
             epsilon_distance(profile, profile, FinitePrior(np.zeros((2, 5)), np.array([0.5, 0.5])))
 
     def test_public_gradients_validate(self):
@@ -902,15 +896,6 @@ class TestDivergence:
                               strong_monotonicity=2.0)
         with pytest.raises(SolverError, match="t=1: residual nan, last finite residual None"):
             solver(spec, prior, config)
-
-    def test_trace_json_is_strict(self):
-        profile = StrategyProfile(w=np.zeros(1), sigma=np.zeros((1, 1, 1)))
-        records = [TraceRecord(1, 0.5, float("nan"), 0.1), TraceRecord(2, float("inf"), 1.0, 0.2)]
-        payload = json.loads(json.dumps(SolverTrace(records, profile, False).to_json(),
-                                        allow_nan=False))
-        assert payload["iterations"][0]["error_to_reference"] is None
-        assert payload["iterations"][1]["residual"] is None
-        assert payload["final_residual"] is None
 
 
 # --------------------------------------------------------------------------
@@ -1054,7 +1039,7 @@ class TestNoAliasing:
 
 @pytest.mark.parametrize("field, value", [
     ("gamma", float("nan")), ("gamma", float("inf")), ("tol", float("nan")),
-    ("lipschitz", float("nan")), ("strong_monotonicity", float("inf")),
+    ("lipschitz", float("nan")), ("lipschitz", -3.0), ("strong_monotonicity", float("inf")),
     ("max_iters", 10.5), ("trace_every", 2.5), ("seed", True), ("gamma", "x"),
 ])
 def test_solver_config_rejects_non_finite(field, value):

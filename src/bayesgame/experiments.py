@@ -34,12 +34,10 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-d matrix")
+        self.features = _check_matrix(self.features, "features")
         self.labels = _check_shape(self.labels, self.features.shape[:1], "labels")
         if not np.all(np.isin(self.labels, (0.0, 1.0))):
-            raise ValueError("labels must be 0 or 1")
+            raise FieldError("labels", "must be 0 or 1")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -104,9 +102,8 @@ def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
     """Write a spambase-format CSV that reads back as written; floats use repr."""
     data = Dataset(features, labels)
     if data.features.shape[1] != SPAMBASE_COLUMNS - 1:
-        raise ValueError(f"features must have {SPAMBASE_COLUMNS - 1} columns, "
-                         f"got {data.features.shape[1]}")
-    _check_finite(data.features, "features")
+        raise FieldError("features", f"must have {SPAMBASE_COLUMNS - 1} columns, "
+                                     f"got {data.features.shape[1]}")
     with open(path, "w") as fh:
         for row, label in zip(data.features, data.labels):
             fh.write(",".join(map(repr, row.tolist())))

@@ -259,10 +259,19 @@ def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]
     """Both players' gradients at one checked matrix ``Xbar`` against weights ``c_d``,
     in new arrays."""
     state = _OperatorState.build(spec, c_d[None, :])
-    row, out = np.empty(spec.m), np.empty(Xbar.shape)
-    _gradients(state, w, Xbar, state.weights[0], np.empty((2, spec.n)), row, out,
-               np.empty(Xbar.shape))
-    return row, out
+    _gradients(state, w, Xbar, state.weights[0], state.rows[0], state.out[0])
+    return state.rows[0], state.out[0]
+
+
+# Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_plan(K: int, block_bytes: int) -> list[tuple[slice, int]]:
+    """Consecutive ``(slice, length)`` chunks of K atoms whose blocks fit ``_CHUNK_BYTES``,
+    each of at least one atom; the first is the largest."""
+    size = max(1, _CHUNK_BYTES // block_bytes)
+    return [(slice(lo, min(lo + size, K)), min(size, K - lo)) for lo in range(0, K, size)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,19 +291,30 @@ class _OperatorState:
     logistic: tuple[int, ...]  # the players, 0 learner and 1 generator, with a logistic loss
     two_reg: float  # 2 reg_l
     radii: tuple  # the learner's and the generator's radius, None when unconstrained
+    chunks: list  # the ``_chunk_plan`` of the K atoms
+    buffers: dict  # the kernel's slopes and scratch by stack length, 0 for one matrix
+    out: np.ndarray  # (c, n, m) a chunk's output buffer, c the largest chunk's length
+    rows: np.ndarray  # (K, m) the learner's gradient against each atom
 
     @classmethod
     def build(cls, spec: GameSpec, atoms: np.ndarray) -> "_OperatorState":
         """The state for ``spec`` at the (K, n) weight vectors ``atoms``."""
+        (K, n), m = atoms.shape, spec.m
         losses = (spec.learner_loss, spec.adversary_loss)
-        weights = np.empty((len(atoms), 2, spec.n))
+        weights = np.empty((K, 2, n))
         weights[:, 0], weights[:, 1] = spec.c_l, atoms
         for player, loss in enumerate(losses):
             if loss is LossKind.QUADRATIC:
                 weights[:, player] *= 2.0
+        chunks = _chunk_plan(K, n * m * 8)
+        size = chunks[0][1]
+        coef, scratch = np.empty((2, size, n)), np.empty((size, n, m))
+        buffers = {c: (coef[:, :c], scratch[:c]) for _, c in chunks}
+        buffers[0] = np.empty((2, n)), scratch[0]  # contiguous: a strided view costs pg_rbc 7%
         return cls(spec.X, np.stack([spec.y, spec.z]), weights,
                    tuple(p for p, loss in enumerate(losses) if loss is LossKind.LOGISTIC),
-                   2.0 * spec.reg_l, (spec.learner_set.radius, spec.adversary_set.radius))
+                   2.0 * spec.reg_l, (spec.learner_set.radius, spec.adversary_set.radius),
+                   chunks, buffers, np.empty((size, n, m)), np.empty((K, m)))
 
     def chunk(self, atoms: slice) -> np.ndarray:
         """The (2, c, n) slope weights of a chunk of atoms, laid out as its slopes are."""
@@ -312,24 +332,25 @@ def _slopes(state: _OperatorState, margins, weights, out) -> None:
     out *= weights
 
 
-def _gradients(state: _OperatorState, w, Xbar, weights, coef, row, out, scratch) -> None:
+def _gradients(state: _OperatorState, w, Xbar, weights, row, out) -> None:
     """Both players' gradients at one matrix ``Xbar`` (n, m) or each of a stack
-    (c, n, m), unchecked.
+    (c, n, m) as long as one of the state's chunks, unchecked.
 
     ``weights`` (2, ..., n) are the slope weights of the matrices, from
     ``state.weights``.  The learner's gradient goes into ``row`` ((m,) or
     (c, m)) and the generator's into ``out`` (``Xbar``'s shape, C-contiguous);
-    ``coef`` (2, ..., n) takes the weighted slopes and ``scratch``
-    (``Xbar``'s shape) is overwritten.  No buffer may alias ``Xbar``.
+    the state's slopes and scratch are overwritten.  No buffer may alias ``Xbar``.
     """
     # the rank-one term coef_i w_j of every row is one (rows, 1) x (1, m) BLAS
     # product: each entry is the one product, as a broadcast multiply gives it
     # (+0.0 where that gives -0.0), without the broadcast's inner-loop call per row
     if Xbar.ndim == 2:
+        coef, scratch = state.buffers[0]
         _slopes(state, Xbar.dot(w), weights, coef)
         coef[0].dot(Xbar, out=row)
         coef[1, :, None].dot(w[None, :], out=out)
     else:  # on a stack ndarray.dot sums in another order than matmul
+        coef, scratch = state.buffers[len(Xbar)]
         _slopes(state, Xbar @ w, weights, coef)
         np.matmul(coef[0][:, None, :], Xbar, out=row[:, None, :])
         coef[1].reshape(-1, 1).dot(w[None, :], out=out.reshape(-1, w.size))
@@ -512,8 +533,10 @@ class StrategyProfile:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float)
         self.sigma = np.asarray(self.sigma, dtype=float)
-        if self.w.ndim != 1 or self.sigma.ndim != 3:
-            raise ValueError("profile needs w of shape (m,) and sigma of shape (K, n, m)")
+        if self.w.ndim != 1:
+            raise FieldError("w", f"must be a (m,) vector, got shape {self.w.shape}")
+        if self.sigma.ndim != 3:
+            raise FieldError("sigma", f"must be a (K, n, m) stack, got shape {self.sigma.shape}")
 
     @property
     def num_atoms(self) -> int:

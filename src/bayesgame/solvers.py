@@ -24,6 +24,7 @@ gives them, ``step_warnings`` checks a step against them and
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 import warnings
@@ -39,6 +40,7 @@ from .game import (
     _check_count,
     _check_real,
     _check_shape,
+    _chunk_plan,
     _gradients,
     _into_ball,
     _OperatorState,
@@ -77,14 +79,19 @@ class SolverConfig:
 
     def __post_init__(self):
         _check_count(self.max_iters, "max_iters")
-        _check_real(self.gamma, "gamma", "positive")
+        _check_real(self.gamma, "gamma", "positive")  # required here, unlike in step_warnings
         _check_count(self.seed, "seed", 0)
         _check_real(self.tol, "tol", "nonnegative")
         _check_count(self.trace_every, "trace_every")
-        if self.lipschitz is not None:
-            _check_real(self.lipschitz, "lipschitz", "nonnegative")
-        if self.strong_monotonicity is not None:  # lambda <= 0: the instance is non-monotone
-            _check_real(self.strong_monotonicity, "strong_monotonicity")
+        _check_step(self.gamma, self.lipschitz, self.strong_monotonicity)
+
+
+def _check_step(gamma, lipschitz, strong_monotonicity) -> None:
+    """Reject a given (not None) step or constant out of range; lambda <= 0: non-monotone."""
+    for value, name, sign in ((gamma, "gamma", "positive"), (lipschitz, "lipschitz", "nonnegative"),
+                              (strong_monotonicity, "strong_monotonicity", "")):
+        if value is not None:
+            _check_real(value, name, sign)
 
 
 @dataclass(frozen=True)
@@ -143,23 +150,6 @@ def _check_start(spec: GameSpec, prior: FinitePrior, reference) -> StrategyProfi
     return origin_profile(spec, prior.num_atoms)
 
 
-# Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
-_CHUNK_BYTES = 256 * 1024
-
-
-def _chunks(sigma, buffers: int):
-    """The atom chunks of ``sigma`` (K, n, m), followed by ``buffers`` chunk buffers.
-
-    The chunks are consecutive ``(slice, length)`` pairs whose blocks fit
-    ``_CHUNK_BYTES``, each of at least one atom.  A buffer has the first (and
-    largest) chunk's shape; its first c atoms serve a chunk of c atoms.
-    """
-    size = max(1, _CHUNK_BYTES // sigma[0].nbytes)
-    K = len(sigma)
-    chunks = [(slice(lo, min(lo + size, K)), min(size, K - lo)) for lo in range(0, K, size)]
-    return (chunks, *(np.empty((min(size, K),) + sigma.shape[1:]) for _ in range(buffers)))
-
-
 def stacked_map(
     profile: StrategyProfile, prior: FinitePrior, spec: GameSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,12 +159,17 @@ def stacked_map(
     unweighted generator block for each atom (shape (K, n, m)).
     """
     _check_profile(profile, prior, spec.n, spec.m)
-    w, sigma = profile.w, profile.sigma
+    out = np.empty(profile.sigma.shape)  # C order
     state = _OperatorState.build(spec, prior.atoms)
-    rows, out = np.empty((prior.num_atoms, spec.m)), np.empty(sigma.shape)  # C order
-    coef = np.empty((2,) + sigma.shape[:2])
-    _gradients(state, w, sigma, state.chunk(slice(None)), coef, rows, out, np.empty(sigma.shape))
-    return prior.probs @ rows, out
+    return _map(state, profile.w, profile.sigma, out, prior.probs), out
+
+
+def _map(state: _OperatorState, w, sigma, out, probs) -> np.ndarray:
+    """The operator at (w, sigma), unchecked, one chunk of atoms at a time: the
+    generator blocks into ``out`` and the probability-weighted learner gradient returned."""
+    for s, _ in state.chunks:
+        _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], out[s])
+    return probs @ state.rows
 
 
 def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> float:
@@ -187,15 +182,12 @@ def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: Gam
     _check_profile(profile, prior, spec.n, spec.m)
     w, sigma = profile.w, profile.sigma
     state = _OperatorState.build(spec, prior.atoms)
-    chunks, out, scratch = _chunks(sigma, 2)
-    coef = np.empty((2,) + scratch.shape[:2])
-    rows = np.empty((prior.num_atoms, spec.m))
     block_sums: list[float] = []
-    for s, c in chunks:
-        _gradients(state, w, sigma[s], state.chunk(s), coef[:, :c], rows[s], out[:c],
-                   scratch[:c])
-        _block_residuals(sigma[s], out[:c], scratch[:c], state.radii[1], block_sums)
-    return _natural_residual(w, prior.probs @ rows, block_sums, spec)
+    for s, c in state.chunks:
+        t_sig = state.out[:c]
+        _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], t_sig)
+        _block_residuals(sigma[s], t_sig, t_sig, state.radii[1], block_sums)
+    return _natural_residual(w, prior.probs @ state.rows, block_sums, spec)
 
 
 def _flat_blocks(stack) -> list:
@@ -205,8 +197,8 @@ def _flat_blocks(stack) -> list:
 
 def _block_residuals(sigma, t_sig, buf, radius, block_sums: list) -> None:
     """Append each ``|sigma_k - project(sigma_k - t_sig_k)|^2``, the blocks' terms of
-    the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape, C-contiguous)
-    is overwritten."""
+    the natural-map residual; unchecked, and ``buf`` (``sigma``'s shape, C-contiguous,
+    possibly ``t_sig``) is overwritten."""
     np.subtract(sigma, t_sig, out=buf)
     for flat in buf.reshape(len(buf), -1):
         _into_ball(flat, flat, radius)
@@ -289,20 +281,17 @@ def assumption_probe(
     rng = np.random.default_rng(seed)
     probs = prior.probs
     K = prior.num_atoms
-    # the pair's profiles, redrawn by every trial; the map values and the
-    # inner products are formed chunk by chunk into per-atom sums
+    # the pair's profiles, redrawn by every trial, and an operator state each;
+    # the map values and inner products are formed chunk by chunk into per-atom sums
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
-    state = _OperatorState.build(spec, prior.atoms)
-    chunks, scratch = _chunks(sigma[0], 1)
-    t_sig = np.empty((2,) + scratch.shape)
-    coef = np.empty((2,) + scratch.shape[:2])
-    rows = np.empty((2, K, spec.m))
+    states = [_OperatorState.build(spec, prior.atoms) for _ in (0, 1)]
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
     def block_dots(u, v, out) -> None:  # <u_k, v_k> for each block of the chunk
-        np.sum(np.multiply(u, v, out=scratch[: len(u)]), axis=(1, 2), out=out)
+        scratch = states[0].buffers[len(u)][1]  # free between kernel calls
+        np.sum(np.multiply(u, v, out=scratch), axis=(1, 2), out=out)
 
     lambda_hat = np.inf
     l_hat = 0.0
@@ -310,24 +299,24 @@ def assumption_probe(
     for _ in range(trials):
         for i in (0, 1):
             _draw_feasible_profile(rng, spec, w[i], sigma[i])
-        for s, c in chunks:
-            for i in (0, 1):
-                _gradients(state, w[i], sigma[i, s], state.chunk(s), coef[:, :c],
-                           rows[i, s], t_sig[i, :c], scratch[:c])
-                block_dots(t_sig[i, :c], t_sig[i, :c], sq_norms[i, s])
+        for s, c in states[0].chunks:
+            t_sig = [state.out[:c] for state in states]
+            for i, state in enumerate(states):
+                _gradients(state, w[i], sigma[i, s], state.chunk(s), state.rows[s], t_sig[i])
+                block_dots(t_sig[i], t_sig[i], sq_norms[i, s])
             dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
-            dtsig = np.subtract(t_sig[0, :c], t_sig[1, :c], out=t_sig[0, :c])
+            dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
             block_dots(dsig, dsig, sums[0, s])
             block_dots(dsig, dtsig, sums[1, s])
             block_dots(dtsig, dtsig, sums[2, s])
-        for i in (0, 1):
-            g_hat = max(g_hat, float(np.max(np.linalg.norm(rows[i], axis=1))),
+        for i, state in enumerate(states):
+            g_hat = max(g_hat, float(np.max(np.linalg.norm(state.rows, axis=1))),
                         float(np.max(np.sqrt(sq_norms[i]))))
         dw = w[0] - w[1]
         den = float(dw @ dw + probs @ sums[0])
         if den < 1e-24:
             continue  # duplicate pair: quotient undefined
-        dtw = probs @ rows[0] - probs @ rows[1]
+        dtw = probs @ states[0].rows - probs @ states[1].rows
         num = float(dw @ dtw + probs @ sums[1])
         tnorm = float(dtw @ dtw + probs @ sums[2])
         lambda_hat = min(lambda_hat, num / den)
@@ -352,8 +341,10 @@ def step_warnings(
     gamma > 1/(2 lambda), which no step meets when lambda <= 0.  A rule is
     checked when its constant is given, for instance ``bayesgame probe``'s
     ``L_hat`` or ``lambda_hat``; a ``gamma`` of None checks only the sign of
-    lambda.  With neither constant, the one message says so.
+    lambda.  With neither constant, the one message says so.  A given value out of
+    its range is a ``FieldError``.
     """
+    _check_step(gamma, lipschitz, strong_monotonicity)
     lip, lam = lipschitz, strong_monotonicity
     if lip is None and lam is None:
         return [f"step gamma={gamma} was not checked: no lipschitz or strong_monotonicity "
@@ -443,16 +434,13 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     w_cur, sig_cur = init.w, init.sigma
     w_til_prev, w_til = init.w.copy(), init.w.copy()
     # sigma is kept in three stacks, one per iterate; each chunk's reflected
-    # point and scratch live in chunk-sized buffers, and the next tilde point
-    # is written over the previous one once the reflected point has read it
+    # point lives in the state's chunk buffer, and the next tilde point is
+    # written over the previous one once the reflected point has read it
     til_a, til_b = init.sigma.copy(), init.sigma.copy()
-    chunks, sig_ref, scratch = _chunks(sig_cur, 2)
-    coef = np.empty((2,) + scratch.shape[:2])
-    rows = np.empty((prior.num_atoms, spec.m))
     # per chunk: current, tilde, previous tilde and its flat blocks, slope
-    # weights, learner rows, reflected point, scratch and slopes
+    # weights, learner rows and reflected point
     views = [(sig_cur[s], til_a[s], til_b[s], _flat_blocks(til_b[s]), state.chunk(s),
-              rows[s], sig_ref[:c], scratch[:c], coef[:, :c]) for s, c in chunks]
+              state.rows[s], state.out[:c]) for s, c in state.chunks]
     # the tilde stacks swap roles every iteration
     swapped = [(cur, prev, til, _flat_blocks(til), *rest)
                for cur, til, prev, _, *rest in views]
@@ -460,14 +448,14 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
-        for cur, til, til_prev, flats, weights, rows_c, ref, scr, coef_c in views:
+        for cur, til, til_prev, flats, weights, rows, ref in views:
             np.multiply(2.0, til, out=ref)
             ref -= til_prev
-            _gradients(state, w_ref, ref, weights, coef_c, rows_c, til_prev, scr)
+            _gradients(state, w_ref, ref, weights, rows, til_prev)
             _projected_step(cur, til_prev, gamma, sig_radius, til_prev, flats)  # new tilde
             cur *= delta / 2.0
-            cur += np.multiply(1.0 - delta, til_prev, out=scr)
-        w_til_next = w_cur - gamma * (probs @ rows)
+            cur += np.multiply(1.0 - delta, til_prev, out=ref)  # the kernel has read ref
+        w_til_next = w_cur - gamma * (probs @ state.rows)
         _into_ball(w_til_next, w_til_next, w_radius)
         w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
         w_til_prev, w_til = w_til, w_til_next
@@ -505,14 +493,13 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     w_cur, sig_cur = init.w, init.sigma
     # per atom: its block of sig_cur, the block's flat view and its slope weights
     blocks, flats, weights = list(sig_cur), _flat_blocks(sig_cur), list(state.weights)
-    # w_next takes each step's learner, then swaps with w_cur; the rest are block-sized
-    w_next, coef = np.empty_like(w_cur), np.empty((2, spec.n))
-    step, scratch = np.empty_like(sig_cur[0]), np.empty_like(sig_cur[0])
+    # w_next takes each step's learner, then swaps with w_cur; step, a block
+    w_next, step = np.empty_like(w_cur), state.out[0]
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
         sig_j = blocks[j]
-        _gradients(state, w_cur, sig_j, weights[j], coef, w_next, step, scratch)
+        _gradients(state, w_cur, sig_j, weights[j], w_next, step)
         w_next *= gamma_t
         np.subtract(w_cur, w_next, out=w_next)
         _into_ball(w_next, w_next, w_radius)
@@ -532,17 +519,7 @@ def extragradient(
     """Extragradient from the origin with ``_extragradient_iterates``' backtracking
     step, ``config.gamma`` its first trial; no Lipschitz constant is needed."""
     init = _check_start(spec, prior, reference)
-    state = _OperatorState.build(spec, prior.atoms)
-    chunks, scratch = _chunks(init.sigma, 1)
-    coef = np.empty((2,) + scratch.shape[:2])
-    rows = np.empty((prior.num_atoms, spec.m))
-
-    def map_fn(w, sigma, out):
-        for s, c in chunks:
-            _gradients(state, w, sigma[s], state.chunk(s), coef[:, :c], rows[s], out[s],
-                       scratch[:c])
-        return prior.probs @ rows
-
+    map_fn = functools.partial(_map, _OperatorState.build(spec, prior.atoms), probs=prior.probs)
     iterates = _extragradient_iterates(map_fn, init, spec, config.gamma, config.max_iters)
     return _traced_run(iterates, config, prior, spec, reference)
 
@@ -559,7 +536,8 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
     """
     w, sigma = x0.w, x0.sigma
     t_sig, half, t_half = (np.empty_like(sigma) for _ in range(3))
-    chunks, buf = _chunks(sigma, 1)
+    chunks = _chunk_plan(len(sigma), sigma[0].nbytes)
+    buf = np.empty((chunks[0][1],) + sigma.shape[1:])
     w_radius, sig_radius = spec.learner_set.radius, spec.adversary_set.radius
     half_flats = _flat_blocks(half)
     t_w = map_fn(w, sigma, t_sig)

@@ -209,7 +209,7 @@ class TestWriter:
         (np.zeros((2, 57)), [0.0, math.nan], "labels must be 0 or 1"),
         (np.full((2, 57), math.nan), [0.0, 1.0], "^features must be finite elementwise$"),
         (np.full((2, 57), -math.inf), [0.0, 1.0], "^features must be finite elementwise$"),
-        (np.zeros(57), [1.0], "2-d"),
+        (np.zeros(57), [1.0], "^features must be a matrix with n, m >= 1$"),
         (np.zeros((2, 57)), [1.0], r"^labels has shape \(1,\), expected \(2,\)$"),
         (np.zeros((2, 3)), [0.0, 1.0], "features must have 57 columns, got 3"),
         (np.zeros((2, 58)), [0.0, 1.0], "features must have 57 columns, got 58"),

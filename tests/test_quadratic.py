@@ -654,6 +654,8 @@ class TestShapeErrors:
         (lambda spec: ridge_fit(spec.X, np.full(4, np.inf), 1.0), "y must be finite elementwise"),
         (lambda spec: rmse(np.ones(3), spec.y), "predictions has shape (3,), expected (4,)"),
         (lambda spec: Dataset(spec.X, np.ones(3)), "labels has shape (3,), expected (4,)"),
+        (lambda spec: Dataset(spec.X[:0], []), "features must be a matrix with n, m >= 1"),
+        (lambda spec: Dataset(spec.X * np.nan, np.ones(4)), "features must be finite elementwise"),
         (lambda spec: dataclasses.replace(spec, z=np.ones(3)), "z has shape (3,), expected (4,)"),
         (lambda spec: FinitePrior(np.ones((2, 4)), np.ones(3) / 3),
          "probs has shape (3,), expected (2,)"),
@@ -662,8 +664,8 @@ class TestShapeErrors:
     ], ids=["learner_cost-w", "learner_cost-Xbar", "grad_adversary_X-c_d", "adversary_cost-w",
             "stochastic_gradient-w", "best_response-z", "best_response-w", "best_response-X",
             "best_response-nan-X", "ridge_fit-y", "ridge_fit-X", "ridge_fit-inf-y",
-            "rmse-predictions", "Dataset-labels", "GameSpec-z", "FinitePrior-probs",
-            "FinitePrior-atoms"])
+            "rmse-predictions", "Dataset-labels", "Dataset-empty", "Dataset-nan", "GameSpec-z",
+            "FinitePrior-probs", "FinitePrior-atoms"])
     def test_message(self, rng, call, message):
         spec = random_quadratic_game(rng, 4, 3)
         with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as raised:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesgame import solvers
+from bayesgame import game, solvers
 from bayesgame.game import (
     ActionSet,
     ConfigError,
+    FieldError,
     FinitePrior,
     GameSpec,
     GaussianPrior,
@@ -392,6 +393,18 @@ class TestStepRules:
         assert len(messages) == len(expected)
         assert all(text in message for message, text in zip(messages, expected))
 
+    @pytest.mark.parametrize("gamma, constants, message", [
+        (0.5, {"lipschitz": -3.0}, "^lipschitz must be nonnegative and finite$"),
+        (0.5, {"lipschitz": math.nan}, "^lipschitz must be nonnegative and finite$"),
+        (0.5, {"lipschitz": math.inf}, "^lipschitz must be nonnegative and finite$"),
+        (0.5, {"strong_monotonicity": math.nan}, "^strong_monotonicity must be finite$"),
+        (-0.5, {"lipschitz": 2.3}, "^gamma must be positive and finite$"),
+    ], ids=["negative-L", "nan-L", "inf-L", "nan-lambda", "negative-gamma"])
+    def test_step_warnings_rejects_bad_constants(self, gamma, constants, message):
+        # a negative L used to return [] and a NaN lambda to warn "lambda=nan <= 0"
+        with pytest.raises(FieldError, match=message):
+            step_warnings(gamma, **constants)
+
 
 class TestAssumptionProbe:
     def test_decoupled_regularizer_game(self):
@@ -641,7 +654,9 @@ CHUNKINGS = ["1", "2", "K-1"]
 
 def set_chunking(monkeypatch, spec, prior, chunking):
     atoms = {"1": 1, "2": 2, "K-1": max(1, prior.num_atoms - 1)}[chunking]
-    monkeypatch.setattr(solvers, "_CHUNK_BYTES", atoms * spec.n * spec.m * 8)
+    monkeypatch.setattr(game, "_CHUNK_BYTES", atoms * spec.n * spec.m * 8)
+    chunks = _OperatorState.build(spec, prior.atoms).chunks
+    assert len(chunks) == math.ceil(prior.num_atoms / atoms)
 
 
 class TestUncheckedLoopsMatchReference:
@@ -738,15 +753,19 @@ class TestTraceSchedule:
 
 def kernel_gradients(w, Xbar, c_d, spec):
     """``_gradients`` at one matrix ``Xbar`` (with ``c_d`` (n,)) or a stack (with one
-    row of ``c_d`` per matrix), into NaN-filled buffers: the slopes, the learner's
-    gradient and the generator's."""
-    state = _OperatorState.build(spec, c_d.reshape(-1, spec.n))
+    row of ``c_d`` per matrix), in one chunk, into NaN-filled buffers: the slopes,
+    the learner's gradient and the generator's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "_CHUNK_BYTES", Xbar.nbytes)
+        state = _OperatorState.build(spec, c_d.reshape(-1, spec.n))
     lead = Xbar.shape[:-2]
     weights = state.chunk(slice(None)) if lead else state.weights[0]
-    coef = np.full((2,) + lead + (spec.n,), np.nan)
+    coef, scratch = state.buffers[len(Xbar) if lead else 0]  # the state's, for this shape
+    coef.fill(np.nan)
+    scratch.fill(np.nan)
     row = np.full(lead + (spec.m,), np.nan)
-    out, scratch = np.full_like(Xbar, np.nan), np.full_like(Xbar, np.nan)
-    _gradients(state, w, Xbar, weights, coef, row, out, scratch)
+    out = np.full_like(Xbar, np.nan)
+    _gradients(state, w, Xbar, weights, row, out)
     return coef, row, out
 
 
@@ -979,6 +998,10 @@ class TestDeskWorkingSet:
 
     def test_probe_keeps_the_pair(self):
         assert peak_mib(assumption_probe, self.spec, self.prior, 2, 0) <= 2 * self.S + 1
+
+    def test_stacked_map_keeps_one_stack(self):
+        profile = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
+        assert peak_mib(stacked_map, profile, self.prior, self.spec) <= self.S + 1
 
     def test_pg_rbc_keeps_one_stack(self):
         config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)

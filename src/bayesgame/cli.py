@@ -15,10 +15,11 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Literal
 
 from . import __version__
 from .experiments import _PRESET_SIZES, BenchmarkConfig, load_spambase, run_benchmark
-from .game import FinitePrior, _check_count, discretize_prior
+from .game import FinitePrior, Prior, _check_count, discretize_prior
 from .serialize import (
     ConfigError,
     _built,
@@ -26,7 +27,6 @@ from .serialize import (
     _typed,
     config_from_jsonable,
     game_from_jsonable,
-    prior_from_jsonable,
     profile_to_jsonable,
     to_jsonable,
     with_flags,
@@ -42,8 +42,6 @@ from .solvers import (
 )
 
 ALGORITHMS = ("prg-ie", "pg-rbc", "extragradient")
-DEFAULT_DISCRETIZE_K = 16
-SOLVE_KEYS = ("game", "prior", "discretize_k", "algorithm", "solver", "probe")  # top level
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,21 @@ class ProbeConfig:
         _check_count(self.seed, "seed", 0)
 
 
-def _load_json(path, keys=None) -> tuple[dict, str]:
+@dataclass(frozen=True)
+class SolveConfig:
+    """A solve/probe document's keys besides ``game``; none may be null."""
+
+    prior: Prior
+    discretize_k: int = 16
+    algorithm: Literal[ALGORITHMS] = None
+    solver: SolverConfig = None
+    probe: ProbeConfig = ProbeConfig()
+
+    def __post_init__(self):
+        _check_count(self.discretize_k, "discretize_k")
+
+
+def _load_json(path) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -73,9 +85,6 @@ def _load_json(path, keys=None) -> tuple[dict, str]:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level document must be an object")
-    for key in doc:
-        if keys and key not in keys:
-            raise ConfigError(f"{key}: unknown key")
     return doc, hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -85,31 +94,29 @@ def _write_metadata(out_dir: Path, config_hash: str, seed: int, config: dict) ->
 
 
 def _load_game(path, solver_seed=None):
-    """A solve/probe config: its document, hash, game, solver section and finite prior.
+    """A solve/probe config: its hash, game, other sections, solver and finite prior.
 
-    ``solver_seed``, when not None, replaces the solver section's seed.  A
-    continuous prior is discretized with the solver's seed, so ``solve`` and
-    ``probe`` on one config see the same finite game.
+    Without a ``solver`` section the solver takes 10 000 steps of 0.01, and
+    ``probe`` checks no step.  ``solver_seed``, when not None, replaces the
+    solver's seed.  A continuous prior is discretized with the solver's seed,
+    so ``solve`` and ``probe`` on one config see the same finite game.
     """
-    doc, config_hash = _load_json(path, SOLVE_KEYS)
-    spec = game_from_jsonable(doc.get("game"), "game")
-    solver_doc = doc.get("solver", {"max_iters": 10_000, "gamma": 0.01})
-    solver = with_flags(config_from_jsonable(SolverConfig, solver_doc, "solver"), "solver",
+    doc, config_hash = _load_json(path)
+    spec = game_from_jsonable(doc.pop("game", None), "game")
+    config = config_from_jsonable(SolveConfig, doc, "")
+    solver = with_flags(config.solver or SolverConfig(max_iters=10_000, gamma=0.01), "solver",
                         seed=solver_seed)
-    prior = prior_from_jsonable(doc.get("prior"), "prior")
-    k = _typed(doc.get("discretize_k", DEFAULT_DISCRETIZE_K), int, "discretize_k")
-    _built(_check_count, {"value": k, "name": "discretize_k"}, "")
+    prior = config.prior
     if isinstance(prior, FinitePrior):
         _built(prior._check_dimension, {"n": spec.n}, "prior")
     else:
-        prior = discretize_prior(prior, spec.n, k, solver.seed)
-    return doc, config_hash, spec, solver, prior
+        prior = discretize_prior(prior, spec.n, config.discretize_k, solver.seed)
+    return config_hash, spec, config, solver, prior
 
 
 def cmd_solve(args) -> int:
-    doc, config_hash, spec, solver, prior = _load_game(args.config, args.seed)
-    algo = _choice(doc.get("algorithm", args.algo), ALGORITHMS, "algorithm")  # even under --algo
-    algo = args.algo or algo
+    config_hash, spec, config, solver, prior = _load_game(args.config, args.seed)
+    algo = _choice(args.algo or config.algorithm, ALGORITHMS, "algorithm")
 
     # looked up per call, so that a rebound module name is the one that runs
     run = {"prg-ie": prg_ie, "pg-rbc": pg_rbc, "extragradient": extragradient}[algo]
@@ -133,17 +140,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    doc, config_hash, spec, solver, prior = _load_game(args.config)
-    probe = with_flags(config_from_jsonable(ProbeConfig, doc.get("probe", {}), "probe"), "probe",
-                       seed=args.seed)
-    gamma = solver.gamma if "solver" in doc else None  # the step solve would take, if set
+    config_hash, spec, config, solver, prior = _load_game(args.config)
+    probe = with_flags(config.probe, "probe", seed=args.seed)
+    gamma = solver.gamma if config.solver else None  # the step solve would take, if set
     diag = assumption_probe(spec, prior, trials=probe.trials, seed=probe.seed)
 
-    payload = asdict(diag)
     messages = step_warnings(gamma, lipschitz=diag.L_hat, strong_monotonicity=diag.lambda_hat)
-    payload["warnings"] = messages
-    payload["config_sha256"] = config_hash
-    payload["version"] = __version__
+    payload = asdict(diag) | {"warnings": messages, "config_sha256": config_hash,
+                              "version": __version__}
     text = json.dumps(payload, indent=2, allow_nan=False)
     print(text)
     if args.out:

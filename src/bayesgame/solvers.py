@@ -236,8 +236,9 @@ def epsilon_distance(
     _check_profile(profile, prior, n, m)
     _check_profile(reference, prior, n, m, "reference")
     dw = profile.w - reference.w
-    dsig = profile.sigma - reference.sigma
-    return float(dw @ dw + prior.probs @ np.sum(dsig * dsig, axis=(1, 2)))
+    # one block's difference at a time, so no sigma-sized temporary is formed
+    blocks = [float(np.sum(np.square(a - b))) for a, b in zip(profile.sigma, reference.sigma)]
+    return float(dw @ dw + prior.probs @ np.array(blocks))
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +320,8 @@ def assumption_probe(
         dtw = probs @ states[0].rows - probs @ states[1].rows
         num = float(dw @ dtw + probs @ sums[1])
         tnorm = float(dtw @ dtw + probs @ sums[2])
+        if not (math.isfinite(num / den) and math.isfinite(tnorm / den)):  # min, max skip NaN
+            raise SolverError(f"non-finite quotient of a sampled pair: {num}/{den}, {tnorm}/{den}")
         lambda_hat = min(lambda_hat, num / den)
         l_hat = max(l_hat, np.sqrt(tnorm / den))
     if not np.isfinite(lambda_hat):

@@ -311,10 +311,27 @@ class TestMalformedConfig:
             ("benchmark", None, {"adam_batch_grid": [32, 0]}, "adam_batch_grid[1]: must be >= 1"),
             ("benchmark", None, {"methods": ["ridge", "lasso"]},
              "methods[1]: must be one of bayes-adam, bayes-fp, nash, ridge, got 'lasso'"),
+            # each command decodes every section, also those it does not use
+            ("solve", None, {"probe": 5}, "probe: expected an object"),
+            ("probe", None, {"algorithm": "pg_rbc"},
+             "algorithm: expected prg-ie or pg-rbc or extragradient, got 'pg_rbc'"),
+            ("probe", None, {"discretize_k": 0}, "discretize_k: must be >= 1"),
+            ("solve", None, {"solver": None}, "solver: expected an object"),
+            ("probe", None, {"solver": None}, "solver: expected an object"),
+            ("solve", None, {"algorithm": None},
+             "algorithm: expected prg-ie or pg-rbc or extragradient, got None"),
+            ("probe", None, {"algorithm": None},
+             "algorithm: expected prg-ie or pg-rbc or extragradient, got None"),
+            # a field's error comes before an unknown top-level key's
+            ("solve", None, {"algorithm": "pg_rbc", "solverr": {"max_iters": 5}},
+             "algorithm: expected prg-ie or pg-rbc or extragradient, got 'pg_rbc'"),
         ],
         ids=["solver-gamma", "solver-trace-every", "solver-lipschitz", "discretize-k",
              "prior-dimension", "probe-trials", "prior-std", "ball-radius",
-             "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method"],
+             "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method",
+             "solve-probe-section", "probe-algorithm", "probe-discretize-k", "solve-null-solver",
+             "probe-null-solver", "solve-null-algorithm", "probe-null-algorithm",
+             "field-before-unknown-key"],
     )
     def test_a_rejected_value_names_its_field(self, tmp_path, capsys, command, section, update,
                                               message):

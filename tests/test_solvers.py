@@ -439,6 +439,16 @@ class TestAssumptionProbe:
         with pytest.raises(SolverError, match="duplicate"):
             assumption_probe(spec, prior, trials=5, seed=0)
 
+    def test_overflow_is_not_reported_as_duplicates(self):
+        # every pair is distinct, but |dz|^2 overflows to inf and the quotients are NaN
+        spec = GameSpec(X=np.full((3, 2), 1e300), y=np.zeros(3), z=np.zeros(3), c_l=np.ones(3),
+                        learner_set=ActionSet.l2_ball(1e300),
+                        adversary_set=ActionSet.l2_ball(1e300))
+        prior = FinitePrior(atoms=np.ones((2, 3)), probs=np.array([0.5, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="non-finite quotient"):
+                assumption_probe(spec, prior, trials=5, seed=0)
+
     def test_requires_two_trials(self):
         spec, prior = monotone_ball_game()
         with pytest.raises(ValueError, match="trials"):
@@ -1006,6 +1016,11 @@ class TestDeskWorkingSet:
     def test_pg_rbc_keeps_one_stack(self):
         config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)
         assert peak_mib(pg_rbc, self.spec, self.prior, config) <= self.S + 1
+
+    def test_pg_rbc_with_a_reference_keeps_one_stack(self):
+        reference = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
+        config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)
+        assert peak_mib(pg_rbc, self.spec, self.prior, config, reference=reference) <= self.S + 1
 
     def test_oracle_keeps_four_stacks_whatever_its_budget(self):
         def failing_oracle(max_iters):

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Literal
 
 import numpy as np
@@ -262,9 +262,11 @@ class BenchmarkResult:
 
 
 def prior_label(prior: Prior) -> tuple[str, str]:
-    """The prior's family name and its parameters as printed in result rows."""
-    family, entry = _prior_family(prior)
-    return family, entry.label.format(p=prior)
+    """The prior's family name and its fields as printed in result rows, K=atoms if finite."""
+    family = _prior_family(prior)
+    if family == "finite":
+        return family, f"K={prior.num_atoms}"
+    return family, ",".join(f"{f.name}={getattr(prior, f.name):g}" for f in fields(prior))
 
 
 def derive_seed(base: int, *tags) -> int:
@@ -343,8 +345,8 @@ def _run_cell(args) -> list[ResultRow]:
     if config.two_equilibria:
         # the generator anticipates the equilibrium model of the test-side
         # game, fitted once per cell with Adam's default hyperparameters
-        adversary_w = _train_method("bayes-adam", {"lr": 0.01, "batch": 32},
-                                    _train_spec(test, config), prior, config,
+        adam = {"lr": AdamConfig.learning_rate, "batch": AdamConfig.batch_size}
+        adversary_w = _train_method("bayes-adam", adam, _train_spec(test, config), prior, config,
                                     derive_seed(config.seed, "testside", prior_idx, rep))
 
     fits = []  # (method, label, weights or None, training error)

@@ -13,7 +13,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
@@ -457,26 +457,17 @@ class LogNormalPrior:
 Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
 
 
-class _Family(NamedTuple):
-    cls: type
-    label: str  # str.format template over the prior ``p``
-
-
 # The one table of prior families, keyed by their JSON name: labels, JSON
 # codecs and type dispatch all read it.
-_PRIOR_FAMILIES = {
-    "finite": _Family(FinitePrior, "K={p.num_atoms}"),
-    "gaussian": _Family(GaussianPrior, "mean={p.mean:g},std={p.std:g}"),
-    "gamma": _Family(GammaPrior, "shape={p.shape:g},scale={p.scale:g}"),
-    "lognormal": _Family(LogNormalPrior, "mu={p.mu:g},sigma={p.sigma:g}"),
-}
+_PRIOR_FAMILIES = {"finite": FinitePrior, "gaussian": GaussianPrior, "gamma": GammaPrior,
+                   "lognormal": LogNormalPrior}
 
 
-def _prior_family(prior: Prior) -> tuple[str, _Family]:
-    """The JSON name and table entry of the prior's family."""
-    for name, family in _PRIOR_FAMILIES.items():
-        if isinstance(prior, family.cls):
-            return name, family
+def _prior_family(prior: Prior) -> str:
+    """The JSON name of the prior's family."""
+    for name, cls in _PRIOR_FAMILIES.items():
+        if isinstance(prior, cls):
+            return name
     raise TypeError(f"unknown prior type {type(prior)!r}")
 
 
@@ -537,10 +528,6 @@ class StrategyProfile:
             raise FieldError("w", f"must be a (m,) vector, got shape {self.w.shape}")
         if self.sigma.ndim != 3:
             raise FieldError("sigma", f"must be a (K, n, m) stack, got shape {self.sigma.shape}")
-
-    @property
-    def num_atoms(self) -> int:
-        return self.sigma.shape[0]
 
     def copy(self) -> "StrategyProfile":
         return StrategyProfile(self.w.copy(), self.sigma.copy())

@@ -112,8 +112,6 @@ def _check_reduction(spec: GameSpec, c_d_samples) -> np.ndarray:
     if spec.adversary_loss is not LossKind.QUADRATIC:
         raise ValueError("the closed-form reduction requires a quadratic adversary loss")
     samples = np.asarray(c_d_samples, dtype=float)
-    if samples.ndim == 1:
-        samples = samples[None, :]
     _check_weight_rows(samples, spec.n, "c_d samples")
     return samples
 

@@ -56,7 +56,7 @@ def _field(value, kind, where: str):
         if family is None:
             raise ConfigError(f"{where}.family: missing required field" if name is MISSING
                               else f"{where}.family: unknown prior family {name!r}")
-        return config_from_jsonable(family.cls, obj, where)
+        return config_from_jsonable(family, obj, where)
     if typing.get_origin(kind) is typing.Literal:
         return _choice(value, typing.get_args(kind), where)
     if isinstance(kind, enum.EnumMeta):
@@ -103,10 +103,10 @@ def config_from_jsonable(cls, obj, path: str):
     values), a numeric ``np.ndarray``, a ``Prior`` (its ``family`` names the
     dataclass) or a nested dataclass.  Its key is its metadata's ``"json"``, else its name.
     A field without a default is required, and a key that names no field is
-    an error, reported after the fields'.  Keys are named ``path.key``, or
-    ``key`` when ``path`` is empty.  A constructor's ``FieldError`` is
-    reported against ``path.field`` and its other ``ValueError`` against
-    ``path``.
+    an error, reported after the fields' and the constructor's errors.  Keys
+    are named ``path.key``, or ``key`` when ``path`` is empty.  A constructor's
+    ``FieldError`` is reported against ``path.field`` and its other
+    ``ValueError`` against ``path``.
     """
     _object(obj, path)
     hints = typing.get_type_hints(cls)
@@ -118,10 +118,11 @@ def config_from_jsonable(cls, obj, path: str):
             kwargs[f.name] = _field(obj[key], hints[f.name], where)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: missing required field")
+    config = _built(cls, kwargs, path)
     for key in obj:
         if key not in keys:
             raise ConfigError(f"{_key(path, key)}: unknown key")
-    return _built(cls, kwargs, path)
+    return config
 
 
 def with_flags(config, path: str, **flags):
@@ -138,7 +139,7 @@ def to_jsonable(value):
     tuples lists; other values are kept as they are.
     """
     if is_dataclass(value):
-        doc = {"family": _prior_family(value)[0]} if isinstance(value, Prior) else {}
+        doc = {"family": _prior_family(value)} if isinstance(value, Prior) else {}
         return doc | {f.metadata.get("json", f.name): to_jsonable(v) for f in fields(value)
                       if (v := getattr(value, f.name)) is not None}
     if isinstance(value, np.ndarray):

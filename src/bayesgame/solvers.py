@@ -253,8 +253,6 @@ def _random_feasible_point(rng: np.random.Generator, out: np.ndarray, action_set
         # uniform over the ball: direction times radius * U^(1/d)
         flat = out.ravel()
         norm = math.sqrt(flat.dot(flat))
-        if norm == 0:
-            return
         out *= action_set.radius * rng.random() ** (1.0 / out.size) / norm
 
 
@@ -277,21 +275,23 @@ def assumption_probe(
     and per-block gradient norm seen.  These are sampled estimates: lambda_hat
     overestimates the true modulus and L_hat/G_hat underestimate the suprema.
     """
+    prior._check_dimension(spec.n)
     _check_count(trials, "trials", 2)
     _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     probs = prior.probs
     K = prior.num_atoms
-    # the pair's profiles, redrawn by every trial, and an operator state each;
-    # the map values and inner products are formed chunk by chunk into per-atom sums
+    # the pair's profiles, redrawn by every trial, with their learner rows and a
+    # chunk's map values; the inner products are formed chunk by chunk into per-atom sums
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
-    states = [_OperatorState.build(spec, prior.atoms) for _ in (0, 1)]
+    state = _OperatorState.build(spec, prior.atoms)
+    rows, maps = np.empty((2, K, spec.m)), np.empty((2,) + state.out.shape)
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
     def block_dots(u, v, out) -> None:  # <u_k, v_k> for each block of the chunk
-        scratch = states[0].buffers[len(u)][1]  # free between kernel calls
+        scratch = state.buffers[len(u)][1]  # free between kernel calls
         np.sum(np.multiply(u, v, out=scratch), axis=(1, 2), out=out)
 
     lambda_hat = np.inf
@@ -300,24 +300,23 @@ def assumption_probe(
     for _ in range(trials):
         for i in (0, 1):
             _draw_feasible_profile(rng, spec, w[i], sigma[i])
-        for s, c in states[0].chunks:
-            t_sig = [state.out[:c] for state in states]
-            for i, state in enumerate(states):
-                _gradients(state, w[i], sigma[i, s], state.chunk(s), state.rows[s], t_sig[i])
+        for s, c in state.chunks:
+            t_sig = maps[:, :c]
+            for i in (0, 1):
+                _gradients(state, w[i], sigma[i, s], state.chunk(s), rows[i, s], t_sig[i])
                 block_dots(t_sig[i], t_sig[i], sq_norms[i, s])
             dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
             dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
             block_dots(dsig, dsig, sums[0, s])
             block_dots(dsig, dtsig, sums[1, s])
             block_dots(dtsig, dtsig, sums[2, s])
-        for i, state in enumerate(states):
-            g_hat = max(g_hat, float(np.max(np.linalg.norm(state.rows, axis=1))),
-                        float(np.max(np.sqrt(sq_norms[i]))))
+        g_hat = max(g_hat, float(np.max(np.linalg.norm(rows, axis=2))),
+                    float(np.max(np.sqrt(sq_norms))))
         dw = w[0] - w[1]
         den = float(dw @ dw + probs @ sums[0])
         if den < 1e-24:
             continue  # duplicate pair: quotient undefined
-        dtw = probs @ states[0].rows - probs @ states[1].rows
+        dtw = probs @ rows[0] - probs @ rows[1]
         num = float(dw @ dtw + probs @ sums[1])
         tnorm = float(dtw @ dtw + probs @ sums[2])
         if not (math.isfinite(num / den) and math.isfinite(tnorm / den)):  # min, max skip NaN
@@ -440,18 +439,17 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # point lives in the state's chunk buffer, and the next tilde point is
     # written over the previous one once the reflected point has read it
     til_a, til_b = init.sigma.copy(), init.sigma.copy()
-    # per chunk: current, tilde, previous tilde and its flat blocks, slope
-    # weights, learner rows and reflected point
-    views = [(sig_cur[s], til_a[s], til_b[s], _flat_blocks(til_b[s]), state.chunk(s),
-              state.rows[s], state.out[:c]) for s, c in state.chunks]
-    # the tilde stacks swap roles every iteration
-    swapped = [(cur, prev, til, _flat_blocks(til), *rest)
-               for cur, til, prev, _, *rest in views]
+    # per parity of t, as the tilde stacks swap roles every iteration, and per
+    # chunk: current, tilde, previous tilde and its flat blocks, slope weights,
+    # learner rows and reflected point
+    views = [[(sig_cur[s], til[s], prev[s], _flat_blocks(prev[s]), state.chunk(s),
+               state.rows[s], state.out[:c]) for s, c in state.chunks]
+             for til, prev in ((til_b, til_a), (til_a, til_b))]
     gamma, probs = config.gamma, prior.probs
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
-        for cur, til, til_prev, flats, weights, rows, ref in views:
+        for cur, til, til_prev, flats, weights, rows, ref in views[t % 2]:
             np.multiply(2.0, til, out=ref)
             ref -= til_prev
             _gradients(state, w_ref, ref, weights, rows, til_prev)
@@ -462,7 +460,6 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
         _into_ball(w_til_next, w_til_next, w_radius)
         w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
         w_til_prev, w_til = w_til, w_til_next
-        views, swapped = swapped, views
         yield w_cur, sig_cur
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from hypothesis import strategies as st
 
 from bayesgame.experiments import ridge_fit
 from bayesgame.game import (
+    ActionSet,
+    FieldError,
     FinitePrior,
     GameSpec,
+    GammaPrior,
     GaussianPrior,
+    LogNormalPrior,
     LossKind,
 )
 from bayesgame.quadratic import bayes_fp, best_response, nash_strategy
@@ -91,6 +96,18 @@ class TestBayesFp:
         )
         with pytest.raises(ValueError, match="quadratic"):
             bayes_fp(logistic, np.zeros((1, 4)))
+        generator = dataclasses.replace(logistic, learner_loss=LossKind.QUADRATIC,
+                                        adversary_loss=LossKind.LOGISTIC,
+                                        z=rng.choice([-1.0, 1.0], 4))
+        with pytest.raises(ValueError, match="^the closed-form reduction requires a quadratic "
+                                             "adversary loss$"):
+            bayes_fp(generator, np.zeros((1, 4)))
+        bounded = dataclasses.replace(spec, learner_set=ActionSet.l2_ball(1.0))
+        with pytest.raises(ValueError, match="^bayes_fp requires an unconstrained learner set$"):
+            bayes_fp(bounded, np.zeros((1, 4)))
+        with pytest.raises(FieldError, match=r"^c_d samples must be a nonempty matrix with 4 "
+                                             r"columns, got shape \(4,\)$"):
+            bayes_fp(spec, np.zeros(4))  # one weight vector is the row c_d[None, :]
 
 
 def reference_bayes_fp(spec, samples, iterations):
@@ -147,6 +164,15 @@ class TestNashStrategy:
         w_nash = nash_strategy(spec, prior, iterations=20)
         w_fp = bayes_fp(spec, atom[None, :], iterations=20)
         assert np.array_equal(w_nash, w_fp)
+
+    @pytest.mark.parametrize("prior, mean", [
+        (GammaPrior(shape=2.0, scale=0.35), 2.0 * 0.35),
+        (LogNormalPrior(mu=-0.5, sigma=0.8), math.exp(-0.5 + 0.8**2 / 2)),
+    ], ids=["gamma", "lognormal"])
+    def test_continuous_prior_collapses_to_its_mean(self, rng, prior, mean):
+        spec = random_quadratic_game(rng, 5, 3)
+        w_fp = bayes_fp(spec, np.full((1, 5), mean), iterations=20)
+        assert np.array_equal(nash_strategy(spec, prior, iterations=20), w_fp)
 
     def test_deterministic(self, rng):
         spec = random_quadratic_game(rng, 5, 3)

@@ -280,13 +280,16 @@ class TestMalformedConfig:
             ("probe", None, {"algoritm": "pg-rbc"}, "algoritm: unknown key"),
             ("benchmark", None, {"prior_grid": 5}, "prior_grid: unknown key"),
             ("benchmark", None, {"priors": []}, "priors: must not be empty"),
+            ("solve", "game", {"X": [[0.1, 0.2]] * 3 + [[0.1]]},
+             "game.X: expected a numeric array"),
+            ("benchmark", None, {"adam_lr_grid": 0.1}, "adam_lr_grid: expected a list, got 0.1"),
         ],
         ids=["solver-key", "game-key", "action-set-key", "prior-key", "probe-key",
              "benchmark-key", "z-rule-key", "priors-key", "unconstrained-radius", "3d-atoms",
              "1d-X", "short-y", "probs-sum", "string-array", "dataset-0", "dataset-true",
              "action-set-kind", "loss-kind",
              "solve-top-key", "discretize-k-key", "probe-top-key", "prior-grid-key",
-             "empty-priors"],
+             "empty-priors", "ragged-array", "grid-not-a-list"],
     )
     def test_exits_1_naming_the_key(self, tmp_path, capsys, command, section, update, message):
         self.check(tmp_path, capsys, command, section, update, [], message)
@@ -325,13 +328,17 @@ class TestMalformedConfig:
             # a field's error comes before an unknown top-level key's
             ("solve", None, {"algorithm": "pg_rbc", "solverr": {"max_iters": 5}},
              "algorithm: expected prg-ie or pg-rbc or extragradient, got 'pg_rbc'"),
+            # an object's own range checks come before its unknown keys, at every depth
+            ("solve", None, {"discretize_k": 0, "zzz": 1}, "discretize_k: must be >= 1"),
+            ("benchmark", None, {"train_n": 0, "zzz": 1}, "train_n: must be >= 1"),
         ],
         ids=["solver-gamma", "solver-trace-every", "solver-lipschitz", "discretize-k",
              "prior-dimension", "probe-trials", "prior-std", "ball-radius",
              "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method",
              "solve-probe-section", "probe-algorithm", "probe-discretize-k", "solve-null-solver",
              "probe-null-solver", "solve-null-algorithm", "probe-null-algorithm",
-             "field-before-unknown-key"],
+             "field-before-unknown-key", "solve-check-before-unknown-key",
+             "benchmark-check-before-unknown-key"],
     )
     def test_a_rejected_value_names_its_field(self, tmp_path, capsys, command, section, update,
                                               message):
@@ -496,6 +503,13 @@ class TestSolve:
         rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    def test_top_level_array(self, tmp_path, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {cfg}: top-level document must be an object\n")
 
     @pytest.mark.parametrize("k", [True, 2.0, "3"])
     def test_discretize_k_must_be_an_integer(self, tmp_path, capsys, k):
@@ -689,6 +703,27 @@ class TestBenchmarkCommand:
         del doc["dataset"]
         cfg.write_text(json.dumps(doc))
         assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_no_dataset_without_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("BAYESGAME_DATA", raising=False)
+        cfg = self.write_config(tmp_path, "unused")
+        doc = json.loads(cfg.read_text())
+        del doc["dataset"]
+        cfg.write_text(json.dumps(doc))
+        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == ("configuration error: dataset: no path in config "
+                                           "and BAYESGAME_DATA is not set\n")
+
+    def test_malformed_dataset_names_its_line(self, tmp_path, capsys):
+        dataset = tmp_path / "bad.csv"
+        dataset.write_text("1,2,3\n")
+        cfg = self.write_config(tmp_path, dataset)
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: dataset: "
+                                           f"{dataset}:1: expected 58 comma-separated values, "
+                                           "found 3\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_1(self, tmp_path, capsys, workers):

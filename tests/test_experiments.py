@@ -453,6 +453,17 @@ class TestBenchmark:
         payload = result.to_json()
         assert payload["errors"]
 
+    def test_evaluation_failure_recorded_not_fatal(self, rng, monkeypatch):
+        def failing_evaluate(*args, **kwargs):
+            raise ValueError("evaluate failed")
+
+        monkeypatch.setattr(experiments, "evaluate", failing_evaluate)
+        features, labels = synthetic_dataset(rng)
+        result = run_benchmark(self.make_config(methods=("ridge",)), Dataset(features, labels))
+        assert result.rows and all(r.error == "evaluate failed" and math.isnan(r.rmse)
+                                   for r in result.rows)
+        assert result.to_json()["errors"]
+
     def test_grid_selection_picks_best_mean(self, rng):
         features, labels = synthetic_dataset(rng)
         data = Dataset(features, labels)
@@ -624,6 +635,8 @@ class TestMisc:
         assert prior_label(LogNormalPrior(0.0, 1.0)) == ("lognormal", "mu=0,sigma=1")
         finite = FinitePrior(atoms=np.zeros((3, 2)), probs=np.full(3, 1 / 3))
         assert prior_label(finite) == ("finite", "K=3")
+        with pytest.raises(TypeError, match="unknown prior type"):
+            prior_label(object())
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(0, "split", 1) == derive_seed(0, "split", 1)

@@ -14,6 +14,7 @@ from bayesgame.game import (
     GaussianPrior,
     LogNormalPrior,
     LossKind,
+    StrategyProfile,
     _loss,
     _sigmoid,
     adversary_cost,
@@ -190,6 +191,16 @@ class TestProjection:
         s = ActionSet.l2_ball(radius)
         lhs = np.linalg.norm(project(u, s) - project(v, s))
         assert lhs <= np.linalg.norm(u - v) + 1e-12
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown action set kind 'box'$"):
+            ActionSet("box")
+
+    def test_profile_feasibility(self):
+        spec = tiny_spec(learner_set=ActionSet.l2_ball(1.0), adversary_set=ActionSet.l2_ball(2.0))
+        assert StrategyProfile(np.array([1.0]), np.full((2, 1, 1), 2.0)).is_feasible(spec)
+        assert not StrategyProfile(np.array([1.5]), np.zeros((2, 1, 1))).is_feasible(spec)
+        assert not StrategyProfile(np.zeros(1), np.full((2, 1, 1), 2.5)).is_feasible(spec)
 
     def test_invalid_radius(self):
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from bayesgame.game import (
     GammaPrior,
     GaussianPrior,
     LossKind,
+    StrategyProfile,
     _loss,
     _loss_slope,
     adversary_cost,
@@ -661,11 +662,16 @@ class TestShapeErrors:
          "probs has shape (3,), expected (2,)"),
         (lambda spec: FinitePrior(np.ones((2, 5)), np.full(2, 0.5)).mean_vector(spec.n),
          "atoms have dimension 5, expected 4"),
+        (lambda spec: StrategyProfile(np.ones((3, 1)), np.ones((1, 4, 3))),
+         "w must be a (m,) vector, got shape (3, 1)"),
+        (lambda spec: StrategyProfile(np.ones(3), spec.X), "sigma must be a (K, n, m) stack, "
+                                                           "got shape (4, 3)"),
     ], ids=["learner_cost-w", "learner_cost-Xbar", "grad_adversary_X-c_d", "adversary_cost-w",
             "stochastic_gradient-w", "best_response-z", "best_response-w", "best_response-X",
             "best_response-nan-X", "ridge_fit-y", "ridge_fit-X", "ridge_fit-inf-y",
             "rmse-predictions", "Dataset-labels", "Dataset-empty", "Dataset-nan", "GameSpec-z",
-            "FinitePrior-probs", "FinitePrior-atoms"])
+            "FinitePrior-probs", "FinitePrior-atoms", "StrategyProfile-w",
+            "StrategyProfile-sigma"])
     def test_message(self, rng, call, message):
         spec = random_quadratic_game(rng, 4, 3)
         with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as raised:

@@ -454,6 +454,13 @@ class TestAssumptionProbe:
         with pytest.raises(ValueError, match="trials"):
             assumption_probe(spec, prior, trials=1, seed=0)
 
+    def test_checks_the_prior_dimension(self):
+        # as every solver does, before any array is filled
+        spec, _ = monotone_ball_game()
+        prior = FinitePrior(np.full((2, 7), 0.5), np.array([0.5, 0.5]))
+        with pytest.raises(FieldError, match="^atoms have dimension 7, expected 10$"):
+            assumption_probe(spec, prior, 4, 0)
+
 
 class TestFixedPointInvariant:
     def test_solvers_hold_still_at_equilibrium(self):

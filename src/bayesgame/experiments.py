@@ -99,7 +99,11 @@ def _parse_lines(path) -> np.ndarray:
 
 
 def write_dataset_csv(features: np.ndarray, labels: np.ndarray, path) -> None:
-    """Write a spambase-format CSV that reads back as written; floats use repr."""
+    """Write a spambase-format CSV that reads back as written; floats use repr.
+
+    Rows are formatted one at a time, so a table's floats never exist as
+    Python objects all at once.
+    """
     data = Dataset(features, labels)
     if data.features.shape[1] != SPAMBASE_COLUMNS - 1:
         raise FieldError("features", f"must have {SPAMBASE_COLUMNS - 1} columns, "
@@ -174,6 +178,14 @@ def evaluate(
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
+    """One benchmark sweep: the priors, the split sizes and repetitions, the methods
+    and their hyperparameter grids; the JSON document of ``bayesgame benchmark``.
+
+    ``prior_grid`` is read and written under the key ``priors``.  The sizes default
+    to the desk preset (200/200 splits, 3 repetitions, 100 test draws); the CLI's
+    ``--scale paper`` replaces them with 500/500/10/500.
+    """
+
     prior_grid: tuple[Prior, ...] = field(metadata={"json": "priors"})
     train_n: int = 200  # the sizes default to the desk preset
     test_n: int = 200

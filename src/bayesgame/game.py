@@ -5,6 +5,12 @@ that perturbs the training matrix ``X`` into ``Xbar``.  The generator's
 per-instance weights ``c_d`` are uncertain to the learner and modelled by a
 prior.  Everything here is a pure function of its inputs; randomness enters
 only through explicit seeds.
+
+Inputs are checked once, at the public boundary: the constructors and the
+public functions call one ``_check_*`` helper per rule, which raises a
+``FieldError`` naming the field.  The solver loops then run the unchecked
+kernels (``_slopes``, ``_gradients``, ``_into_ball``) on an ``_OperatorState``
+built once per call, so each formula has one implementation.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, Union
 
 import numpy as np
 
@@ -258,9 +264,9 @@ def grad_adversary_X(
 def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     """Both players' gradients at one checked matrix ``Xbar`` against weights ``c_d``,
     in new arrays."""
-    state = _OperatorState.build(spec, c_d[None, :])
-    _gradients(state, w, Xbar, state.weights[0], state.rows[0], state.out[0])
-    return state.rows[0], state.out[0]
+    state, out = _OperatorState.build(spec, c_d[None, :]), np.empty(Xbar.shape)
+    _gradients(state, w, Xbar, state.weights[0], state.rows[0], out)
+    return state.rows[0], out
 
 
 # Passes over sigma run on chunks of atoms whose blocks fit in a core's L2 cache
@@ -282,7 +288,8 @@ class _OperatorState:
     the weights, which is exact: ``(x.w - t) (2 c)`` rounds as ``((x.w - t) 2) c``
     does, since doubling a float changes only its exponent.  Atom k's weights
     ``weights[k]`` are one contiguous (2, n) array, laid out as a block's
-    slopes are.
+    slopes are.  The two roundings can differ only where ``(x.w - t) 2`` or
+    ``2 c`` overflows, past 8.9e307, in a run that has diverged already.
     """
 
     X: np.ndarray
@@ -293,12 +300,16 @@ class _OperatorState:
     radii: tuple  # the learner's and the generator's radius, None when unconstrained
     chunks: list  # the ``_chunk_plan`` of the K atoms
     buffers: dict  # the kernel's slopes and scratch by stack length, 0 for one matrix
-    out: np.ndarray  # (c, n, m) a chunk's output buffer, c the largest chunk's length
     rows: np.ndarray  # (K, m) the learner's gradient against each atom
 
     @classmethod
-    def build(cls, spec: GameSpec, atoms: np.ndarray) -> "_OperatorState":
-        """The state for ``spec`` at the (K, n) weight vectors ``atoms``."""
+    def build(cls, spec: GameSpec, atoms: np.ndarray, one_atom: bool = False) -> "_OperatorState":
+        """The state for ``spec`` at the (K, n) weight vectors ``atoms``.
+
+        Its chunks hold as many atoms as fit ``_CHUNK_BYTES``, or one atom each with
+        ``one_atom``, for a loop that evaluates one block at a time.  A loop that
+        writes a chunk's map values into a buffer of its own allocates it itself.
+        """
         (K, n), m = atoms.shape, spec.m
         losses = (spec.learner_loss, spec.adversary_loss)
         weights = np.empty((K, 2, n))
@@ -306,7 +317,7 @@ class _OperatorState:
         for player, loss in enumerate(losses):
             if loss is LossKind.QUADRATIC:
                 weights[:, player] *= 2.0
-        chunks = _chunk_plan(K, n * m * 8)
+        chunks = _chunk_plan(K, _CHUNK_BYTES if one_atom else n * m * 8)
         size = chunks[0][1]
         coef, scratch = np.empty((2, size, n)), np.empty((size, n, m))
         buffers = {c: (coef[:, :c], scratch[:c]) for _, c in chunks}
@@ -314,7 +325,7 @@ class _OperatorState:
         return cls(spec.X, np.stack([spec.y, spec.z]), weights,
                    tuple(p for p, loss in enumerate(losses) if loss is LossKind.LOGISTIC),
                    2.0 * spec.reg_l, (spec.learner_set.radius, spec.adversary_set.radius),
-                   chunks, buffers, np.empty((size, n, m)), np.empty((K, m)))
+                   chunks, buffers, np.empty((K, m)))
 
     def chunk(self, atoms: slice) -> np.ndarray:
         """The (2, c, n) slope weights of a chunk of atoms, laid out as its slopes are."""
@@ -338,8 +349,11 @@ def _gradients(state: _OperatorState, w, Xbar, weights, row, out) -> None:
 
     ``weights`` (2, ..., n) are the slope weights of the matrices, from
     ``state.weights``.  The learner's gradient goes into ``row`` ((m,) or
-    (c, m)) and the generator's into ``out`` (``Xbar``'s shape, C-contiguous);
-    the state's slopes and scratch are overwritten.  No buffer may alias ``Xbar``.
+    (c, m)) and the generator's into ``out`` (``Xbar``'s shape, C-contiguous,
+    so that its (rows, m) reshape is a view); the state's slopes and scratch are
+    overwritten.  No buffer may alias ``Xbar``.  ``np.einsum`` forms the rank-one
+    term with the same values and as fast at desk size, but its fixed cost loses
+    on fixture-sized blocks.
     """
     # the rank-one term coef_i w_j of every row is one (rows, 1) x (1, m) BLAS
     # product: each entry is the one product, as a broadcast multiply gives it
@@ -424,6 +438,8 @@ class GaussianPrior:
 
 @dataclass(frozen=True)
 class GammaPrior:
+    """i.i.d. per-coordinate Gamma(shape, scale), mean shape * scale; nonnegative draws."""
+
     shape: float
     scale: float
 
@@ -440,6 +456,8 @@ class GammaPrior:
 
 @dataclass(frozen=True)
 class LogNormalPrior:
+    """i.i.d. per-coordinate lognormal: exp of a normal(mu, sigma) draw; positive draws."""
+
     mu: float
     sigma: float
 
@@ -454,7 +472,8 @@ class LogNormalPrior:
         return np.full(n, math.exp(self.mu + 0.5 * self.sigma**2))
 
 
-Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
+Prior = Union[FinitePrior, GaussianPrior, GammaPrior, LogNormalPrior]
+Prior.__doc__ = "A prior over the generator's weights c_d: one of the four families."
 
 
 # The one table of prior families, keyed by their JSON name: labels, JSON

@@ -132,7 +132,9 @@ def _stochastic_objective(w, spec: GameSpec, samples) -> float:
     """``stochastic_objective`` for a checked (S, n) sample matrix; unchecked.
 
     Sample losses are summed in blocks of ``_OBJECTIVE_ROWS`` rows at its multiples,
-    a lone last row joining the one before, so BLAS sums rows as for the whole matrix.
+    a lone last row joining the one before, so BLAS sums rows as for the whole matrix:
+    with OpenBLAS 0.3.31 a block starting elsewhere, or a one-row block, summed some
+    rows' losses in another order.  The blocks bound the objective's temporaries.
     """
     edges = [*range(0, max(len(samples) - 1, 1), _OBJECTIVE_ROWS), len(samples)]
     per_sample = np.empty(len(samples))
@@ -186,6 +188,10 @@ def _stochastic_gradient(w, spec: GameSpec, samples, state: _GradientState) -> n
     numpy's ``sum(axis=0)`` runs one inner-loop call per row; the two round
     differently.  Products go through ``ndarray.dot``, which calls the same
     BLAS routine as ``@`` with less dispatch.  ``state`` must be for S rows.
+    An Adam step with fewer numpy calls was tried and was not faster: the four
+    moments combined in one (4, n) buffer, or Adam's two bias corrections as one
+    division by a (2, 1) column, broadcast a vector over rows, which costs about
+    twice a same-shape call at these sizes.
     """
     damp, work = state.scratch
     ones = state.ones

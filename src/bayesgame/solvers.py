@@ -104,6 +104,9 @@ class TraceRecord:
 
 @dataclass
 class SolverTrace:
+    """A solver's run: one ``TraceRecord`` per trace point, the last iterate and
+    whether a trace point's residual reached ``tol``; ``to_csv`` writes ``trace.csv``."""
+
     iterations: list[TraceRecord]
     final_profile: StrategyProfile
     converged: bool
@@ -166,7 +169,11 @@ def stacked_map(
 
 def _map(state: _OperatorState, w, sigma, out, probs) -> np.ndarray:
     """The operator at (w, sigma), unchecked, one chunk of atoms at a time: the
-    generator blocks into ``out`` and the probability-weighted learner gradient returned."""
+    generator blocks into ``out`` and the probability-weighted learner gradient returned.
+
+    Chunking changes no bit: each atom's block and row are formed alone, and
+    ``probs @ rows`` runs over all K rows after the last chunk.
+    """
     for s, _ in state.chunks:
         _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], out[s])
     return probs @ state.rows
@@ -182,11 +189,11 @@ def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: Gam
     _check_profile(profile, prior, spec.n, spec.m)
     w, sigma = profile.w, profile.sigma
     state = _OperatorState.build(spec, prior.atoms)
+    t_sig = np.empty((state.chunks[0][1], spec.n, spec.m))  # a chunk's map values
     block_sums: list[float] = []
     for s, c in state.chunks:
-        t_sig = state.out[:c]
-        _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], t_sig)
-        _block_residuals(sigma[s], t_sig, t_sig, state.radii[1], block_sums)
+        _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], t_sig[:c])
+        _block_residuals(sigma[s], t_sig[:c], t_sig[:c], state.radii[1], block_sums)
     return _natural_residual(w, prior.probs @ state.rows, block_sums, spec)
 
 
@@ -286,7 +293,7 @@ def assumption_probe(
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
     state = _OperatorState.build(spec, prior.atoms)
-    rows, maps = np.empty((2, K, spec.m)), np.empty((2,) + state.out.shape)
+    rows, maps = np.empty((2, K, spec.m)), np.empty((2, state.chunks[0][1], spec.n, spec.m))
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
@@ -436,14 +443,15 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     w_cur, sig_cur = init.w, init.sigma
     w_til_prev, w_til = init.w.copy(), init.w.copy()
     # sigma is kept in three stacks, one per iterate; each chunk's reflected
-    # point lives in the state's chunk buffer, and the next tilde point is
+    # point lives in one chunk-sized buffer, and the next tilde point is
     # written over the previous one once the reflected point has read it
     til_a, til_b = init.sigma.copy(), init.sigma.copy()
+    reflected = np.empty((state.chunks[0][1], spec.n, spec.m))
     # per parity of t, as the tilde stacks swap roles every iteration, and per
     # chunk: current, tilde, previous tilde and its flat blocks, slope weights,
     # learner rows and reflected point
     views = [[(sig_cur[s], til[s], prev[s], _flat_blocks(prev[s]), state.chunk(s),
-               state.rows[s], state.out[:c]) for s, c in state.chunks]
+               state.rows[s], reflected[:c]) for s, c in state.chunks]
              for til, prev in ((til_b, til_a), (til_a, til_b))]
     gamma, probs = config.gamma, prior.probs
     for t in range(1, config.max_iters + 1):
@@ -488,13 +496,13 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # Python ints: indexing a stack by one is cheaper than by a numpy integer
     indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs).tolist()
 
-    state = _OperatorState.build(spec, prior.atoms)
+    state = _OperatorState.build(spec, prior.atoms, one_atom=True)
     w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
     # per atom: its block of sig_cur, the block's flat view and its slope weights
     blocks, flats, weights = list(sig_cur), _flat_blocks(sig_cur), list(state.weights)
     # w_next takes each step's learner, then swaps with w_cur; step, a block
-    w_next, step = np.empty_like(w_cur), state.out[0]
+    w_next, step = np.empty_like(w_cur), np.empty((spec.n, spec.m))
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]

@@ -1038,6 +1038,36 @@ class TestDeskWorkingSet:
         assert short <= 4 * self.S + 1
         assert abs(longer - short) < self.S / self.prior.num_atoms  # less than one block
 
+    # (sigma stacks, n x m blocks) each loop may hold: the stacks its algorithm
+    # needs, then the chunk buffers it writes, plus about one block for each
+    # operator state's per-atom weights and small temporaries.  A chunk is 2
+    # atoms here, and pg_rbc's kernel works on one block at a time.
+    HOLDS = {
+        "pg_rbc": (1, 8.5),  # scratch and step, then the residual's scratch and map (2 + 2)
+        "assumption_probe": (2, 8),  # the kernel's scratch (2), the pair's maps (2 x 2)
+        "failing_oracle": (4, 6),  # the kernel's scratch (2), the step test's buffer (2)
+        "stacked_map": (1, 4),  # the kernel's scratch (2)
+    }
+
+    @pytest.mark.parametrize("loop", sorted(HOLDS))
+    def test_no_loop_holds_a_chunk_buffer_it_never_writes(self, loop):
+        profile = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
+        config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)
+
+        def failing_oracle():
+            with pytest.raises(SolverError, match="did not reach"):
+                extragradient_reference(self.spec, self.prior, tol=1e-10, max_iters=3)
+
+        runs = {
+            "pg_rbc": lambda: pg_rbc(self.spec, self.prior, config, reference=profile),
+            "assumption_probe": lambda: assumption_probe(self.spec, self.prior, 2, 0),
+            "failing_oracle": failing_oracle,
+            "stacked_map": lambda: stacked_map(profile, self.prior, self.spec),
+        }
+        stacks, blocks = self.HOLDS[loop]
+        block = self.S / self.prior.num_atoms
+        assert peak_mib(runs[loop]) <= stacks * self.S + blocks * block
+
 
 # --------------------------------------------------------------------------
 # The loops write into buffers they own and project in place.

@@ -19,7 +19,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Literal, Union
+from typing import Literal
 
 import numpy as np
 
@@ -273,10 +273,11 @@ def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]
 _CHUNK_BYTES = 256 * 1024
 
 
-def _chunk_plan(K: int, block_bytes: int) -> list[tuple[slice, int]]:
-    """Consecutive ``(slice, length)`` chunks of K atoms whose blocks fit ``_CHUNK_BYTES``,
-    each of at least one atom; the first is the largest."""
-    size = max(1, _CHUNK_BYTES // block_bytes)
+def _chunk_plan(K: int, block_bytes: int, size: int = 0) -> list[tuple[slice, int]]:
+    """Consecutive ``(slice, length)`` chunks of K atoms, ``size`` atoms each or by
+    default as many blocks of ``block_bytes`` as fit ``_CHUNK_BYTES``, at least one;
+    the first is the largest."""
+    size = size or max(1, _CHUNK_BYTES // block_bytes)
     return [(slice(lo, min(lo + size, K)), min(size, K - lo)) for lo in range(0, K, size)]
 
 
@@ -303,12 +304,13 @@ class _OperatorState:
     rows: np.ndarray  # (K, m) the learner's gradient against each atom
 
     @classmethod
-    def build(cls, spec: GameSpec, atoms: np.ndarray, one_atom: bool = False) -> "_OperatorState":
+    def build(cls, spec: GameSpec, atoms: np.ndarray, chunk_len: int = 0) -> "_OperatorState":
         """The state for ``spec`` at the (K, n) weight vectors ``atoms``.
 
-        Its chunks hold as many atoms as fit ``_CHUNK_BYTES``, or one atom each with
-        ``one_atom``, for a loop that evaluates one block at a time.  A loop that
-        writes a chunk's map values into a buffer of its own allocates it itself.
+        Its chunks hold ``chunk_len`` atoms, by default as many as fit ``_CHUNK_BYTES``;
+        the kernel's scratch holds one chunk, so a loop that evaluates one block at a
+        time asks for 1.  A loop that writes a chunk's map values takes a
+        ``chunk_buffer``; the state holds none.
         """
         (K, n), m = atoms.shape, spec.m
         losses = (spec.learner_loss, spec.adversary_loss)
@@ -317,7 +319,7 @@ class _OperatorState:
         for player, loss in enumerate(losses):
             if loss is LossKind.QUADRATIC:
                 weights[:, player] *= 2.0
-        chunks = _chunk_plan(K, _CHUNK_BYTES if one_atom else n * m * 8)
+        chunks = _chunk_plan(K, n * m * 8, chunk_len)
         size = chunks[0][1]
         coef, scratch = np.empty((2, size, n)), np.empty((size, n, m))
         buffers = {c: (coef[:, :c], scratch[:c]) for _, c in chunks}
@@ -330,6 +332,10 @@ class _OperatorState:
     def chunk(self, atoms: slice) -> np.ndarray:
         """The (2, c, n) slope weights of a chunk of atoms, laid out as its slopes are."""
         return self.weights[atoms].swapaxes(0, 1)
+
+    def chunk_buffer(self, *lead: int) -> np.ndarray:
+        """A new (*lead, c, n, m) buffer for the map values of a chunk, c its largest length."""
+        return np.empty(lead + (self.chunks[0][1],) + self.X.shape)
 
 
 def _slopes(state: _OperatorState, margins, weights, out) -> None:
@@ -472,8 +478,8 @@ class LogNormalPrior:
         return np.full(n, math.exp(self.mu + 0.5 * self.sigma**2))
 
 
-Prior = Union[FinitePrior, GaussianPrior, GammaPrior, LogNormalPrior]
-Prior.__doc__ = "A prior over the generator's weights c_d: one of the four families."
+# A prior over the generator's weights c_d: any of the four families.
+Prior = FinitePrior | GaussianPrior | GammaPrior | LogNormalPrior
 
 
 # The one table of prior families, keyed by their JSON name: labels, JSON

@@ -189,7 +189,7 @@ def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: Gam
     _check_profile(profile, prior, spec.n, spec.m)
     w, sigma = profile.w, profile.sigma
     state = _OperatorState.build(spec, prior.atoms)
-    t_sig = np.empty((state.chunks[0][1], spec.n, spec.m))  # a chunk's map values
+    t_sig = state.chunk_buffer()  # a chunk's map values
     block_sums: list[float] = []
     for s, c in state.chunks:
         _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], t_sig[:c])
@@ -293,7 +293,7 @@ def assumption_probe(
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
     state = _OperatorState.build(spec, prior.atoms)
-    rows, maps = np.empty((2, K, spec.m)), np.empty((2, state.chunks[0][1], spec.n, spec.m))
+    rows, maps = np.empty((2, K, spec.m)), state.chunk_buffer(2)
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
@@ -446,7 +446,7 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # point lives in one chunk-sized buffer, and the next tilde point is
     # written over the previous one once the reflected point has read it
     til_a, til_b = init.sigma.copy(), init.sigma.copy()
-    reflected = np.empty((state.chunks[0][1], spec.n, spec.m))
+    reflected = state.chunk_buffer()
     # per parity of t, as the tilde stacks swap roles every iteration, and per
     # chunk: current, tilde, previous tilde and its flat blocks, slope weights,
     # learner rows and reflected point
@@ -496,7 +496,7 @@ def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     # Python ints: indexing a stack by one is cheaper than by a numpy integer
     indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs).tolist()
 
-    state = _OperatorState.build(spec, prior.atoms, one_atom=True)
+    state = _OperatorState.build(spec, prior.atoms, chunk_len=1)
     w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
     # per atom: its block of sig_cur, the block's flat view and its slope weights

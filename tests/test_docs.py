@@ -2,6 +2,7 @@
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -38,8 +39,10 @@ def test_exported_names_are_listed():
 @pytest.mark.parametrize("name", exported_names())
 def test_every_exported_name_has_a_docstring_of_its_own(name):
     obj = getattr(bayesgame, name)
-    doc = obj.__doc__
-    assert doc and doc.strip(), f"{name} has no docstring"
-    # not its type's (a union alias inherits typing's) nor the signature dataclass writes
-    assert doc != type(obj).__doc__, f"{name} has only its type's docstring"
-    assert not doc.startswith(f"{name}("), f"{name} has only the dataclass signature"
+    # a union alias takes no docstring; each of its members needs one instead
+    for member in obj.__args__ if isinstance(obj, types.UnionType) else (obj,):
+        doc, own = member.__doc__, getattr(member, "__name__", name)
+        assert doc and doc.strip(), f"{own} has no docstring"
+        # not its type's nor the signature dataclass writes
+        assert doc != type(member).__doc__, f"{own} has only its type's docstring"
+        assert not doc.startswith(f"{own}("), f"{own} has only the dataclass signature"

@@ -225,6 +225,11 @@ class BenchmarkConfig:
                 _check_real(value, f"{name}[{i}]", "positive")
         for i, batch in enumerate(self.adam_batch_grid):
             _check_count(batch, f"adam_batch_grid[{i}]")
+        # _method_grid labels each value so; one label would merge two values' seeds and rows
+        for key, fmt in (("adam_lr_grid", "g"), ("adam_batch_grid", ""), ("ridge_alpha_grid", "g")):
+            labels = [format(value, fmt) for value in getattr(self, key)]
+            if len(set(labels)) < len(labels):
+                raise FieldError(key, f"must not hold values that print alike: {', '.join(labels)}")
         for i, method in enumerate(self.methods):
             if method not in METHODS:
                 raise FieldError(f"methods[{i}]", f"must be one of {', '.join(METHODS)}, "

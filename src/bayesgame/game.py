@@ -264,7 +264,7 @@ def grad_adversary_X(
 def _gradients_at(w, Xbar, c_d, spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     """Both players' gradients at one checked matrix ``Xbar`` against weights ``c_d``,
     in new arrays."""
-    state, out = _OperatorState.build(spec, c_d[None, :]), np.empty(Xbar.shape)
+    state, out = _OperatorState.build(spec, c_d[None, :], np.ones(1)), np.empty(Xbar.shape)
     _gradients(state, w, Xbar, state.weights[0], state.rows[0], out)
     return state.rows[0], out
 
@@ -302,10 +302,12 @@ class _OperatorState:
     chunks: list  # the ``_chunk_plan`` of the K atoms
     buffers: dict  # the kernel's slopes and scratch by stack length, 0 for one matrix
     rows: np.ndarray  # (K, m) the learner's gradient against each atom
+    probs: np.ndarray  # (K,) the atoms' probabilities, which weight ``rows`` and distances
 
     @classmethod
-    def build(cls, spec: GameSpec, atoms: np.ndarray, chunk_len: int = 0) -> "_OperatorState":
-        """The state for ``spec`` at the (K, n) weight vectors ``atoms``.
+    def build(cls, spec: GameSpec, atoms: np.ndarray, probs: np.ndarray,
+              chunk_len: int = 0) -> "_OperatorState":
+        """The state for ``spec`` at the (K, n) weight vectors ``atoms`` of probabilities ``probs``.
 
         Its chunks hold ``chunk_len`` atoms, by default as many as fit ``_CHUNK_BYTES``;
         the kernel's scratch holds one chunk, so a loop that evaluates one block at a
@@ -327,7 +329,7 @@ class _OperatorState:
         return cls(spec.X, np.stack([spec.y, spec.z]), weights,
                    tuple(p for p, loss in enumerate(losses) if loss is LossKind.LOGISTIC),
                    2.0 * spec.reg_l, (spec.learner_set.radius, spec.adversary_set.radius),
-                   chunks, buffers, np.empty((K, m)))
+                   chunks, buffers, np.empty((K, m)), probs)
 
     def chunk(self, atoms: slice) -> np.ndarray:
         """The (2, c, n) slope weights of a chunk of atoms, laid out as its slopes are."""

@@ -15,9 +15,10 @@ Solvers:
 * ``extragradient`` -- two-projection extragradient with a backtracking step,
   run to a tolerance by ``extragradient_reference``, the oracle of all errors.
 
-All three share one trace driver, ``_traced_run``.  The first two assume the
-monotonicity modulus and Lipschitz constant are known: ``SolverConfig``
-gives them, ``step_warnings`` checks a step against them and
+All three share one trace driver, ``_traced_run``, whose trace points evaluate
+on the one ``_OperatorState`` that the solve's iterations run on.  The first
+two assume the monotonicity modulus and Lipschitz constant are known:
+``SolverConfig`` gives them, ``step_warnings`` checks a step against them and
 ``assumption_probe`` estimates them by sampling feasible profile pairs.
 """
 
@@ -163,11 +164,11 @@ def stacked_map(
     """
     _check_profile(profile, prior, spec.n, spec.m)
     out = np.empty(profile.sigma.shape)  # C order
-    state = _OperatorState.build(spec, prior.atoms)
-    return _map(state, profile.w, profile.sigma, out, prior.probs), out
+    state = _OperatorState.build(spec, prior.atoms, prior.probs)
+    return _map(state, profile.w, profile.sigma, out), out
 
 
-def _map(state: _OperatorState, w, sigma, out, probs) -> np.ndarray:
+def _map(state: _OperatorState, w, sigma, out) -> np.ndarray:
     """The operator at (w, sigma), unchecked, one chunk of atoms at a time: the
     generator blocks into ``out`` and the probability-weighted learner gradient returned.
 
@@ -176,25 +177,29 @@ def _map(state: _OperatorState, w, sigma, out, probs) -> np.ndarray:
     """
     for s, _ in state.chunks:
         _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], out[s])
-    return probs @ state.rows
+    return state.probs @ state.rows
 
 
 def equilibrium_residual(profile: StrategyProfile, prior: FinitePrior, spec: GameSpec) -> float:
     """Squared natural-map residual at step 1; zero exactly at equilibria.
 
     The fixed step keeps values comparable across runs; for unconstrained
-    sets this is the squared operator norm.  The operator is evaluated one
-    chunk of atoms at a time, so no sigma-sized array is allocated.
+    sets this is the squared operator norm.
     """
     _check_profile(profile, prior, spec.n, spec.m)
-    w, sigma = profile.w, profile.sigma
-    state = _OperatorState.build(spec, prior.atoms)
+    return _residual(_OperatorState.build(spec, prior.atoms, prior.probs), profile.w, profile.sigma)
+
+
+def _residual(state: _OperatorState, w, sigma) -> float:
+    """``equilibrium_residual`` at (w, sigma), unchecked; the operator is evaluated one
+    chunk of the state's atoms at a time, so no sigma-sized array is allocated, and
+    the state's rows and scratch are overwritten."""
     t_sig = state.chunk_buffer()  # a chunk's map values
     block_sums: list[float] = []
     for s, c in state.chunks:
         _gradients(state, w, sigma[s], state.chunk(s), state.rows[s], t_sig[:c])
         _block_residuals(sigma[s], t_sig[:c], t_sig[:c], state.radii[1], block_sums)
-    return _natural_residual(w, prior.probs @ state.rows, block_sums, spec)
+    return _natural_residual(w, state.probs @ state.rows, block_sums, state.radii[0])
 
 
 def _flat_blocks(stack) -> list:
@@ -214,11 +219,11 @@ def _block_residuals(sigma, t_sig, buf, radius, block_sums: list) -> None:
     block_sums.extend(float(np.sum(block)) for block in buf)
 
 
-def _natural_residual(w, t_w, block_sums, spec: GameSpec) -> float:
-    """Squared natural-map residual at w from the learner map ``t_w`` there
-    and the ``_block_residuals`` sums, which are added in atom order."""
+def _natural_residual(w, t_w, block_sums, radius) -> float:
+    """Squared natural-map residual at w, in the learner's ball of ``radius``, from the
+    learner map ``t_w`` there and the ``_block_residuals`` sums, added in atom order."""
     w_step = w - t_w
-    _into_ball(w_step, w_step, spec.learner_set.radius)
+    _into_ball(w_step, w_step, radius)
     total = float(np.sum((w - w_step) ** 2))
     for block_sum in block_sums:
         total += block_sum
@@ -242,10 +247,15 @@ def epsilon_distance(
     n, m = profile.sigma.shape[1:]
     _check_profile(profile, prior, n, m)
     _check_profile(reference, prior, n, m, "reference")
+    return _epsilon_distance(profile, reference, prior.probs)
+
+
+def _epsilon_distance(profile: StrategyProfile, reference: StrategyProfile, probs) -> float:
+    """``epsilon_distance`` under the weights ``probs``, unchecked."""
     dw = profile.w - reference.w
     # one block's difference at a time, so no sigma-sized temporary is formed
     blocks = [float(np.sum(np.square(a - b))) for a, b in zip(profile.sigma, reference.sigma)]
-    return float(dw @ dw + prior.probs @ np.array(blocks))
+    return float(dw @ dw + probs @ np.array(blocks))
 
 
 # --------------------------------------------------------------------------
@@ -286,13 +296,12 @@ def assumption_probe(
     _check_count(trials, "trials", 2)
     _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    probs = prior.probs
     K = prior.num_atoms
     # the pair's profiles, redrawn by every trial, with their learner rows and a
     # chunk's map values; the inner products are formed chunk by chunk into per-atom sums
     w = np.empty((2, spec.m))
     sigma = np.empty((2, K, spec.n, spec.m))
-    state = _OperatorState.build(spec, prior.atoms)
+    state = _OperatorState.build(spec, prior.atoms, prior.probs)
     rows, maps = np.empty((2, K, spec.m)), state.chunk_buffer(2)
     sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
@@ -320,12 +329,12 @@ def assumption_probe(
         g_hat = max(g_hat, float(np.max(np.linalg.norm(rows, axis=2))),
                     float(np.max(np.sqrt(sq_norms))))
         dw = w[0] - w[1]
-        den = float(dw @ dw + probs @ sums[0])
+        den = float(dw @ dw + state.probs @ sums[0])
         if den < 1e-24:
             continue  # duplicate pair: quotient undefined
-        dtw = probs @ rows[0] - probs @ rows[1]
-        num = float(dw @ dtw + probs @ sums[1])
-        tnorm = float(dtw @ dtw + probs @ sums[2])
+        dtw = state.probs @ rows[0] - state.probs @ rows[1]
+        num = float(dw @ dtw + state.probs @ sums[1])
+        tnorm = float(dtw @ dtw + state.probs @ sums[2])
         if not (math.isfinite(num / den) and math.isfinite(tnorm / den)):  # min, max skip NaN
             raise SolverError(f"non-finite quotient of a sampled pair: {num}/{den}, {tnorm}/{den}")
         lambda_hat = min(lambda_hat, num / den)
@@ -378,20 +387,24 @@ def step_warnings(
 # --------------------------------------------------------------------------
 
 
-def _trace_point(records, t, profile, prior, spec, reference, start_time, residual=None) -> float:
+def _trace_point(records, t, profile, state, spec, reference, start_time, residual=None) -> float:
+    """Append the trace record of ``profile``, evaluated unchecked on the solve's
+    ``state``: its residual unless given, and its distance to ``reference``."""
     if residual is None:
-        residual = equilibrium_residual(profile, prior, spec)
+        residual = _residual(state, profile.w, profile.sigma)
     if not math.isfinite(residual):
         last = records[-1].residual if records else None
         raise SolverError(f"diverged at t={t}: residual {residual}, last finite residual {last}")
-    err = None if reference is None else epsilon_distance(profile, reference, prior)
+    err = None if reference is None else _epsilon_distance(profile, reference, state.probs)
     records.append(TraceRecord(t, residual, err, time.perf_counter() - start_time))
     return residual
 
 
-def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> SolverTrace:
+def _traced_run(iterates, config: SolverConfig, state, spec, reference) -> SolverTrace:
     """Trace the ``(w, sigma)`` or ``(w, sigma, residual)`` that ``iterates`` yields
-    after each iteration; a yielded residual spares the trace point an evaluation.
+    after each iteration, on the ``state`` the iterates run on (None if they yield
+    residuals and there is no reference); a yielded residual spares the trace point
+    an evaluation.
 
     Trace points are t = 1, every ``trace_every`` and the last iteration.
     With ``tol`` > 0 the run stops, ``converged``, at the first trace point
@@ -406,7 +419,7 @@ def _traced_run(iterates, config: SolverConfig, prior, spec, reference) -> Solve
         for t, (w, sigma, *known) in enumerate(iterates, start=1):
             if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
                 profile = StrategyProfile(w=w, sigma=sigma)
-                residual = _trace_point(records, t, profile, prior, spec, reference, start, *known)
+                residual = _trace_point(records, t, profile, state, spec, reference, start, *known)
                 if config.tol > 0 and residual <= config.tol:
                     return SolverTrace(records, profile, converged=True)
     return SolverTrace(records, StrategyProfile(w=w, sigma=sigma), converged=False)
@@ -434,11 +447,11 @@ def prg_ie(
     init = _check_start(spec, prior, reference)
     for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
         warnings.warn(message, stacklevel=2)
-    return _traced_run(_prg_ie_iterates(init, prior, spec, config), config, prior, spec, reference)
+    state = _OperatorState.build(spec, prior.atoms, prior.probs)
+    return _traced_run(_prg_ie_iterates(init, state, config), config, state, spec, reference)
 
 
-def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
-    state = _OperatorState.build(spec, prior.atoms)
+def _prg_ie_iterates(init, state: _OperatorState, config: SolverConfig):
     w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
     w_til_prev, w_til = init.w.copy(), init.w.copy()
@@ -453,7 +466,7 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
     views = [[(sig_cur[s], til[s], prev[s], _flat_blocks(prev[s]), state.chunk(s),
                state.rows[s], reflected[:c]) for s, c in state.chunks]
              for til, prev in ((til_b, til_a), (til_a, til_b))]
-    gamma, probs = config.gamma, prior.probs
+    gamma = config.gamma
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
@@ -464,7 +477,7 @@ def _prg_ie_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverCon
             _projected_step(cur, til_prev, gamma, sig_radius, til_prev, flats)  # new tilde
             cur *= delta / 2.0
             cur += np.multiply(1.0 - delta, til_prev, out=ref)  # the kernel has read ref
-        w_til_next = w_cur - gamma * (probs @ state.rows)
+        w_til_next = w_cur - gamma * (state.probs @ state.rows)
         _into_ball(w_til_next, w_til_next, w_radius)
         w_cur = (delta / 2.0) * w_cur + (1.0 - delta) * w_til_next
         w_til_prev, w_til = w_til, w_til_next
@@ -488,21 +501,21 @@ def pg_rbc(
     init = _check_start(spec, prior, reference)
     for message in step_warnings(config.gamma, strong_monotonicity=config.strong_monotonicity):
         warnings.warn(message, stacklevel=2)
-    return _traced_run(_pg_rbc_iterates(init, prior, spec, config), config, prior, spec, reference)
+    state = _OperatorState.build(spec, prior.atoms, prior.probs, chunk_len=1)
+    return _traced_run(_pg_rbc_iterates(init, state, config), config, state, spec, reference)
 
 
-def _pg_rbc_iterates(init, prior: FinitePrior, spec: GameSpec, config: SolverConfig):
+def _pg_rbc_iterates(init, state: _OperatorState, config: SolverConfig):
     rng = np.random.default_rng(config.seed)
     # Python ints: indexing a stack by one is cheaper than by a numpy integer
-    indices = rng.choice(prior.num_atoms, size=config.max_iters, p=prior.probs).tolist()
+    indices = rng.choice(len(state.probs), size=config.max_iters, p=state.probs).tolist()
 
-    state = _OperatorState.build(spec, prior.atoms, chunk_len=1)
     w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
     # per atom: its block of sig_cur, the block's flat view and its slope weights
     blocks, flats, weights = list(sig_cur), _flat_blocks(sig_cur), list(state.weights)
     # w_next takes each step's learner, then swaps with w_cur; step, a block
-    w_next, step = np.empty_like(w_cur), np.empty((spec.n, spec.m))
+    w_next, step = np.empty_like(w_cur), np.empty(state.X.shape)
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
@@ -527,9 +540,10 @@ def extragradient(
     """Extragradient from the origin with ``_extragradient_iterates``' backtracking
     step, ``config.gamma`` its first trial; no Lipschitz constant is needed."""
     init = _check_start(spec, prior, reference)
-    map_fn = functools.partial(_map, _OperatorState.build(spec, prior.atoms), probs=prior.probs)
-    iterates = _extragradient_iterates(map_fn, init, spec, config.gamma, config.max_iters)
-    return _traced_run(iterates, config, prior, spec, reference)
+    state = _OperatorState.build(spec, prior.atoms, prior.probs)
+    iterates = _extragradient_iterates(functools.partial(_map, state), init, spec, config.gamma,
+                                       config.max_iters)
+    return _traced_run(iterates, config, state, spec, reference)
 
 
 def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, max_iters):
@@ -574,7 +588,7 @@ def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, 
             _block_residuals(sigma[s], t_sig[s], buf[:c], sig_radius, block_sums)
         if moved > 0:
             gamma *= 1.5
-        yield w, sigma, _natural_residual(w, t_w, block_sums, spec)
+        yield w, sigma, _natural_residual(w, t_w, block_sums, w_radius)
 
 
 def _squared_distance(w, w2, sigma, sigma2, chunks, buf) -> float:

@@ -139,8 +139,13 @@ seeds = st.integers(0, 2**63 - 1)
 counts = st.integers(1, 10**6)
 
 
-def nonempty_tuples(elements):
-    return st.lists(elements, min_size=1, max_size=4).map(tuple)
+def nonempty_tuples(elements, unique_by=None):
+    return st.lists(elements, min_size=1, max_size=4, unique_by=unique_by).map(tuple)
+
+
+def grids(elements, fmt="g"):
+    """Benchmark grids, whose values must print apart."""
+    return nonempty_tuples(elements, unique_by=lambda value: format(value, fmt))
 
 
 @st.composite
@@ -178,8 +183,8 @@ benchmark_configs = st.builds(
     BenchmarkConfig, train_n=counts, test_n=counts, repetitions=counts, test_draws=counts,
     prior_grid=nonempty_tuples(priors), methods=nonempty_tuples(st.sampled_from(METHODS)),
     c_l_value=nonnegative, z_rule=st.builds(ZRule, st.sampled_from(["flip", "zero"])),
-    seed=seeds, reg_l=nonnegative, adam_lr_grid=nonempty_tuples(positive),
-    adam_batch_grid=nonempty_tuples(counts), ridge_alpha_grid=nonempty_tuples(positive),
+    seed=seeds, reg_l=nonnegative, adam_lr_grid=grids(positive),
+    adam_batch_grid=grids(counts, ""), ridge_alpha_grid=grids(positive),
     adam_epochs=counts, adam_samples=counts, fp_samples=counts, fp_iterations=counts,
     nash_iterations=counts, two_equilibria=st.booleans(),
 )
@@ -312,6 +317,8 @@ class TestMalformedConfig:
             ("benchmark", None, {"reg_l": -1.0}, "reg_l: must be nonnegative and finite"),
             ("benchmark", None, {"seed": -1}, "seed: must be >= 0"),
             ("benchmark", None, {"adam_batch_grid": [32, 0]}, "adam_batch_grid[1]: must be >= 1"),
+            ("benchmark", None, {"ridge_alpha_grid": [5.0, 5.0000001]},
+             "ridge_alpha_grid: must not hold values that print alike: 5, 5"),
             ("benchmark", None, {"methods": ["ridge", "lasso"]},
              "methods[1]: must be one of bayes-adam, bayes-fp, nash, ridge, got 'lasso'"),
             # each command decodes every section, also those it does not use
@@ -334,7 +341,8 @@ class TestMalformedConfig:
         ],
         ids=["solver-gamma", "solver-trace-every", "solver-lipschitz", "discretize-k",
              "prior-dimension", "probe-trials", "prior-std", "ball-radius",
-             "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-method",
+             "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-grid-labels",
+             "benchmark-method",
              "solve-probe-section", "probe-algorithm", "probe-discretize-k", "solve-null-solver",
              "probe-null-solver", "solve-null-algorithm", "probe-null-algorithm",
              "field-before-unknown-key", "solve-check-before-unknown-key",

@@ -534,6 +534,19 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
             self.make_config(**overrides)
 
+    @pytest.mark.parametrize("grid, values, labels", [
+        ("ridge_alpha_grid", (5.0, 5.0000001), "5, 5"),
+        ("ridge_alpha_grid", (1.0, 0.1, 1.0), "1, 0.1, 1"),
+        ("adam_lr_grid", (0.01, 0.01), "0.01, 0.01"),
+        ("adam_batch_grid", (32, 64, 32), "32, 64, 32"),
+    ], ids=["close-alphas", "equal-alphas", "equal-rates", "equal-batches"])
+    def test_grid_values_that_print_alike_rejected(self, grid, values, labels):
+        # their configurations shared a label, so one seed and one aggregate
+        with pytest.raises(ValueError, match=f"^{grid} must not hold values that print alike: "
+                                             f"{labels}$"):
+            self.make_config(**{grid: values})
+        assert getattr(self.make_config(**{grid: values[1:]}), grid) == values[1:]
+
     @pytest.mark.parametrize("value", ["no", 1, None])
     def test_two_equilibria_must_be_a_bool(self, value):
         # "no" used to pass and, being truthy, turned the test-side Adam fit on

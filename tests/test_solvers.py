@@ -542,16 +542,28 @@ def reference_residual(w, sigma, prior, spec):
     return total
 
 
+def reference_error(w, sigma, prior, reference):
+    """The probability-weighted squared distance to ``reference``, one block at a time;
+    None without a reference."""
+    if reference is None:
+        return None
+    dw = w - reference.w
+    blocks = [float(np.sum((sigma[k] - reference.sigma[k]) ** 2)) for k in range(prior.num_atoms)]
+    return float(dw @ dw + prior.probs @ np.array(blocks))
+
+
 def is_trace_point(done, config):
     return done == 1 or done % config.trace_every == 0 or done == config.max_iters
 
 
-def reference_pg_rbc(spec, prior, config):
+def reference_pg_rbc(spec, prior, config, reference=None):
+    """pg_rbc with the first-form gradients at each step; the final profile, and the
+    residual and error to ``reference`` at each trace point."""
     K = prior.num_atoms
     rng = np.random.default_rng(config.seed)
     indices = rng.choice(K, size=config.max_iters, p=prior.probs)
     w, sigma = np.zeros(spec.m), np.zeros((K, spec.n, spec.m))
-    residuals = []
+    residuals, errors = [], []
     for t in range(config.max_iters):
         gamma_t = config.gamma if t == 0 else config.gamma / t
         j = indices[t]
@@ -562,15 +574,17 @@ def reference_pg_rbc(spec, prior, config):
         sigma[j] = reference_project(sigma[j] - gamma_t * t_sig, spec.adversary_set)
         if is_trace_point(t + 1, config):
             residuals.append(reference_residual(w, sigma, prior, spec))
-    return w, sigma, residuals
+            errors.append(reference_error(w, sigma, prior, reference))
+    return w, sigma, residuals, errors
 
 
-def reference_prg_ie(spec, prior, config):
-    """prg_ie with the operator from ``reference_map`` at each step."""
+def reference_prg_ie(spec, prior, config, reference=None):
+    """prg_ie with the operator from ``reference_map`` at each step; returns as
+    ``reference_pg_rbc`` does."""
     K, gamma = prior.num_atoms, config.gamma
     w_cur = w_til_prev = w_til = np.zeros(spec.m)
     sig_cur = sig_til_prev = sig_til = np.zeros((K, spec.n, spec.m))
-    residuals = []
+    residuals, errors = [], []
     for t in range(1, config.max_iters + 1):
         delta = 1.0 / t
         w_ref = 2.0 * w_til - w_til_prev
@@ -587,7 +601,8 @@ def reference_prg_ie(spec, prior, config):
         w_cur, sig_cur = w_next, sig_next
         if is_trace_point(t, config):
             residuals.append(reference_residual(w_cur, sig_cur, prior, spec))
-    return w_cur, sig_cur, residuals
+            errors.append(reference_error(w_cur, sig_cur, prior, reference))
+    return w_cur, sig_cur, residuals, errors
 
 
 def reference_extragradient(spec, prior, gamma, tol):
@@ -672,7 +687,7 @@ CHUNKINGS = ["1", "2", "K-1"]
 def set_chunking(monkeypatch, spec, prior, chunking):
     atoms = {"1": 1, "2": 2, "K-1": max(1, prior.num_atoms - 1)}[chunking]
     monkeypatch.setattr(game, "_CHUNK_BYTES", atoms * spec.n * spec.m * 8)
-    chunks = _OperatorState.build(spec, prior.atoms).chunks
+    chunks = _OperatorState.build(spec, prior.atoms, prior.probs).chunks
     assert len(chunks) == math.ceil(prior.num_atoms / atoms)
 
 
@@ -681,29 +696,51 @@ class TestUncheckedLoopsMatchReference:
 
     @staticmethod
     def assert_same(trace, reference):
-        w, sigma, residuals = reference
+        w, sigma, residuals, errors = reference
         assert np.array_equal(trace.final_profile.w, w)
         assert np.array_equal(trace.final_profile.sigma, sigma)
         assert [rec.residual for rec in trace.iterations] == residuals
+        assert [rec.error_to_reference for rec in trace.iterations] == errors
+
+    @staticmethod
+    def reference_profile(name):
+        spec, prior = GAMES[name]
+        return random_profile(np.random.default_rng(9), spec, prior.num_atoms)
 
     @pytest.mark.parametrize("name", sorted(GAMES))
-    def test_pg_rbc(self, name):
+    def test_pg_rbc(self, name, reference=None):
         spec, prior = GAMES[name]
         config = SolverConfig(max_iters=400, gamma=0.5, seed=4, trace_every=50,
                               strong_monotonicity=2.0)
-        self.assert_same(pg_rbc(spec, prior, config), reference_pg_rbc(spec, prior, config))
+        self.assert_same(pg_rbc(spec, prior, config, reference),
+                         reference_pg_rbc(spec, prior, config, reference))
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_pg_rbc_error_column(self, name):
+        self.test_pg_rbc(name, self.reference_profile(name))
 
     @pytest.mark.parametrize("name", PRG_IE_GAMES)
-    def test_prg_ie(self, name):
+    def test_prg_ie(self, name, reference=None):
         spec, prior = GAMES[name]
         config = SolverConfig(max_iters=300, gamma=4e-3, trace_every=50, lipschitz=2.0)
-        self.assert_same(prg_ie(spec, prior, config), reference_prg_ie(spec, prior, config))
+        self.assert_same(prg_ie(spec, prior, config, reference),
+                         reference_prg_ie(spec, prior, config, reference))
+
+    @pytest.mark.parametrize("name", PRG_IE_GAMES)
+    def test_prg_ie_error_column(self, name):
+        self.test_prg_ie(name, self.reference_profile(name))
 
     @pytest.mark.parametrize("chunking", CHUNKINGS)
     @pytest.mark.parametrize("name", PRG_IE_GAMES)
     def test_prg_ie_in_chunks(self, monkeypatch, name, chunking):
         set_chunking(monkeypatch, *GAMES[name], chunking)
         self.test_prg_ie(name)
+
+    @pytest.mark.parametrize("chunking", CHUNKINGS)
+    @pytest.mark.parametrize("name", PRG_IE_GAMES)
+    def test_prg_ie_error_column_in_chunks(self, monkeypatch, name, chunking):
+        set_chunking(monkeypatch, *GAMES[name], chunking)
+        self.test_prg_ie_error_column(name)
 
     def test_equilibrium_residual(self):
         for spec, prior in GAMES.values():
@@ -767,6 +804,26 @@ class TestTraceSchedule:
         assert np.array_equal(trace.final_profile.w, shorter.final_profile.w)
         assert np.array_equal(trace.final_profile.sigma, shorter.final_profile.sigma)
 
+    @pytest.mark.parametrize("with_reference", [False, True], ids=["alone", "reference"])
+    @pytest.mark.parametrize("trace_every", [1, 7, 1000])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_one_operator_state_per_solve(self, monkeypatch, name, trace_every, with_reference):
+        # the trace points evaluate on the state the iterations run on
+        run, kwargs = self.SOLVERS[name]
+        spec, prior = monotone_ball_game()
+        reference = random_profile(np.random.default_rng(3), spec, prior.num_atoms)
+        build, builds = _OperatorState.build.__func__, []
+
+        def counting_build(cls, *args, **kw):
+            builds.append(args)
+            return build(cls, *args, **kw)
+
+        monkeypatch.setattr(_OperatorState, "build", classmethod(counting_build))
+        config = SolverConfig(max_iters=40, trace_every=trace_every, **kwargs)
+        trace = run(spec, prior, config, reference if with_reference else None)
+        assert len(builds) == 1
+        assert (trace.iterations[-1].error_to_reference is not None) == with_reference
+
 
 def kernel_gradients(w, Xbar, c_d, spec):
     """``_gradients`` at one matrix ``Xbar`` (with ``c_d`` (n,)) or a stack (with one
@@ -774,7 +831,8 @@ def kernel_gradients(w, Xbar, c_d, spec):
     the learner's gradient and the generator's."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(game, "_CHUNK_BYTES", Xbar.nbytes)
-        state = _OperatorState.build(spec, c_d.reshape(-1, spec.n))
+        atoms = c_d.reshape(-1, spec.n)
+        state = _OperatorState.build(spec, atoms, np.full(len(atoms), 1.0 / len(atoms)))
     lead = Xbar.shape[:-2]
     weights = state.chunk(slice(None)) if lead else state.weights[0]
     coef, scratch = state.buffers[len(Xbar) if lead else 0]  # the state's, for this shape
@@ -1012,7 +1070,8 @@ class TestDeskWorkingSet:
 
     def test_prg_ie_keeps_three_stacks(self):
         config = SolverConfig(max_iters=20, gamma=1e-4, trace_every=10, lipschitz=1.0)
-        assert peak_mib(prg_ie, self.spec, self.prior, config) <= 3 * self.S + 1
+        # the reflected chunk, the kernel's scratch and the trace point's map (2 + 2 + 2)
+        assert peak_mib(prg_ie, self.spec, self.prior, config) <= 3 * self.S + 8 * self.block
 
     def test_residual_keeps_no_stack(self):
         profile = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
@@ -1035,9 +1094,10 @@ class TestDeskWorkingSet:
     def test_pg_rbc_with_a_reference_keeps_one_stack(self):
         reference = random_profile(np.random.default_rng(2), self.spec, self.prior.num_atoms)
         config = SolverConfig(max_iters=30, gamma=0.5, trace_every=10, strong_monotonicity=2.0)
-        # scratch and step, then the residual's scratch and map (2 + 2)
+        # the kernel's scratch and step, then the trace point's one-block map or the
+        # error's two block temporaries (1 + 1 + 2)
         peak = peak_mib(pg_rbc, self.spec, self.prior, config, reference=reference)
-        assert peak <= self.S + 8.5 * self.block
+        assert peak <= self.S + 5.5 * self.block
 
     def test_oracle_keeps_four_stacks_whatever_its_budget(self):
         def failing_oracle(max_iters):
@@ -1072,10 +1132,10 @@ class TestNoAliasing:
                   reference.w, reference.sigma]
         before = [a.copy() for a in inputs]
         extragradient_reference(spec, prior, tol=1e-8)
-        pg_rbc(spec, prior, SolverConfig(max_iters=200, gamma=0.5, trace_every=50),
-               reference=reference)
-        prg_ie(spec, prior, SolverConfig(max_iters=200, gamma=2e-3, trace_every=50),
-               reference=reference)
+        pg_rbc(spec, prior, SolverConfig(max_iters=200, gamma=0.5, trace_every=50,
+                                         strong_monotonicity=2.0), reference=reference)
+        prg_ie(spec, prior, SolverConfig(max_iters=200, gamma=2e-3, trace_every=50,
+                                         lipschitz=2.0), reference=reference)
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
 

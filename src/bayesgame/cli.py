@@ -72,7 +72,7 @@ class SolveConfig:
 
 def _load_json(path) -> tuple[dict, str]:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()  # hashed as stored, decoded as strict UTF-8
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
@@ -80,12 +80,12 @@ def _load_json(path) -> tuple[dict, str]:
         raise ConfigError(f"{path}: non-finite number {token} is not allowed")
 
     try:
-        doc = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode(), parse_constant=reject_constant)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level document must be an object")
-    return doc, hashlib.sha256(text.encode()).hexdigest()
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def _write_metadata(out_dir: Path, config_hash: str, seed: int, config: dict) -> None:

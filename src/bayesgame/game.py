@@ -172,6 +172,11 @@ class GameSpec:
     reg_l: float = 1.0
 
     def __post_init__(self):
+        for name in ("learner_loss", "adversary_loss"):  # a kind's value, such as "logistic"
+            try:
+                object.__setattr__(self, name, LossKind(getattr(self, name)))
+            except ValueError:
+                raise FieldError(name, "must be quadratic or logistic") from None
         object.__setattr__(self, "X", _check_matrix(self.X, "X"))
         for name in ("y", "z", "c_l"):
             object.__setattr__(self, name, _check_shape(getattr(self, name), (self.n,), name))

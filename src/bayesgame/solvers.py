@@ -137,18 +137,25 @@ class AssumptionDiagnostics:
 # --------------------------------------------------------------------------
 
 
+def _check_prior(prior: FinitePrior, n: int) -> None:
+    """Reject a prior that is not finite, or whose atoms are not of dimension n."""
+    if not isinstance(prior, FinitePrior):
+        raise TypeError(f"expected a FinitePrior, got {type(prior).__name__}: see discretize_prior")
+    prior._check_dimension(n)
+
+
 def _check_profile(profile: StrategyProfile, prior: FinitePrior, n: int, m: int,
                    name: str = "profile") -> None:
-    """Reject a ``name`` profile that is not one of K (n, m) blocks and a (m,) learner,
-    or a prior whose atoms are not of dimension n."""
+    """Reject a prior that ``_check_prior`` rejects, or a ``name`` profile that is not one
+    of K (n, m) blocks and a (m,) learner."""
+    _check_prior(prior, n)
     _check_shape(profile.sigma, (prior.num_atoms, n, m), f"{name} sigma")
     _check_shape(profile.w, (m,), f"{name} w")
-    prior._check_dimension(n)
 
 
 def _check_start(spec: GameSpec, prior: FinitePrior, reference) -> StrategyProfile:
     """A solver's origin start, after checking the prior and ``reference`` against the game."""
-    prior._check_dimension(spec.n)
+    _check_prior(prior, spec.n)
     if reference is not None:
         _check_profile(reference, prior, spec.n, spec.m, "reference")
     return origin_profile(spec, prior.num_atoms)
@@ -292,7 +299,7 @@ def assumption_probe(
     and per-block gradient norm seen.  These are sampled estimates: lambda_hat
     overestimates the true modulus and L_hat/G_hat underestimate the suprema.
     """
-    prior._check_dimension(spec.n)
+    _check_prior(prior, spec.n)
     _check_count(trials, "trials", 2)
     _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)

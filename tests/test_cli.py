@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import warnings
@@ -375,6 +376,14 @@ class TestMalformedConfig:
                                                        update, flags, message):
         self.check(tmp_path, capsys, command, section, update, flags, message)
 
+    @pytest.mark.parametrize("command", ["solve", "probe", "benchmark"])
+    def test_a_file_that_is_not_utf8(self, tmp_path, capsys, command):
+        cfg, out = tmp_path / "config.json", tmp_path / "o"
+        cfg.write_bytes(b"\xff")
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: invalid JSON")
+        assert not out.exists()
+
     def check(self, tmp_path, capsys, command, section, update, flags, message):
         cfg = tmp_path / "config.json"
         doc = json.loads(json.dumps(BENCHMARK_DOC)) if command == "benchmark" else (
@@ -416,6 +425,15 @@ class TestSolve:
         assert read_trace_without_walltime(a / "trace.csv") == read_trace_without_walltime(
             b / "trace.csv"
         )
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+    def test_metadata_hashes_the_config_files_bytes(self, tmp_path, newline):
+        cfg = tmp_path / "game.json"
+        write_solve_config(cfg)
+        cfg.write_bytes(cfg.read_bytes().replace(b", ", b"," + newline))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+        assert meta["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
     def test_divergence_exits_2_without_profile(self, tmp_path, capsys):
         cfg = tmp_path / "game.json"
@@ -637,7 +655,10 @@ class TestProbe:
         monkeypatch.setattr("bayesgame.cli.pg_rbc", spy("solve", pg_rbc))
         monkeypatch.setattr("bayesgame.cli.assumption_probe", spy("probe", assumption_probe))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-        assert main(["probe", "--config", str(cfg), "--seed", "9"]) == 0  # seeds only the pairs
+        out = tmp_path / "diag.json"  # probe's --seed seeds only the pairs
+        assert main(["probe", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+        diag = json.loads(out.read_text(), parse_constant=pytest.fail)  # strict JSON
+        assert np.isfinite([diag["L_hat"], diag["lambda_hat"]]).all()
         expected = discretize_prior(GaussianPrior(1.0, 2.0), 4, 4, seed=5)
         for prior in (seen["solve"], seen["probe"]):
             assert np.array_equal(prior.atoms, expected.atoms)

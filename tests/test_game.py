@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from bayesgame.game import (
     ActionSet,
+    FieldError,
     FinitePrior,
     GameSpec,
     GammaPrior,
@@ -26,6 +27,8 @@ from bayesgame.game import (
     project,
     sample_prior,
 )
+from bayesgame.quadratic import stochastic_gradient
+from bayesgame.solvers import stacked_map
 from conftest import (
     central_diff_matrix,
     central_diff_vector,
@@ -341,6 +344,29 @@ class TestGameSpecValidation:
         GameSpec(X=np.ones((2, 1)), y=np.array([-1.0, 1.0]), z=np.ones(2),
                  c_l=np.ones(2), learner_loss=LossKind.LOGISTIC,
                  adversary_loss=LossKind.LOGISTIC)
+
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda kind: kind.value)
+    def test_a_loss_kind_may_be_given_by_its_value(self, kind):
+        rng = np.random.default_rng(4)
+        data = dict(X=rng.normal(size=(5, 3)), y=rng.choice([-1.0, 1.0], 5),
+                    z=rng.normal(size=5), c_l=rng.random(5))
+        by_member = GameSpec(**data, learner_loss=kind)
+        by_value = GameSpec(**data, learner_loss=kind.value, adversary_loss="quadratic")
+        assert (by_value.learner_loss, by_value.adversary_loss) == (kind, LossKind.QUADRATIC)
+        w, prior = rng.normal(size=3), FinitePrior(rng.random((2, 5)), np.array([0.5, 0.5]))
+        profile = StrategyProfile(w, rng.normal(size=(2, 5, 3)))
+        assert learner_cost(w, data["X"], by_value) == learner_cost(w, data["X"], by_member)
+        for a, b in zip(stacked_map(profile, prior, by_value),
+                        stacked_map(profile, prior, by_member)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(stochastic_gradient(w, by_value, prior.atoms),
+                              stochastic_gradient(w, by_member, prior.atoms))
+
+    @pytest.mark.parametrize("name", ["learner_loss", "adversary_loss"])
+    def test_an_unknown_loss_kind_is_rejected(self, name):
+        with pytest.raises(FieldError, match=f"^{name} must be quadratic or logistic$"):
+            GameSpec(X=np.ones((2, 1)), y=np.ones(2), z=np.ones(2), c_l=np.ones(2),
+                     **{name: "hinge"})
 
 
 NAN, INF = float("nan"), float("inf")

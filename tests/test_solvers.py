@@ -924,6 +924,25 @@ class TestBoundaryValidation:
         with pytest.raises(ValueError, match="atoms"):
             run(spec, wrong_n)
 
+    FINITE_PRIOR_ENTRIES = {
+        "prg_ie": lambda spec, prior, _: prg_ie(spec, prior, SolverConfig(5, 1e-3)),
+        "pg_rbc": lambda spec, prior, _: pg_rbc(spec, prior, SolverConfig(5, 0.5)),
+        "extragradient": lambda spec, prior, _: extragradient(spec, prior, SolverConfig(5, 1.0)),
+        "extragradient_reference": lambda spec, prior, _: extragradient_reference(spec, prior, 1e-8),
+        "assumption_probe": lambda spec, prior, _: assumption_probe(spec, prior, 2, 0),
+        "stacked_map": lambda spec, prior, profile: stacked_map(profile, prior, spec),
+        "equilibrium_residual": lambda spec, prior, profile: equilibrium_residual(profile, prior,
+                                                                                  spec),
+        "epsilon_distance": lambda spec, prior, profile: epsilon_distance(profile, profile, prior),
+    }
+
+    @pytest.mark.parametrize("entry", FINITE_PRIOR_ENTRIES)
+    def test_a_continuous_prior_is_sent_to_discretize_prior(self, entry):
+        spec, prior = monotone_ball_game()
+        with pytest.raises(TypeError, match="got GaussianPrior: see discretize_prior$"):
+            self.FINITE_PRIOR_ENTRIES[entry](spec, GaussianPrior(1.0, 1.0),
+                                             origin_profile(spec, prior.num_atoms))
+
     @pytest.mark.parametrize("solver, gamma", [(pg_rbc, 0.5), (prg_ie, 1e-3), (extragradient, 1.0)],
                              ids=["pg_rbc", "prg_ie", "extragradient"])
     @pytest.mark.parametrize("w_shape, sigma_shape, message", [

@@ -1,6 +1,7 @@
 """Command-line entry point: solve games, probe assumptions, run benchmarks.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime/solver failure,
+including an allocation the run cannot make.
 Every output directory gets a metadata.json sidecar with the config hash,
 seed and package version for replay.
 """
@@ -33,7 +34,6 @@ from .serialize import (
 )
 from .solvers import (
     SolverConfig,
-    SolverError,
     assumption_probe,
     extragradient,
     pg_rbc,
@@ -74,7 +74,7 @@ def _load_json(path) -> tuple[dict, str]:
     try:
         data = Path(path).read_bytes()  # hashed as stored, decoded as strict UTF-8
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
 
     def reject_constant(token):  # json.loads accepts NaN, Infinity and -Infinity
         raise ConfigError(f"{path}: non-finite number {token} is not allowed")
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (SolverError, RuntimeError, ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError, MemoryError) as exc:  # SolverError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

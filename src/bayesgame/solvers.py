@@ -512,10 +512,20 @@ def pg_rbc(
     return _traced_run(_pg_rbc_iterates(init, state, config), config, state, spec, reference)
 
 
+# pg_rbc draws its atom indices this many at a time, so that its memory does
+# not grow with max_iters; consecutive draws equal one draw of their total size
+_PG_RBC_DRAW_BLOCK = 4096
+
+
+def _atom_draws(rng, probs, count):
+    for start in range(0, count, _PG_RBC_DRAW_BLOCK):
+        size = min(_PG_RBC_DRAW_BLOCK, count - start)
+        # Python ints: indexing a stack by one is cheaper than by a numpy integer
+        yield from rng.choice(len(probs), size=size, p=probs).tolist()
+
+
 def _pg_rbc_iterates(init, state: _OperatorState, config: SolverConfig):
-    rng = np.random.default_rng(config.seed)
-    # Python ints: indexing a stack by one is cheaper than by a numpy integer
-    indices = rng.choice(len(state.probs), size=config.max_iters, p=state.probs).tolist()
+    indices = _atom_draws(np.random.default_rng(config.seed), state.probs, config.max_iters)
 
     w_radius, sig_radius = state.radii
     w_cur, sig_cur = init.w, init.sigma
@@ -523,9 +533,8 @@ def _pg_rbc_iterates(init, state: _OperatorState, config: SolverConfig):
     blocks, flats, weights = list(sig_cur), _flat_blocks(sig_cur), list(state.weights)
     # w_next takes each step's learner, then swaps with w_cur; step, a block
     w_next, step = np.empty_like(w_cur), np.empty(state.X.shape)
-    for t in range(config.max_iters):
+    for t, j in enumerate(indices):
         gamma_t = config.gamma if t == 0 else config.gamma / t
-        j = indices[t]
         sig_j = blocks[j]
         _gradients(state, w_cur, sig_j, weights[j], w_next, step)
         w_next *= gamma_t

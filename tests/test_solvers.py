@@ -246,6 +246,19 @@ class TestPgRbc:
         trace = pg_rbc(spec, prior, config)
         assert trace.final_profile.is_feasible(spec)
 
+    def test_tol_stops_a_run_whose_budget_would_not_fit_in_memory(self):
+        spec, prior = monotone_ball_game()
+        config = SolverConfig(max_iters=10**15, gamma=0.5, tol=1e3, strong_monotonicity=2.0)
+        trace = pg_rbc(spec, prior, config)
+        assert trace.converged and [rec.t for rec in trace.iterations] == [1]
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_block_draws_equal_one_draw(self, K):
+        probs = np.arange(1.0, K + 1) / (K * (K + 1) / 2)
+        count = 2 * solvers._PG_RBC_DRAW_BLOCK + 5
+        draws = list(solvers._atom_draws(np.random.default_rng(4), probs, count))
+        assert draws == np.random.default_rng(4).choice(K, size=count, p=probs).tolist()
+
 
 class TestExtragradient:
     def test_zero_game_returns_origin_immediately(self):

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Count each Python file's code lines: lines with a token other than a comment,
 with docstrings and blank lines left out.  A statement spanning lines counts each.
+A docstring is a string that opens a module, class or function body; a string
+statement anywhere else is code.
 
 Usage: python scripts/count_code_lines.py src/bayesgame/*.py
 """
@@ -12,6 +14,8 @@ import tokenize
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER, tokenize.ENCODING}
+# the bodies a docstring may open
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def code_lines(path) -> int:
@@ -19,8 +23,7 @@ def code_lines(path) -> int:
         source = fh.read()
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
-        body = getattr(node, "body", None)
-        first = body[0] if isinstance(body, list) and body else None
+        first = node.body[0] if isinstance(node, DOCUMENTED) and node.body else None
         if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                 and isinstance(first.value.value, str)):
             docstrings.update(range(first.lineno, first.end_lineno + 1))

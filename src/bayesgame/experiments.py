@@ -141,7 +141,7 @@ class ZRule:
 
     def __post_init__(self):
         if self.kind not in ("flip", "zero"):
-            raise ValueError(f"expected flip or zero, got {self.kind!r}")
+            raise FieldError("kind", f"must be flip or zero, got {self.kind!r}")
 
     def resolve(self, labels: np.ndarray) -> np.ndarray:
         return 1.0 - labels if self.kind == "flip" else np.zeros_like(labels)
@@ -234,6 +234,8 @@ class BenchmarkConfig:
             if method not in METHODS:
                 raise FieldError(f"methods[{i}]", f"must be one of {', '.join(METHODS)}, "
                                                   f"got {method!r}")
+            if method in self.methods[:i]:  # its rows would be written twice
+                raise FieldError(f"methods[{i}]", f"must not repeat {method!r}")
 
 
 @dataclass

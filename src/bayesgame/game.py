@@ -43,11 +43,11 @@ class ActionSet:
 
     def __post_init__(self):
         if self.kind not in ("unconstrained", "l2_ball"):
-            raise ValueError(f"unknown action set kind {self.kind!r}")
+            raise FieldError("kind", f"must be unconstrained or l2_ball, got {self.kind!r}")
         if self.kind == "l2_ball":
             _check_real(self.radius, "radius", "positive")
         elif self.radius is not None:
-            raise ValueError("unconstrained set takes no radius")
+            raise FieldError("radius", "must be left out for an unconstrained set")
 
     @property
     def bounded(self) -> bool:

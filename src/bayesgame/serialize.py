@@ -82,16 +82,12 @@ def _field(value, kind, where: str):
 
 
 def _built(make, kwargs: dict, path: str):
-    """``make(**kwargs)``, whose ``ValueError`` is reported against the object at ``path``.
-
-    A ``FieldError`` is reported against the field it names, ``path.field``.
-    """
+    """``make(**kwargs)``, whose ``FieldError`` is reported against the field it names,
+    ``path.field``."""
     try:
         return make(**kwargs)
     except FieldError as exc:
         raise ConfigError(f"{_key(path, exc.field)}: {exc.problem}") from None
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
 
 
 def config_from_jsonable(cls, obj, path: str):
@@ -105,8 +101,7 @@ def config_from_jsonable(cls, obj, path: str):
     A field without a default is required, and a key that names no field is
     an error, reported after the fields' and the constructor's errors.  Keys
     are named ``path.key``, or ``key`` when ``path`` is empty.  A constructor's
-    ``FieldError`` is reported against ``path.field`` and its other
-    ``ValueError`` against ``path``.
+    ``FieldError`` is reported against ``path.field``.
     """
     _object(obj, path)
     hints = typing.get_type_hints(cls)

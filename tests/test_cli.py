@@ -187,7 +187,8 @@ solver_configs = st.builds(
 probe_configs = st.builds(ProbeConfig, trials=st.integers(2, 10**6), seed=seeds)
 benchmark_configs = st.builds(
     BenchmarkConfig, train_n=counts, test_n=counts, repetitions=counts, test_draws=counts,
-    prior_grid=nonempty_tuples(priors), methods=nonempty_tuples(st.sampled_from(METHODS)),
+    prior_grid=nonempty_tuples(priors),
+    methods=nonempty_tuples(st.sampled_from(METHODS), unique_by=str),  # no method twice
     c_l_value=nonnegative, z_rule=st.builds(ZRule, st.sampled_from(["flip", "zero"])),
     seed=seeds, reg_l=nonnegative, adam_lr_grid=grids(positive),
     adam_batch_grid=grids(counts, ""), ridge_alpha_grid=grids(positive),
@@ -250,8 +251,7 @@ class TestRoundTrip:
         assert_same_fields(back, config)
 
 
-BENCHMARK_DOC = {"priors": [{"family": "gaussian", "mean": 1.0, "std": 1.0}],
-                 "dataset": "missing.csv"}  # the config is decoded before the data is read
+BENCHMARK_DOC = {"priors": [{"family": "gaussian", "mean": 1.0, "std": 1.0}]}
 GAUSSIAN = {"family": "gaussian", "mean": 0.3, "std": 0.1}
 
 
@@ -275,7 +275,7 @@ class TestMalformedConfig:
             ("benchmark", None, {"priors": [{"family": "gamma", "shape": 1, "scale": 1, "k": 2}]},
              "priors[0].k: unknown key"),
             ("solve", "game", {"learner_set": {"kind": "unconstrained", "radius": 1.0}},
-             "game.learner_set: unconstrained set takes no radius"),
+             "game.learner_set.radius: must be left out for an unconstrained set"),
             ("solve", "prior", {"atoms": [[[0.1] * 4]] * 2},
              "prior.atoms: must be a (K, n) matrix, got shape (2, 1, 4)"),
             ("solve", "game", {"X": [0.1] * 4}, "game.X: must be a matrix with n, m >= 1"),
@@ -331,6 +331,8 @@ class TestMalformedConfig:
              "ridge_alpha_grid: must not hold values that print alike: 5, 5"),
             ("benchmark", None, {"methods": ["ridge", "lasso"]},
              "methods[1]: must be one of bayes-adam, bayes-fp, nash, ridge, got 'lasso'"),
+            ("benchmark", None, {"methods": ["ridge", "nash", "ridge"]},
+             "methods[2]: must not repeat 'ridge'"),
             # each command decodes every section, also those it does not use
             ("solve", None, {"probe": 5}, "probe: expected an object"),
             ("probe", None, {"algorithm": "pg_rbc"},
@@ -404,7 +406,7 @@ class TestMalformedConfig:
         ids=["solver-gamma", "solver-trace-every", "solver-lipschitz", "discretize-k",
              "prior-dimension", "probe-trials", "prior-std", "ball-radius",
              "benchmark-reg-l", "benchmark-seed", "benchmark-batch", "benchmark-grid-labels",
-             "benchmark-method",
+             "benchmark-method", "benchmark-repeated-method",
              "solve-probe-section", "probe-algorithm", "probe-discretize-k", "solve-null-solver",
              "probe-null-solver", "solve-null-algorithm", "probe-null-algorithm",
              "field-before-unknown-key", "solve-check-before-unknown-key",
@@ -459,6 +461,38 @@ class TestMalformedConfig:
     def test_with_flags(self, tmp_path, capsys, command, section, update, flags, message):
         self.check(tmp_path, capsys, command, section, update, flags, message)
 
+    @pytest.mark.parametrize(
+        "command, section, update, dataset, env, message",
+        [
+            # a config that decodes, whose data cannot be read
+            pytest.param("benchmark", None, {"dataset": "{tmp}/missing.csv"}, None, None,
+                         "dataset: cannot read {tmp}/missing.csv: [Errno 2] No such file or "
+                         "directory: '{tmp}/missing.csv'", id="missing-dataset"),
+            pytest.param("benchmark", None, {"dataset": "{tmp}/spambase.data"}, "1,2,3\n", None,
+                         "dataset: {tmp}/spambase.data:1: expected 58 comma-separated values, "
+                         "found 3", id="malformed-dataset"),
+            pytest.param("benchmark", None, {}, None, {"BAYESGAME_DATA": None},
+                         "dataset: no path in config and BAYESGAME_DATA is not set",
+                         id="no-dataset"),
+            pytest.param("benchmark", None, {}, "1,2,3\n", {"BAYESGAME_DATA": "{tmp}"},
+                         "dataset: {tmp}/spambase.data:1: expected 58 comma-separated values, "
+                         "found 3", id="malformed-dataset-in-data-dir"),
+            # json.dumps writes a non-finite float as a bare token, which no command reads
+            *[pytest.param(command, section, update, None, None,
+                           f"{{tmp}}/config.json: non-finite number {token} is not allowed",
+                           id=f"{token}-{command}")
+              for value, token in [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                   (-float("inf"), "-Infinity")]
+              for command, section, update in [
+                  ("solve", "game", {"learner_set": {"kind": "l2_ball", "radius": value}}),
+                  ("probe", "solver", {"strong_monotonicity": value}),
+                  ("benchmark", None, {"reg_l": value})]],
+        ],
+    )
+    def test_with_files_and_environment(self, tmp_path, capsys, command, section, update,
+                                        dataset, env, message):
+        self.check(tmp_path, capsys, command, section, update, [], message, dataset, env)
+
     @pytest.mark.parametrize("command", ["solve", "probe", "benchmark"])
     @pytest.mark.parametrize(
         "raw, reason",
@@ -503,19 +537,32 @@ class TestMalformedConfig:
                                            "shape (1000000000000000, 4) and data type float64\n")
         assert not (tmp_path / "o").exists()
 
-    def check(self, tmp_path, capsys, command, section, update, flags, message):
+    def check(self, tmp_path, capsys, command, section, update, flags, message, dataset=None,
+              env=None):
+        """Run the command on the config ``write`` writes, beside ``dataset`` as the file
+        ``spambase.data`` when given, with ``env``'s variables set (unset where None);
+        ``{tmp}`` in ``update``, ``env`` and ``message`` stands for ``tmp_path``."""
+        if dataset is not None:
+            (tmp_path / "spambase.data").write_text(dataset)
         self.write(tmp_path, command, section, update)
-        err = self.rejected(tmp_path, capsys, self.argv(tmp_path, command) + flags)
-        assert err == f"configuration error: {message}\n"
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (env or {}).items():
+                if value is None:
+                    patch.delenv(name, raising=False)
+                else:
+                    patch.setenv(name, value.replace("{tmp}", str(tmp_path)))
+            err = self.rejected(tmp_path, capsys, self.argv(tmp_path, command) + flags)
+        assert err == f"configuration error: {message}\n".replace("{tmp}", str(tmp_path))
 
     @staticmethod
     def write(tmp_path, command, section, update):
-        """A valid config of the command's kind, with ``update`` applied to ``section``."""
+        """A valid config of the command's kind, with ``update`` applied to ``section``;
+        ``{tmp}`` in a string stands for ``tmp_path``."""
         cfg = tmp_path / "config.json"
         doc = json.loads(json.dumps(BENCHMARK_DOC)) if command == "benchmark" else (
             write_solve_config(cfg))
         (doc if section is None else doc.setdefault(section, {})).update(update)
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(json.dumps(doc).replace("{tmp}", json.dumps(str(tmp_path))[1:-1]))
 
     @staticmethod
     def argv(tmp_path, command):
@@ -614,22 +661,6 @@ class TestSolve:
         assert float(rows[-1][1]) <= 1e-10
         assert all(float(row[3]) > 0 for row in rows)
         assert (out / "trace.csv").read_bytes().count(b"\r\n") == len(rows) + 1
-
-    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
-                                              (-float("inf"), "-Infinity")])
-    @pytest.mark.parametrize("solver", [None, {"max_iters": 50, "gamma": 0.6,
-                                               "strong_monotonicity": 2.0}],
-                             ids=["probed", "override"])
-    def test_non_finite_json_tokens_rejected(self, tmp_path, capsys, value, token, solver):
-        cfg = tmp_path / "nan.json"
-        doc = write_solve_config(cfg, solver=solver)
-        doc["game"]["learner_set"]["radius"] = value
-        cfg.write_text(json.dumps(doc))  # json.dumps writes the bare token
-        assert token in cfg.read_text()
-        rc = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert f"non-finite number {token}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
 
 
 class TestProbe:
@@ -745,12 +776,6 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg), "--out", str(b)]) == 0
         assert (a / "results.csv").read_text() == (b / "results.csv").read_text()
 
-    def test_invalid_dataset_path(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path, tmp_path / "missing.csv")
-        rc = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert "dataset" in capsys.readouterr().err
-
     def test_env_var_dataset_dir(self, tmp_path, monkeypatch):
         dataset_dir = tmp_path / "data_dir"
         dataset_dir.mkdir()
@@ -762,27 +787,6 @@ class TestBenchmarkCommand:
         del doc["dataset"]
         cfg.write_text(json.dumps(doc))
         assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-
-    def test_no_dataset_without_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("BAYESGAME_DATA", raising=False)
-        cfg = self.write_config(tmp_path, "unused")
-        doc = json.loads(cfg.read_text())
-        del doc["dataset"]
-        cfg.write_text(json.dumps(doc))
-        assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err == ("configuration error: dataset: no path in config "
-                                           "and BAYESGAME_DATA is not set\n")
-
-    def test_malformed_dataset_names_its_line(self, tmp_path, capsys):
-        dataset = tmp_path / "bad.csv"
-        dataset.write_text("1,2,3\n")
-        cfg = self.write_config(tmp_path, dataset)
-        out = tmp_path / "o"
-        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("configuration error: dataset: "
-                                           f"{dataset}:1: expected 58 comma-separated values, "
-                                           "found 3\n")
-        assert not out.exists()
 
     def test_workers_flag(self, tmp_path):
         dataset = self.write_dataset(tmp_path)

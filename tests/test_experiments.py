@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -18,7 +17,6 @@ from bayesgame.experiments import (
     Dataset,
     ZRule,
     derive_seed,
-    desk_config,
     evaluate,
     load_spambase,
     prior_label,
@@ -29,7 +27,6 @@ from bayesgame.experiments import (
     write_dataset_csv,
 )
 from bayesgame.game import (
-    FieldError,
     FinitePrior,
     GameSpec,
     GammaPrior,
@@ -203,24 +200,6 @@ class TestWriter:
                            for row, label in zip(features, labels))
         assert path.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("features, labels, match", [
-        (np.zeros((2, 57)), [0.0, 0.7], "labels must be 0 or 1"),
-        (np.zeros((2, 57)), [0.0, 2.0], "labels must be 0 or 1"),
-        (np.zeros((2, 57)), [0.0, math.nan], "labels must be 0 or 1"),
-        (np.full((2, 57), math.nan), [0.0, 1.0], "^features must be finite elementwise$"),
-        (np.full((2, 57), -math.inf), [0.0, 1.0], "^features must be finite elementwise$"),
-        (np.zeros(57), [1.0], "^features must be a matrix with n, m >= 1$"),
-        (np.zeros((2, 57)), [1.0], r"^labels has shape \(1,\), expected \(2,\)$"),
-        (np.zeros((2, 3)), [0.0, 1.0], "features must have 57 columns, got 3"),
-        (np.zeros((2, 58)), [0.0, 1.0], "features must have 57 columns, got 58"),
-    ], ids=["fraction", "two", "nan-label", "nan", "inf", "vector", "short-labels", "narrow",
-            "wide"])
-    def test_rejects_what_would_not_read_back(self, tmp_path, features, labels, match):
-        path = tmp_path / "bad.csv"
-        with pytest.raises(ValueError, match=match):
-            write_dataset_csv(features, np.array(labels), path)
-        assert not path.exists()
-
 
 class TestSplit:
     def test_exhaustive_partition(self, rng):
@@ -249,11 +228,6 @@ class TestSplit:
             test_keys = {tuple(r) for r in test.features}
             assert not train_keys & test_keys
 
-    def test_overflow_rejected(self, rng):
-        features, labels = synthetic_dataset(rng, rows=10)
-        with pytest.raises(ValueError, match="exceeds"):
-            split(Dataset(features, labels), 8, 5, seed=0)
-
 
 class TestRmse:
     def test_exact_predictions(self, rng):
@@ -269,6 +243,26 @@ class TestRmse:
     def test_row_permutation_invariant(self, pred, y, perm):
         perm = np.asarray(perm)
         assert rmse(pred[perm], y[perm]) == pytest.approx(rmse(pred, y), nan_ok=True)
+
+
+class TestRidgeFit:
+    def test_zero_targets(self, rng):
+        X = rng.normal(size=(5, 3))
+        assert ridge_fit(X, np.zeros(5), 0.5) == pytest.approx(np.zeros(3))
+
+    def test_hand_value(self):
+        # (4 + 1) w = 2
+        assert ridge_fit(np.array([[2.0]]), np.array([1.0]), 1.0) == pytest.approx([0.4])
+
+    def test_normal_equations_residual(self, rng):
+        for _ in range(20):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            X = rng.normal(size=(n, m))
+            y = rng.normal(size=n)
+            alpha = float(rng.uniform(0.05, 3.0))
+            w = ridge_fit(X, y, alpha)
+            resid = np.linalg.norm((X.T @ X + alpha * np.eye(m)) @ w - X.T @ y)
+            assert resid <= 1e-10
 
 
 class TestEvaluate:
@@ -330,30 +324,6 @@ class TestEvaluate:
         default = evaluate(w, data, ZRule("flip"), draws)
         overridden = evaluate(w, data, ZRule("flip"), draws, adversary_w=w_adv)
         assert default != overridden
-
-
-    @pytest.mark.parametrize("draws, match", [
-        (np.ones((2, 11)), r"12 columns, got shape \(2, 11\)"),
-        (np.ones(12), r"12 columns, got shape \(12,\)"),
-        (np.ones((0, 12)), r"nonempty matrix with 12 columns"),
-        (np.full((2, 12), -0.5), "draws must be nonnegative and finite"),
-        (np.full((2, 12), math.nan), "draws must be nonnegative and finite"),
-    ], ids=["columns", "vector", "empty", "negative", "nan"])
-    def test_rejects_malformed_draws(self, rng, draws, match):
-        features, labels = synthetic_dataset(rng, rows=12)
-        with pytest.raises(ValueError, match=match):
-            evaluate(np.zeros(57), Dataset(features, labels), ZRule("flip"), draws)
-
-    @pytest.mark.parametrize("w, adversary_w, match", [
-        (np.ones(2), None, r"^w has shape \(2,\), expected \(3,\)$"),
-        (np.ones((3, 1)), None, r"^w has shape \(3, 1\), expected \(3,\)$"),
-        (np.ones(3), np.ones(2), r"^adversary_w has shape \(2,\), expected \(3,\)$"),
-    ], ids=["w", "w-column", "adversary_w"])
-    def test_rejects_weights_of_another_shape(self, w, adversary_w, match):
-        # each used to fail inside numpy's matmul, naming no argument
-        test = Dataset(np.ones((4, 3)), np.array([0.0, 1.0, 0.0, 1.0]))
-        with pytest.raises(FieldError, match=match):
-            evaluate(w, test, ZRule(), np.ones((2, 4)), adversary_w=adversary_w)
 
 
 class TestBenchmark:
@@ -429,12 +399,6 @@ class TestBenchmark:
                 (r.method, r.repetition, r.rmse) for r in serial.rows
             ]
         assert sizes == [2, 3, 3]
-
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
-    def test_workers_must_be_a_positive_count(self, rng, workers):
-        features, labels = synthetic_dataset(rng)
-        with pytest.raises(ValueError, match="workers must be"):
-            run_benchmark(self.make_config(), Dataset(features, labels), workers=workers)
 
     def test_cell_failure_recorded_not_fatal(self, rng, monkeypatch):
         def failing_bayes_fp(*args, **kwargs):
@@ -520,41 +484,6 @@ class TestBenchmark:
         assert config.adam_samples == 1000 and config.adam_epochs == 20
         assert config.c_l_value == 0.1
 
-    @pytest.mark.parametrize("overrides, name", [
-        ({"adam_batch_grid": (32.5,)}, "adam_batch_grid[0]"),
-        ({"adam_batch_grid": (8, True)}, "adam_batch_grid[1]"),
-        ({"adam_epochs": 1.5}, "adam_epochs"),
-        ({"adam_samples": 16.0}, "adam_samples"),
-        ({"train_n": 20.0}, "train_n"),
-        ({"test_draws": False}, "test_draws"),
-        ({"seed": 0.5}, "seed"),
-    ], ids=["batch", "bool-batch", "epochs", "samples", "train_n", "bool-draws", "seed"])
-    def test_non_integer_count_rejected(self, overrides, name):
-        # each used to pass, then fail in every bayes-adam cell or in the split
-        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got "):
-            self.make_config(**overrides)
-
-    @pytest.mark.parametrize("grid, values, labels", [
-        ("ridge_alpha_grid", (5.0, 5.0000001), "5, 5"),
-        ("ridge_alpha_grid", (1.0, 0.1, 1.0), "1, 0.1, 1"),
-        ("adam_lr_grid", (0.01, 0.01), "0.01, 0.01"),
-        ("adam_batch_grid", (32, 64, 32), "32, 64, 32"),
-    ], ids=["close-alphas", "equal-alphas", "equal-rates", "equal-batches"])
-    def test_grid_values_that_print_alike_rejected(self, grid, values, labels):
-        # their configurations shared a label, so one seed and one aggregate
-        with pytest.raises(ValueError, match=f"^{grid} must not hold values that print alike: "
-                                             f"{labels}$"):
-            self.make_config(**{grid: values})
-        assert getattr(self.make_config(**{grid: values[1:]}), grid) == values[1:]
-
-    @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_two_equilibria_must_be_a_bool(self, value):
-        # "no" used to pass and, being truthy, turned the test-side Adam fit on
-        with pytest.raises(ValueError, match=f"^two_equilibria must be a bool, got {value!r}$"):
-            self.make_config(two_equilibria=value)
-        with pytest.raises(ValueError, match="^two_equilibria must be a bool"):
-            desk_config([GaussianPrior(1.0, 1.0)], two_equilibria=value)
-
     def test_numpy_integer_counts_run_as_python_ints(self, rng):
         data = Dataset(*synthetic_dataset(rng))
         common = dict(methods=("bayes-adam", "ridge"),
@@ -598,12 +527,6 @@ class TestBenchmark:
             assert row.rmse == evaluate(w, test, config.z_rule, draws)
         assert [r.method for r in rows] == ["ridge"] * 3 + ["nash"]
 
-    @pytest.mark.parametrize("grid", ["adam_lr_grid", "adam_batch_grid", "ridge_alpha_grid"])
-    def test_empty_grid_rejected(self, grid):
-        # an empty grid would leave its method without rows or an aggregate
-        with pytest.raises(ValueError, match=f"^{grid} must not be empty$"):
-            self.make_config(**{grid: ()})
-
     def test_equal_priors_are_separate_entries(self, rng):
         features, labels = synthetic_dataset(rng)
         prior = GaussianPrior(mean=1.0, std=1.0)
@@ -613,12 +536,6 @@ class TestBenchmark:
         assert len(result.rows) == 4  # two repetitions per grid entry, none shared
         first, second = result.rows[:2], result.rows[2:]
         assert [r.rmse for r in first] != [r.rmse for r in second]  # own evaluation seeds
-
-    def test_size_overflow_rejected(self, rng):
-        features, labels = synthetic_dataset(rng, rows=30)
-        data = Dataset(features, labels)
-        with pytest.raises(ValueError, match="exceeds"):
-            run_benchmark(self.make_config(train_n=20, test_n=20), data)
 
     def test_csv_output(self, tmp_path, rng):
         features, labels = synthetic_dataset(rng)
@@ -648,8 +565,6 @@ class TestMisc:
         assert prior_label(LogNormalPrior(0.0, 1.0)) == ("lognormal", "mu=0,sigma=1")
         finite = FinitePrior(atoms=np.zeros((3, 2)), probs=np.full(3, 1 / 3))
         assert prior_label(finite) == ("finite", "K=3")
-        with pytest.raises(TypeError, match="unknown prior type"):
-            prior_label(object())
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(0, "split", 1) == derive_seed(0, "split", 1)
@@ -662,5 +577,3 @@ class TestMisc:
         assert ZRule().kind == "flip"
         assert ZRule("flip").resolve(labels) == pytest.approx([1.0, 0.0])
         assert ZRule("zero").resolve(labels) == pytest.approx([0.0, 0.0])
-        with pytest.raises(ValueError, match="expected flip or zero, got 'custom'"):
-            ZRule("custom")

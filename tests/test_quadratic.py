@@ -1,5 +1,5 @@
 import dataclasses
-import re
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,21 +9,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bayesgame import quadratic
-from bayesgame.cli import ProbeConfig
-from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse, split
+from bayesgame.experiments import Dataset, ZRule, evaluate, ridge_fit, rmse
 from bayesgame.game import (
     ActionSet,
-    FieldError,
     FinitePrior,
     GameSpec,
     GammaPrior,
     GaussianPrior,
+    LogNormalPrior,
     LossKind,
-    StrategyProfile,
     _loss,
     _loss_slope,
-    adversary_cost,
-    discretize_prior,
     grad_adversary_X,
     grad_learner_w,
     learner_cost,
@@ -36,10 +32,10 @@ from bayesgame.quadratic import (
     bayes_adam,
     bayes_fp,
     best_response,
+    nash_strategy,
     stochastic_gradient,
     stochastic_objective,
 )
-from bayesgame.solvers import assumption_probe
 from conftest import (
     central_diff_vector,
     coordinate_descent_adversary,
@@ -87,10 +83,6 @@ class TestBestResponse:
             closed = best_response(w, X, z, c_d)
             numerical = coordinate_descent_adversary(w, X, z, c_d, tol=1e-12)
             assert np.max(np.abs(closed - numerical)) <= 1e-6
-
-    def test_negative_cd_rejected(self, rng):
-        with pytest.raises(ValueError, match="nonnegative"):
-            best_response(np.ones(2), np.ones((3, 2)), np.zeros(3), np.array([0.1, -1.0, 0.2]))
 
 
 class TestPerturbedPrediction:
@@ -185,11 +177,6 @@ class TestStochasticObjective:
         direct = float(spec.c_l @ (xbar @ w - spec.y) ** 2 + spec.reg_l * (w @ w))
         assert stochastic_objective(w, spec, atom[None, :]) == pytest.approx(direct)
 
-    def test_empty_samples_rejected(self, rng):
-        spec = random_quadratic_game(rng, 3, 2)
-        with pytest.raises(ValueError, match="nonempty"):
-            stochastic_objective(np.zeros(2), spec, np.zeros((0, 3)))
-
     def test_logistic_learner_loss_permitted(self, rng):
         spec = GameSpec(
             X=rng.normal(size=(4, 2)), y=rng.choice([-1.0, 1.0], size=4),
@@ -276,9 +263,14 @@ class TestBayesAdam:
         w, _ = bayes_adam(spec, prior, config)
         assert np.linalg.norm(w) <= 0.05 + 1e-12
 
-    def test_invalid_config(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            AdamConfig(batch_size=64, total_samples=32)
+    def test_adam_config_accepts_numpy_integers(self, rng):
+        spec = random_quadratic_game(rng, 3, 2)
+        config = AdamConfig(batch_size=np.int64(3), epochs=np.int32(2),
+                            total_samples=np.uint16(8), seed=np.int64(4))
+        w, trace = bayes_adam(spec, GaussianPrior(1.0, 1.0), config)
+        w_ref, trace_ref = bayes_adam(spec, GaussianPrior(1.0, 1.0),
+                                      AdamConfig(batch_size=3, epochs=2, total_samples=8, seed=4))
+        assert np.array_equal(w, w_ref) and trace == trace_ref
 
 
 def reference_adam(spec, prior, config, gradient=stochastic_gradient):
@@ -520,160 +512,105 @@ class TestFusedKernelProperties:
         assert np.array_equal(w, iterates[-1])
 
 
-class TestNonFiniteSamplesRejected:
-    """``c_d`` samples with NaN or inf fail at every entry of the quadratic route."""
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("entry", [
-        lambda spec, s: stochastic_objective(np.ones(spec.m), spec, s),
-        lambda spec, s: stochastic_gradient(np.ones(spec.m), spec, s),
-        lambda spec, s: bayes_fp(spec, s, 2),
-        lambda spec, s: best_response(np.ones(spec.m), spec.X, spec.z, s[0]),
-    ], ids=["stochastic_objective", "stochastic_gradient", "bayes_fp", "best_response"])
-    def test_sample_matrix(self, rng, entry, bad):
-        spec = random_quadratic_game(rng, 3, 2)
-        samples = np.array([[bad, 0.1, 0.2], [0.3, 0.1, 0.2]])
-        with pytest.raises(ValueError, match="c_d"):
-            entry(spec, samples)
-
-    def test_prior_draw_in_bayes_adam(self, rng):
-        spec = random_quadratic_game(rng, 3, 2)
-
-        class NanPrior(GaussianPrior):
-            def draw(self, rng, n, num_samples):
-                draws = super().draw(rng, n, num_samples)
-                draws[0, 0] = float("nan")  # np.maximum(nan, 0) stays nan
-                return draws
-
-        with pytest.raises(ValueError, match="c_d"):
-            bayes_adam(spec, NanPrior(1.0, 1.0), AdamConfig(epochs=1, total_samples=8,
-                                                            batch_size=4))
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_scalar_weight_and_adam_config(self, bad):
-        with pytest.raises(ValueError, match="c_d must be nonnegative and finite"):
-            best_response(np.ones(2), np.ones((1, 2)), np.zeros(1), np.array([bad]))
-        with pytest.raises(ValueError, match="learning_rate"):
-            AdamConfig(learning_rate=bad)
-
-    @pytest.mark.parametrize("name", ["batch_size", "epochs", "total_samples", "seed"])
-    @pytest.mark.parametrize("value", [1.5, 8.0, True], ids=["fraction", "float", "bool"])
-    def test_adam_config_rejects_a_non_integer(self, name, value):
-        # a float used to pass, then fail in the loop: 'float' object cannot be interpreted ...
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            AdamConfig(**{name: value})
-
-    @pytest.mark.parametrize("name, call", [
-        ("trials", lambda spec, prior: ProbeConfig(trials=2.5)),
-        ("trials", lambda spec, prior: assumption_probe(spec, prior, trials=2.5, seed=0)),
-        ("K", lambda spec, prior: discretize_prior(prior, spec.n, 2.5, seed=0)),
-        ("iterations", lambda spec, prior: bayes_fp(spec, prior.atoms, iterations=2.5)),
-        ("num_samples", lambda spec, prior: sample_prior(prior, spec.n, 2.5, seed=0)),
-        ("train_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 2.5, 1, 0)),
-        ("test_n", lambda spec, prior: split(Dataset(spec.X, np.zeros(spec.n)), 1, 2.5, 0)),
-        ("n", lambda spec, prior: sample_prior(GaussianPrior(1.0, 1.0), 2.5, 3, seed=0)),
-        ("n", lambda spec, prior: discretize_prior(GaussianPrior(1.0, 1.0), 2.5, 2, seed=0)),
-    ], ids=["probe-config", "assumption_probe", "discretize_prior", "bayes_fp", "sample_prior",
-            "split-train", "split-test", "sample_prior-n", "discretize_prior-n"])
-    def test_public_counts_reject_a_non_integer(self, rng, name, call):
-        # each but ProbeConfig's used to fail inside numpy or range() with a TypeError
-        spec = random_quadratic_game(rng, 4, 2)
-        prior = FinitePrior(atoms=rng.random((2, 4)), probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
-            call(spec, prior)
-
-    @pytest.mark.parametrize("call", [
-        lambda spec, prior, seed: assumption_probe(spec, prior, trials=2, seed=seed),
-        lambda spec, prior, seed: discretize_prior(prior, spec.n, 2, seed=seed),
-        lambda spec, prior, seed: discretize_prior(GaussianPrior(1.0, 1.0), spec.n, 2, seed=seed),
-        lambda spec, prior, seed: sample_prior(prior, spec.n, 3, seed=seed),
-        lambda spec, prior, seed: split(Dataset(spec.X, np.zeros(spec.n)), 1, 1, seed),
-    ], ids=["assumption_probe", "discretize_prior-finite", "discretize_prior-gaussian",
-            "sample_prior", "split"])
-    @pytest.mark.parametrize("seed, message", [
-        (1.5, "seed must be an integer, got 1.5"),
-        (True, "seed must be an integer, got True"),
-        (-1, "seed must be >= 0"),
-    ], ids=["fraction", "bool", "negative"])
-    def test_public_seeds_reject_a_non_seed(self, rng, call, seed, message):
-        # 1.5 and -1 used to fail inside numpy, and True passed as the seed 1
-        spec = random_quadratic_game(rng, 4, 2)
-        prior = FinitePrior(atoms=rng.random((2, 4)), probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            call(spec, prior, seed)
-
-    @pytest.mark.parametrize("call", [
-        lambda n: sample_prior(GaussianPrior(1.0, 1.0), n, 3, seed=0),
-        lambda n: discretize_prior(GaussianPrior(1.0, 1.0), n, 2, seed=0),
-    ], ids=["sample_prior", "discretize_prior"])
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_prior_draws_reject_a_dimension_below_one(self, call, n):
-        # -1 used to fail inside numpy, and 0 returned draws with no entries
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
-            call(n)
-
-    def test_adam_config_accepts_numpy_integers(self, rng):
-        spec = random_quadratic_game(rng, 3, 2)
-        config = AdamConfig(batch_size=np.int64(3), epochs=np.int32(2),
-                            total_samples=np.uint16(8), seed=np.int64(4))
-        w, trace = bayes_adam(spec, GaussianPrior(1.0, 1.0), config)
-        w_ref, trace_ref = bayes_adam(spec, GaussianPrior(1.0, 1.0),
-                                      AdamConfig(batch_size=3, epochs=2, total_samples=8, seed=4))
-        assert np.array_equal(w, w_ref) and trace == trace_ref
-
-    @pytest.mark.parametrize("seed", [-1, -(2**63)])
-    def test_adam_config_rejects_a_negative_seed(self, seed):
-        with pytest.raises(ValueError, match="^seed must be >= 0$"):
-            AdamConfig(seed=seed)
+def weighted_ridge_oracle(X, y, c_l, reg_l):
+    # normal equations of sum_i c_l[i] (x_i.w - y_i)^2 + reg_l |w|^2
+    m = X.shape[1]
+    A = X.T @ (c_l[:, None] * X) + reg_l * np.eye(m)
+    return np.linalg.solve(A, X.T @ (c_l * y))
 
 
-class TestShapeErrors:
-    """A public argument of the wrong shape, or a matrix that is empty or not finite, is
-    rejected by one rule: ``FieldError``, a ``ValueError``, whose ``field`` names the
-    argument; a shape reads ``<name> has shape <got>, expected <shape>``."""
+class TestBayesFp:
+    def test_zero_samples_give_weighted_ridge_in_one_step(self, rng):
+        spec = random_quadratic_game(rng, 6, 3)
+        samples = np.zeros((5, 6))
+        w1 = bayes_fp(spec, samples, iterations=1)
+        w20 = bayes_fp(spec, samples, iterations=20)
+        oracle = weighted_ridge_oracle(spec.X, spec.y, spec.c_l, spec.reg_l)
+        assert w1 == pytest.approx(oracle)
+        assert w20 == pytest.approx(oracle)
 
-    @pytest.mark.parametrize("call, message", [
-        (lambda spec: learner_cost(np.ones(2), spec.X, spec), "w has shape (2,), expected (3,)"),
-        (lambda spec: learner_cost(np.ones(3), spec.X.T, spec),
-         "Xbar has shape (3, 4), expected (4, 3)"),
-        (lambda spec: grad_adversary_X(np.ones(3), spec.X, np.ones(5), spec),
-         "c_d has shape (5,), expected (4,)"),
-        (lambda spec: adversary_cost(np.ones((3, 1)), spec.X, np.ones(4), spec),
-         "w has shape (3, 1), expected (3,)"),
-        (lambda spec: stochastic_gradient(np.ones(4), spec, np.ones((2, 4))),
-         "w has shape (4,), expected (3,)"),
-        (lambda spec: best_response(np.ones(3), spec.X, np.ones(3), np.ones(4)),
-         "z has shape (3,), expected (4,)"),
-        (lambda spec: best_response(np.ones(2), spec.X, np.ones(4), np.ones(4)),
-         "w has shape (2,), expected (3,)"),
-        (lambda spec: best_response(np.ones(3), spec.X[0], np.ones(4), np.ones(4)),
-         "X must be a matrix with n, m >= 1"),
-        (lambda spec: best_response(np.ones(3), spec.X * np.nan, np.ones(4), np.ones(4)),
-         "X must be finite elementwise"),
-        (lambda spec: ridge_fit(spec.X, np.ones((4, 1)), 1.0), "y has shape (4, 1), expected (4,)"),
-        (lambda spec: ridge_fit(spec.X[:, :0], spec.y, 1.0), "X must be a matrix with n, m >= 1"),
-        (lambda spec: ridge_fit(spec.X, np.full(4, np.inf), 1.0), "y must be finite elementwise"),
-        (lambda spec: rmse(np.ones(3), spec.y), "predictions has shape (3,), expected (4,)"),
-        (lambda spec: Dataset(spec.X, np.ones(3)), "labels has shape (3,), expected (4,)"),
-        (lambda spec: Dataset(spec.X[:0], []), "features must be a matrix with n, m >= 1"),
-        (lambda spec: Dataset(spec.X * np.nan, np.ones(4)), "features must be finite elementwise"),
-        (lambda spec: dataclasses.replace(spec, z=np.ones(3)), "z has shape (3,), expected (4,)"),
-        (lambda spec: FinitePrior(np.ones((2, 4)), np.ones(3) / 3),
-         "probs has shape (3,), expected (2,)"),
-        (lambda spec: FinitePrior(np.ones((2, 5)), np.full(2, 0.5)).mean_vector(spec.n),
-         "atoms have dimension 5, expected 4"),
-        (lambda spec: StrategyProfile(np.ones((3, 1)), np.ones((1, 4, 3))),
-         "w must be a (m,) vector, got shape (3, 1)"),
-        (lambda spec: StrategyProfile(np.ones(3), spec.X), "sigma must be a (K, n, m) stack, "
-                                                           "got shape (4, 3)"),
-    ], ids=["learner_cost-w", "learner_cost-Xbar", "grad_adversary_X-c_d", "adversary_cost-w",
-            "stochastic_gradient-w", "best_response-z", "best_response-w", "best_response-X",
-            "best_response-nan-X", "ridge_fit-y", "ridge_fit-X", "ridge_fit-inf-y",
-            "rmse-predictions", "Dataset-labels", "Dataset-empty", "Dataset-nan", "GameSpec-z",
-            "FinitePrior-probs", "FinitePrior-atoms", "StrategyProfile-w",
-            "StrategyProfile-sigma"])
-    def test_message(self, rng, call, message):
-        spec = random_quadratic_game(rng, 4, 3)
-        with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as raised:
-            call(spec)
-        assert raised.value.field == message.split()[0]
+    def test_fixed_point_self_consistency(self, rng):
+        # weak coupling: the dynamics contract, one extra round barely moves w
+        spec = GameSpec(
+            X=0.4 * rng.normal(size=(8, 3)), y=0.4 * rng.normal(size=8),
+            z=0.4 * rng.normal(size=8), c_l=np.full(8, 0.2),
+        )
+        samples = 0.3 * rng.random((20, 8))
+        w = bayes_fp(spec, samples, iterations=40)
+        w_next = bayes_fp(spec, samples, iterations=41)
+        assert np.linalg.norm(w_next - w) <= 1e-6
+
+    def test_deterministic(self, rng):
+        spec = random_quadratic_game(rng, 5, 2)
+        samples = rng.random((7, 5))
+        assert np.array_equal(bayes_fp(spec, samples), bayes_fp(spec, samples))
+
+
+def reference_bayes_fp(spec, samples, iterations):
+    """Best-response rounds on the public response: one moved matrix per sample.
+
+    The learner's step is the normal equations of the sample-averaged weighted
+    ridge cost over those matrices, solved as written.
+    """
+    C, S = np.diag(spec.c_l), len(samples)
+    w = np.zeros(spec.m)
+    for _ in range(iterations):
+        moved = [best_response(w, spec.X, spec.z, a) for a in samples]
+        A = sum(Xbar.T @ C @ Xbar for Xbar in moved) / S + spec.reg_l * np.eye(spec.m)
+        b = sum(Xbar.T @ C @ spec.y for Xbar in moved) / S
+        w = np.linalg.solve(A, b)
+    return w
+
+
+class TestBayesFpMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_column_means_match_per_sample_responses(self, seed, zero_targets):
+        rng = np.random.default_rng(seed)
+        n, m, S = (int(v) for v in rng.integers(1, 7, size=3))
+        spec = random_quadratic_game(rng, n, m)
+        if zero_targets:  # every iterate stays at the zero start
+            spec = dataclasses.replace(spec, y=np.zeros(n))
+        samples = rng.random((S + 1, n)) * 3.0
+        samples[rng.random(S + 1) < 0.5] = 0.0
+        samples[0] = 0.0  # at least one all-zero row
+        iterations = int(rng.integers(1, 6))
+        expected = reference_bayes_fp(spec, samples, iterations)
+        gap = np.abs(bayes_fp(spec, samples, iterations) - expected).max()
+        # the column means round differently from the per-sample matrices, and the
+        # fixed-point rounds amplify that (2.4e-13 relative at worst over 2000 seeds)
+        assert gap <= 1e-10 * np.abs(expected).max()
+
+
+class TestNashStrategy:
+    def test_zero_mean_prior_reduces_to_weighted_ridge(self, rng):
+        # with c_l = 0.1 and reg_l = 1:  (0.1 X'X + I) w = 0.1 X'y
+        X = rng.normal(size=(7, 3))
+        y = rng.normal(size=7)
+        spec = GameSpec(X=X, y=y, z=rng.normal(size=7), c_l=np.full(7, 0.1), reg_l=1.0)
+        prior = GaussianPrior(mean=-1.0, std=1.0)  # clamped mean is zero
+        w = nash_strategy(spec, prior, iterations=20)
+        oracle = np.linalg.solve(0.1 * X.T @ X + np.eye(3), 0.1 * X.T @ y)
+        assert w == pytest.approx(oracle)
+
+    def test_single_atom_prior_matches_bayes_fp_bitwise(self, rng):
+        spec = random_quadratic_game(rng, 5, 3)
+        atom = rng.random(5)
+        prior = FinitePrior(atoms=atom[None, :], probs=np.array([1.0]))
+        w_nash = nash_strategy(spec, prior, iterations=20)
+        w_fp = bayes_fp(spec, atom[None, :], iterations=20)
+        assert np.array_equal(w_nash, w_fp)
+
+    @pytest.mark.parametrize("prior, mean", [
+        (GammaPrior(shape=2.0, scale=0.35), 2.0 * 0.35),
+        (LogNormalPrior(mu=-0.5, sigma=0.8), math.exp(-0.5 + 0.8**2 / 2)),
+    ], ids=["gamma", "lognormal"])
+    def test_continuous_prior_collapses_to_its_mean(self, rng, prior, mean):
+        spec = random_quadratic_game(rng, 5, 3)
+        w_fp = bayes_fp(spec, np.full((1, 5), mean), iterations=20)
+        assert np.array_equal(nash_strategy(spec, prior, iterations=20), w_fp)
+
+    def test_deterministic(self, rng):
+        spec = random_quadratic_game(rng, 5, 3)
+        prior = GaussianPrior(mean=1.0, std=2.0)
+        assert np.array_equal(nash_strategy(spec, prior, 20), nash_strategy(spec, prior, 20))

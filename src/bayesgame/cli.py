@@ -161,11 +161,12 @@ def cmd_probe(args) -> int:
 def cmd_benchmark(args) -> int:
     _built(_check_count, {"value": args.workers, "name": "workers"}, "")  # before any work
     doc, config_hash = _load_json(args.config)
-    dataset_path = doc.pop("dataset", None)  # the one key with no BenchmarkConfig field
+    # the one key with no BenchmarkConfig field; ... marks it absent, as a null is a value
+    dataset_path = doc.pop("dataset", ...)
     config = config_from_jsonable(BenchmarkConfig, doc, "")
     config = with_flags(config, "", seed=args.seed, **_PRESET_SIZES.get(args.scale, {}))
 
-    if dataset_path is None:
+    if dataset_path is ...:
         data_dir = os.environ.get("BAYESGAME_DATA")
         if not data_dir:
             raise ConfigError("dataset: no path in config and BAYESGAME_DATA is not set")

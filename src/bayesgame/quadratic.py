@@ -9,9 +9,13 @@ row by row in closed form.  With ``a_i = c_d[i]``, row i moves to
 so a prediction on a moved row is ``xbar_i.w = z_i - e_i r_i`` with
 ``e_i = z_i - x_i.w``.  Every kernel below builds on this response.
 Substituting it back leaves a single (generally nonconvex) stochastic
-objective in ``w`` over draws of the uncertain weights ``c_d``, minimized
-here with a from-scratch Adam loop (``bayes_adam``) or, for a quadratic
-learner loss, by best-response iteration (``bayes_fp``).
+objective in ``w`` over draws of the uncertain weights ``c_d``: the learner's
+cost when it moves first and the generator answers.  A from-scratch Adam loop
+(``bayes_adam``) minimizes it.  For a quadratic learner loss, best-response
+iteration (``bayes_fp``) computes another point: where it converges, the
+simultaneous Bayesian equilibrium of the finite-prior VI (``bayesgame.solvers``).
+Away from ``c_d = 0`` the two points differ; ``tests/test_solutions.py`` pins
+the difference.
 """
 
 from __future__ import annotations
@@ -284,7 +288,10 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     exact minimizer of the sample-averaged weighted ridge cost over the moved
     matrices.  Each moved matrix is X minus a rank-one term, so the learner's
     normal equations need two column means of the (S, n) block and an
-    iteration costs O(S n + n m^2) instead of O(S n m^2).
+    iteration costs O(S n + n m^2) instead of O(S n m^2).  Where the rounds
+    converge they reach the equilibrium of the game with one equally weighted
+    atom per sample, not the minimizer of ``stochastic_objective``; they can
+    also cycle, and the round count is fixed, with no stop test.
     """
     if spec.learner_loss is not LossKind.QUADRATIC:
         raise ValueError("bayes_fp requires a quadratic learner loss")

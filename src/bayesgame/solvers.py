@@ -127,7 +127,6 @@ class AssumptionDiagnostics:
 
     lambda_hat: float
     L_hat: float
-    G_hat: float
     trials: int
     seed: int
 
@@ -290,14 +289,14 @@ def _draw_feasible_profile(rng: np.random.Generator, spec: GameSpec, w, sigma) -
 def assumption_probe(
     spec: GameSpec, prior: FinitePrior, trials: int, seed: int
 ) -> AssumptionDiagnostics:
-    """Estimate monotonicity, Lipschitz and gradient-bound constants by sampling.
+    """Estimate the monotonicity modulus and the Lipschitz constant by sampling.
 
     Each trial draws a pair of feasible profiles and evaluates the operator's
     monotonicity quotient under the probability-weighted inner product.  The
     reported lambda_hat is the smallest quotient seen (negative values flag a
-    non-monotone instance); L_hat and G_hat are the largest difference ratio
-    and per-block gradient norm seen.  These are sampled estimates: lambda_hat
-    overestimates the true modulus and L_hat/G_hat underestimate the suprema.
+    non-monotone instance); L_hat is the largest difference ratio seen.  These
+    are sampled estimates: lambda_hat overestimates the true modulus and L_hat
+    underestimates the supremum.
     """
     _check_prior(prior, spec.n)
     _check_count(trials, "trials", 2)
@@ -310,7 +309,6 @@ def assumption_probe(
     sigma = np.empty((2, K, spec.n, spec.m))
     state = _OperatorState.build(spec, prior.atoms, prior.probs)
     rows, maps = np.empty((2, K, spec.m)), state.chunk_buffer(2)
-    sq_norms = np.empty((2, K))  # |t_sig_k|^2 of each profile
     sums = np.empty((3, K))  # <dsig_k, dsig_k>, <dsig_k, dtsig_k>, <dtsig_k, dtsig_k>
 
     def block_dots(u, v, out) -> None:  # <u_k, v_k> for each block of the chunk
@@ -319,7 +317,6 @@ def assumption_probe(
 
     lambda_hat = np.inf
     l_hat = 0.0
-    g_hat = 0.0
     for _ in range(trials):
         for i in (0, 1):
             _draw_feasible_profile(rng, spec, w[i], sigma[i])
@@ -327,14 +324,11 @@ def assumption_probe(
             t_sig = maps[:, :c]
             for i in (0, 1):
                 _gradients(state, w[i], sigma[i, s], state.chunk(s), rows[i, s], t_sig[i])
-                block_dots(t_sig[i], t_sig[i], sq_norms[i, s])
             dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
             dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
             block_dots(dsig, dsig, sums[0, s])
             block_dots(dsig, dtsig, sums[1, s])
             block_dots(dtsig, dtsig, sums[2, s])
-        g_hat = max(g_hat, float(np.max(np.linalg.norm(rows, axis=2))),
-                    float(np.max(np.sqrt(sq_norms))))
         dw = w[0] - w[1]
         den = float(dw @ dw + state.probs @ sums[0])
         if den < 1e-24:
@@ -351,7 +345,6 @@ def assumption_probe(
     return AssumptionDiagnostics(
         lambda_hat=float(lambda_hat),
         L_hat=float(l_hat),
-        G_hat=float(g_hat),
         trials=trials,
         seed=seed,
     )

@@ -1,5 +1,6 @@
 """Shared instance builders and independent numerical oracles."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,14 @@ def random_quadratic_game(rng, n, m, reg_l=None, bounded=False):
         c_l=rng.random(n),
         reg_l=reg,
         **kwargs,
+    )
+
+
+def with_balls(spec, learner_radius, adversary_radius):
+    return dataclasses.replace(
+        spec,
+        learner_set=ActionSet.l2_ball(learner_radius),
+        adversary_set=ActionSet.l2_ball(adversary_radius),
     )
 
 
@@ -57,6 +66,23 @@ def random_profile(rng, spec, K, scale=1.0):
         [project(scale * rng.normal(size=(spec.n, spec.m)), spec.adversary_set) for _ in range(K)]
     )
     return StrategyProfile(w=w, sigma=sigma)
+
+
+def zero_game(n=3, m=2, K=2, bounded=True):
+    """All data, weights and atoms zero: the origin is an exact equilibrium."""
+    kwargs = {}
+    if bounded:
+        kwargs = dict(learner_set=ActionSet.l2_ball(1.0), adversary_set=ActionSet.l2_ball(1.0))
+    spec = GameSpec(X=np.zeros((n, m)), y=np.zeros(n), z=np.zeros(n), c_l=np.ones(n), **kwargs)
+    prior = FinitePrior(atoms=np.zeros((K, n)), probs=np.full(K, 1.0 / K))
+    return spec, prior
+
+
+def unconstrained_game(seed, n=8, m=3, K=4, scale=1.0):
+    """A quadratic game with no balls and a uniform K-atom prior, both drawn from
+    ``default_rng(seed)``; ``scale=0`` makes every atom zero, the game with c_d = 0."""
+    rng = np.random.default_rng(seed)
+    return random_quadratic_game(rng, n, m), random_finite_prior(rng, n, K, scale, uniform=True)
 
 
 def monotone_ball_game(n=10, m=5, K=4, seed=7):
@@ -102,6 +128,13 @@ def single_atom_game(seed=11):
 # --------------------------------------------------------------------------
 # Independent oracles
 # --------------------------------------------------------------------------
+
+
+def weighted_ridge_oracle(spec):
+    """The learner's best response to the unmoved data, by the normal equations of
+    sum_i c_l[i] (x_i.w - y_i)^2 + reg_l |w|^2."""
+    A = spec.X.T @ (spec.c_l[:, None] * spec.X) + spec.reg_l * np.eye(spec.m)
+    return np.linalg.solve(A, spec.X.T @ (spec.c_l * spec.y))
 
 
 def central_diff_vector(f, x, h):

@@ -512,34 +512,7 @@ class TestFusedKernelProperties:
         assert np.array_equal(w, iterates[-1])
 
 
-def weighted_ridge_oracle(X, y, c_l, reg_l):
-    # normal equations of sum_i c_l[i] (x_i.w - y_i)^2 + reg_l |w|^2
-    m = X.shape[1]
-    A = X.T @ (c_l[:, None] * X) + reg_l * np.eye(m)
-    return np.linalg.solve(A, X.T @ (c_l * y))
-
-
 class TestBayesFp:
-    def test_zero_samples_give_weighted_ridge_in_one_step(self, rng):
-        spec = random_quadratic_game(rng, 6, 3)
-        samples = np.zeros((5, 6))
-        w1 = bayes_fp(spec, samples, iterations=1)
-        w20 = bayes_fp(spec, samples, iterations=20)
-        oracle = weighted_ridge_oracle(spec.X, spec.y, spec.c_l, spec.reg_l)
-        assert w1 == pytest.approx(oracle)
-        assert w20 == pytest.approx(oracle)
-
-    def test_fixed_point_self_consistency(self, rng):
-        # weak coupling: the dynamics contract, one extra round barely moves w
-        spec = GameSpec(
-            X=0.4 * rng.normal(size=(8, 3)), y=0.4 * rng.normal(size=8),
-            z=0.4 * rng.normal(size=8), c_l=np.full(8, 0.2),
-        )
-        samples = 0.3 * rng.random((20, 8))
-        w = bayes_fp(spec, samples, iterations=40)
-        w_next = bayes_fp(spec, samples, iterations=41)
-        assert np.linalg.norm(w_next - w) <= 1e-6
-
     def test_deterministic(self, rng):
         spec = random_quadratic_game(rng, 5, 2)
         samples = rng.random((7, 5))
@@ -583,24 +556,6 @@ class TestBayesFpMatchesReference:
 
 
 class TestNashStrategy:
-    def test_zero_mean_prior_reduces_to_weighted_ridge(self, rng):
-        # with c_l = 0.1 and reg_l = 1:  (0.1 X'X + I) w = 0.1 X'y
-        X = rng.normal(size=(7, 3))
-        y = rng.normal(size=7)
-        spec = GameSpec(X=X, y=y, z=rng.normal(size=7), c_l=np.full(7, 0.1), reg_l=1.0)
-        prior = GaussianPrior(mean=-1.0, std=1.0)  # clamped mean is zero
-        w = nash_strategy(spec, prior, iterations=20)
-        oracle = np.linalg.solve(0.1 * X.T @ X + np.eye(3), 0.1 * X.T @ y)
-        assert w == pytest.approx(oracle)
-
-    def test_single_atom_prior_matches_bayes_fp_bitwise(self, rng):
-        spec = random_quadratic_game(rng, 5, 3)
-        atom = rng.random(5)
-        prior = FinitePrior(atoms=atom[None, :], probs=np.array([1.0]))
-        w_nash = nash_strategy(spec, prior, iterations=20)
-        w_fp = bayes_fp(spec, atom[None, :], iterations=20)
-        assert np.array_equal(w_nash, w_fp)
-
     @pytest.mark.parametrize("prior, mean", [
         (GammaPrior(shape=2.0, scale=0.35), 2.0 * 0.35),
         (LogNormalPrior(mu=-0.5, sigma=0.8), math.exp(-0.5 + 0.8**2 / 2)),

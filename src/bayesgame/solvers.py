@@ -387,7 +387,7 @@ def step_warnings(
 # --------------------------------------------------------------------------
 
 
-def _trace_point(records, t, profile, state, spec, reference, start_time, residual=None) -> float:
+def _trace_point(records, t, profile, state, reference, start_time, residual=None) -> float:
     """Append the trace record of ``profile``, evaluated unchecked on the solve's
     ``state``: its residual unless given, and its distance to ``reference``."""
     if residual is None:
@@ -400,7 +400,7 @@ def _trace_point(records, t, profile, state, spec, reference, start_time, residu
     return residual
 
 
-def _traced_run(iterates, config: SolverConfig, state, spec, reference) -> SolverTrace:
+def _traced_run(iterates, config: SolverConfig, state, reference) -> SolverTrace:
     """Trace the ``(w, sigma)`` or ``(w, sigma, residual)`` that ``iterates`` yields
     after each iteration, on the ``state`` the iterates run on (None if they yield
     residuals and there is no reference); a yielded residual spares the trace point
@@ -419,7 +419,7 @@ def _traced_run(iterates, config: SolverConfig, state, spec, reference) -> Solve
         for t, (w, sigma, *known) in enumerate(iterates, start=1):
             if t == 1 or t % config.trace_every == 0 or t == config.max_iters:
                 profile = StrategyProfile(w=w, sigma=sigma)
-                residual = _trace_point(records, t, profile, state, spec, reference, start, *known)
+                residual = _trace_point(records, t, profile, state, reference, start, *known)
                 if config.tol > 0 and residual <= config.tol:
                     return SolverTrace(records, profile, converged=True)
     return SolverTrace(records, StrategyProfile(w=w, sigma=sigma), converged=False)
@@ -448,7 +448,7 @@ def prg_ie(
     for message in step_warnings(config.gamma, lipschitz=config.lipschitz):
         warnings.warn(message, stacklevel=2)
     state = _OperatorState.build(spec, prior.atoms, prior.probs)
-    return _traced_run(_prg_ie_iterates(init, state, config), config, state, spec, reference)
+    return _traced_run(_prg_ie_iterates(init, state, config), config, state, reference)
 
 
 def _prg_ie_iterates(init, state: _OperatorState, config: SolverConfig):
@@ -502,7 +502,7 @@ def pg_rbc(
     for message in step_warnings(config.gamma, strong_monotonicity=config.strong_monotonicity):
         warnings.warn(message, stacklevel=2)
     state = _OperatorState.build(spec, prior.atoms, prior.probs, chunk_len=1)
-    return _traced_run(_pg_rbc_iterates(init, state, config), config, state, spec, reference)
+    return _traced_run(_pg_rbc_iterates(init, state, config), config, state, reference)
 
 
 # pg_rbc draws its atom indices this many at a time, so that its memory does
@@ -552,7 +552,7 @@ def extragradient(
     state = _OperatorState.build(spec, prior.atoms, prior.probs)
     iterates = _extragradient_iterates(functools.partial(_map, state), init, spec, config.gamma,
                                        config.max_iters)
-    return _traced_run(iterates, config, state, spec, reference)
+    return _traced_run(iterates, config, state, reference)
 
 
 def _extragradient_iterates(map_fn, x0: StrategyProfile, spec: GameSpec, gamma, max_iters):
@@ -623,7 +623,7 @@ def _extragradient_on_map(map_fn, x0: StrategyProfile, spec: GameSpec, gamma: fl
     ``tol``: the profile and the iterations taken, or ``SolverError``."""
     config = SolverConfig(max_iters=max_iters, gamma=gamma, tol=tol, trace_every=1)
     iterates = _extragradient_iterates(map_fn, x0.copy(), spec, gamma, max_iters)
-    trace = _converged(_traced_run(iterates, config, None, spec, None), config)
+    trace = _converged(_traced_run(iterates, config, None, None), config)
     return trace.final_profile, trace.iterations[-1].t
 
 

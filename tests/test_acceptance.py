@@ -198,10 +198,10 @@ def test_criterion_4_prg_ie_strong_convergence(monkeypatch):
     original = solvers_module._trace_point
     seen = {"all_feasible": True, "count": 0}
 
-    def checking(records, t, profile, prior_, spec_, ref_, start_):
-        seen["all_feasible"] &= profile.is_feasible(spec_, tol=1e-9)
+    def checking(records, t, profile, state, ref_, start_):
+        seen["all_feasible"] &= profile.is_feasible(spec, tol=1e-9)
         seen["count"] += 1
-        return original(records, t, profile, prior_, spec_, ref_, start_)
+        return original(records, t, profile, state, ref_, start_)
 
     monkeypatch.setattr(solvers_module, "_trace_point", checking)
     prg_ie(spec, prior, SolverConfig(max_iters=2000, gamma=gamma, trace_every=1,

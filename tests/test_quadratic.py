@@ -18,12 +18,8 @@ from bayesgame.game import (
     GaussianPrior,
     LogNormalPrior,
     LossKind,
-    _loss,
-    _loss_slope,
-    grad_adversary_X,
     grad_learner_w,
     learner_cost,
-    project,
     sample_prior,
 )
 from bayesgame.quadratic import (
@@ -37,14 +33,13 @@ from bayesgame.quadratic import (
     stochastic_objective,
 )
 from conftest import (
-    central_diff_vector,
-    coordinate_descent_adversary,
     desk_shaped_game,
-    fd_step,
     golden_min,
+    gradient_drift,
     peak_mib,
     random_quadratic_game,
-    rel_err,
+    reference_gradient,
+    small_reduction_game,
 )
 
 
@@ -62,27 +57,6 @@ class TestBestResponse:
         out = best_response(np.array([1.0]), np.array([[2.0]]), np.array([0.0]), np.array([1.0]))
         assert out == pytest.approx(np.array([[xbar]]), abs=1e-7)
         assert out == pytest.approx(np.array([[1.0]]), abs=1e-12)
-
-    def test_stationarity_of_response(self, rng):
-        for _ in range(20):
-            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-            spec = random_quadratic_game(rng, n, m)
-            w = rng.normal(size=m)
-            c_d = rng.random(n)
-            xbar = best_response(w, spec.X, spec.z, c_d)
-            g = grad_adversary_X(w, xbar, c_d, spec)
-            assert np.linalg.norm(g) <= 1e-8
-
-    def test_matches_coordinate_descent(self, rng):
-        for _ in range(10):
-            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            X = rng.normal(size=(n, m))
-            w = rng.normal(size=m)
-            z = rng.normal(size=n)
-            c_d = rng.random(n)
-            closed = best_response(w, X, z, c_d)
-            numerical = coordinate_descent_adversary(w, X, z, c_d, tol=1e-12)
-            assert np.max(np.abs(closed - numerical)) <= 1e-6
 
 
 class TestPerturbedPrediction:
@@ -201,27 +175,6 @@ class TestStochasticGradient:
         g = stochastic_gradient(w, spec, np.zeros((2, 5)))
         assert g == pytest.approx(grad_learner_w(w, spec.X, spec))
 
-    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
-    def test_matches_finite_differences(self, rng, learner_loss):
-        for _ in range(20):
-            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-            if learner_loss is LossKind.QUADRATIC:
-                spec = random_quadratic_game(rng, n, m)
-            else:
-                spec = GameSpec(
-                    X=rng.normal(size=(n, m)), y=rng.choice([-1.0, 1.0], size=n),
-                    z=rng.normal(size=n), c_l=rng.random(n),
-                    reg_l=float(rng.uniform(0.1, 2.0)),
-                    learner_loss=LossKind.LOGISTIC,
-                )
-            w = rng.normal(size=m)
-            batch = rng.random((3, n))
-            g = stochastic_gradient(w, spec, batch)
-            fd = central_diff_vector(
-                lambda v: stochastic_objective(v, spec, batch), w, fd_step(w)
-            )
-            assert rel_err(g, fd) <= 1e-5
-
 
 class TestBayesAdam:
     def test_zero_data_stays_at_origin(self):
@@ -271,166 +224,6 @@ class TestBayesAdam:
         w_ref, trace_ref = bayes_adam(spec, GaussianPrior(1.0, 1.0),
                                       AdamConfig(batch_size=3, epochs=2, total_samples=8, seed=4))
         assert np.array_equal(w, w_ref) and trace == trace_ref
-
-
-def reference_adam(spec, prior, config, gradient=stochastic_gradient):
-    """The Adam loop as written before the unchecked kernels, on the public functions.
-
-    ``gradient(w, spec, batch)`` is the minibatch gradient it steps along.
-    """
-    rng = np.random.default_rng(config.seed)
-    samples = np.maximum(prior.draw(rng, spec.n, config.total_samples), 0.0)
-    w = project(np.zeros(spec.m), spec.learner_set)
-    m1 = np.zeros(spec.m)
-    m2 = np.zeros(spec.m)
-    step = 0
-    trace = []
-    for _ in range(config.epochs):
-        order = rng.permutation(config.total_samples)
-        for lo in range(0, config.total_samples, config.batch_size):
-            batch = samples[order[lo : lo + config.batch_size]]
-            g = gradient(w, spec, batch)
-            step += 1
-            m1 = quadratic._BETA1 * m1 + (1.0 - quadratic._BETA1) * g
-            m2 = quadratic._BETA2 * m2 + (1.0 - quadratic._BETA2) * g * g
-            m1_hat = m1 / (1.0 - quadratic._BETA1**step)
-            m2_hat = m2 / (1.0 - quadratic._BETA2**step)
-            w = project(
-                w - config.learning_rate * m1_hat / (np.sqrt(m2_hat) + quadratic._EPS_HAT),
-                spec.learner_set,
-            )
-        trace.append(stochastic_objective(w, spec, samples))
-    return w, trace
-
-
-def reference_gradient(w, spec, samples):
-    """The four-moment gradient kernel as written with ``@`` products, on public functions.
-
-    Its operations, and so its rounding, are the ones ``bayes_adam``'s kernel must reproduce.
-    """
-    S = samples.shape[0]
-    ones = np.ones(S)
-    e = spec.z - spec.X @ w
-    damp = 1.0 / (samples * (w @ w) + 1.0)
-    if spec.learner_loss is LossKind.QUADRATIC:
-        work = damp * damp
-        r1, r2 = ones @ damp, ones @ work
-        work *= samples
-        ar2 = ones @ work
-        work *= damp
-        ar3 = ones @ work
-        d = spec.z - spec.y
-        x_sum, w_sum, k = d * r1 - e * r2, d * ar2 - e * ar3, 2.0
-    else:
-        work = _loss_slope(spec.learner_loss, spec.z - damp * e, spec.y) * damp
-        x_sum = ones @ work
-        w_sum, k = ones @ (work * samples * damp), 1.0
-    w_coef = 2.0 * k * float((spec.c_l * e) @ w_sum) / S + 2.0 * spec.reg_l
-    return (spec.c_l * x_sum) @ spec.X * (k / S) + w_coef * w
-
-
-def reference_gradient_terms(w, spec, samples):
-    """The minibatch gradient's three terms as written before the column-sum kernel."""
-    S = samples.shape[0]
-    wsq = w @ w
-    denom = 1.0 + wsq * samples
-    margins = spec.X @ w
-    preds = margins - samples * (margins - spec.z) / (1.0 + wsq * samples) * wsq
-    weight = spec.c_l * _loss_slope(spec.learner_loss, preds, spec.y) / denom
-    grad_x_part = (weight.sum(axis=0) @ spec.X) / S
-    w_coef = float(np.sum(weight * 2.0 * samples * (spec.z[None, :] - preds))) / S
-    return grad_x_part, w_coef * w, 2.0 * spec.reg_l * w
-
-
-def gradient_drift(w, spec, samples):
-    """Max-abs gap between the kernel and the earlier formula, over the largest term."""
-    terms = reference_gradient_terms(w, spec, samples)
-    gap = np.abs(stochastic_gradient(w, spec, samples) - (terms[0] + terms[1] + terms[2]))
-    return float(gap.max() / max(np.abs(t).max() for t in terms))
-
-
-def small_reduction_game(rng, n, m, learner_loss, radius=None):
-    """A random game for the quadratic reduction, on a learner ball if ``radius``."""
-    if learner_loss is LossKind.LOGISTIC:
-        labels = rng.choice([-1.0, 1.0], size=n)
-    else:
-        labels = rng.normal(size=n)
-    kwargs = {} if radius is None else {"learner_set": ActionSet.l2_ball(radius)}
-    return GameSpec(
-        X=rng.normal(size=(n, m)), y=labels, z=rng.normal(size=n), c_l=rng.random(n),
-        reg_l=float(rng.uniform(0.1, 2.0)), learner_loss=learner_loss, **kwargs,
-    )
-
-
-class TestBayesAdamMatchesReference:
-    """``bayes_adam`` against the plain loop on the public gradient and on ``reference_gradient``."""
-
-    @pytest.mark.parametrize("gradient", [stochastic_gradient, reference_gradient],
-                             ids=["public", "reference"])
-    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
-    @pytest.mark.parametrize("radius", [None, 0.3], ids=["unconstrained", "ball"])
-    @pytest.mark.parametrize("total, batch", [(40, 8), (37, 8)], ids=["full", "partial"])
-    def test_weights_and_trace_bit_identical(self, rng, gradient, learner_loss, radius, total,
-                                             batch):
-        spec = small_reduction_game(rng, 7, 4, learner_loss, radius)
-        prior = GaussianPrior(mean=1.0, std=2.0)
-        config = AdamConfig(
-            learning_rate=0.1, batch_size=batch, epochs=4, total_samples=total, seed=3
-        )
-        w_ref, trace_ref = reference_adam(spec, prior, config, gradient)
-        w, trace = bayes_adam(spec, prior, config)
-        assert np.array_equal(w, w_ref)
-        assert trace == trace_ref
-        w_lean, trace_lean = bayes_adam(spec, prior, config, record_objective=False)
-        assert np.array_equal(w_lean, w_ref)
-        assert trace_lean == []
-
-    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
-    def test_desk_shape_bit_identical(self, learner_loss):
-        # BLAS picks its kernels by shape: n=200, m=57 and a short last batch of 8 rows
-        spec, _ = desk_shaped_game()
-        if learner_loss is LossKind.LOGISTIC:
-            spec = dataclasses.replace(spec, y=2.0 * spec.y - 1.0, learner_loss=learner_loss)
-        prior = GaussianPrior(mean=1.0, std=4.0)
-        config = AdamConfig(batch_size=32, epochs=2, total_samples=1000, seed=5)
-        w_ref, trace_ref = reference_adam(spec, prior, config, reference_gradient)
-        w, trace = bayes_adam(spec, prior, config)
-        assert np.array_equal(w, w_ref)
-        assert trace == trace_ref
-
-
-class TestBlockedObjective:
-    """The objective's row blocks sum each row as the whole-matrix gemv does."""
-
-    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
-    @pytest.mark.parametrize("S", [1, 2, 63, 64, 65, 66, 129, 1000, 1001])
-    def test_equals_the_whole_matrix_form(self, S, learner_loss):
-        rng = np.random.default_rng(S)
-        spec = small_reduction_game(rng, 200, 57, learner_loss)
-        samples = np.maximum(rng.normal(1.0, 4.0, size=(S, spec.n)), 0.0)
-        w = 0.3 * rng.normal(size=spec.m)
-        preds = _perturbed_predictions(w, spec.X, spec.z, samples, w)
-        losses = _loss(spec.learner_loss, preds, spec.y)
-        whole = float(np.mean(losses @ spec.c_l) + spec.reg_l * (w @ w))
-        assert stochastic_objective(w, spec, samples) == whole
-
-
-class TestBayesAdamDrift:
-    """Adam on the kernel against Adam on the per-element gradient, at desk shape."""
-
-    @pytest.mark.parametrize("learner_loss", [LossKind.QUADRATIC, LossKind.LOGISTIC])
-    def test_weights_stay_within_1e_10(self, learner_loss):
-        spec, _ = desk_shaped_game()
-        if learner_loss is LossKind.LOGISTIC:
-            spec = dataclasses.replace(spec, y=2.0 * spec.y - 1.0, learner_loss=learner_loss)
-        prior = GaussianPrior(mean=1.0, std=4.0)
-        config = AdamConfig(batch_size=32, epochs=2, total_samples=1000, seed=5)
-        def per_element_gradient(w, spec, batch):
-            return sum(reference_gradient_terms(w, spec, batch))
-
-        w_ref, _ = reference_adam(spec, prior, config, per_element_gradient)
-        w, _ = bayes_adam(spec, prior, config, record_objective=False)
-        assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
 
 
 class TestSampleWorkingSet:

@@ -92,6 +92,10 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+class SolverError(RuntimeError):
+    """A solver failed to produce a usable result."""
+
+
 class ConfigError(ValueError):
     """Malformed configuration document, or a game that a solver cannot handle."""
 

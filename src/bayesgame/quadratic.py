@@ -29,6 +29,7 @@ from .game import (
     GameSpec,
     LossKind,
     Prior,
+    SolverError,
     _check_cd,
     _check_count,
     _check_matrix,
@@ -235,7 +236,8 @@ def bayes_adam(
     weights and the per-epoch objective evaluated on the full sample set;
     with ``record_objective=False`` that objective is never evaluated and
     the list is empty.  Fully deterministic given the config seed, and the
-    weights do not depend on ``record_objective``.
+    weights do not depend on ``record_objective``.  Raises ``SolverError`` if
+    the final weights are not finite.
     """
     rng = np.random.default_rng(config.seed)
     total, size = config.total_samples, config.batch_size
@@ -254,30 +256,34 @@ def bayes_adam(
     m1_hat, m2_hat = hat
     step = 0
     trace: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(total)
-        for lo in range(0, total, size):
-            rows = order[lo : lo + size]  # in range: "clip" takes unbuffered
-            batch, batch_state = blocks[len(rows)]
-            samples.take(rows, axis=0, out=batch, mode="clip")
-            g = _stochastic_gradient(w, spec, batch, batch_state)
-            step += 1
-            # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and the step
-            # lr m1_hat / (sqrt(m2_hat) + eps), each rounded as that formula
-            mom *= decay
-            np.multiply(gain, g, out=hat)
-            m2_hat *= g
-            mom += hat
-            np.divide(m2, 1.0 - _BETA2**step, out=m2_hat)
-            np.sqrt(m2_hat, out=m2_hat)
-            m2_hat += _EPS_HAT
-            np.divide(m1, 1.0 - _BETA1**step, out=m1_hat)
-            m1_hat *= config.learning_rate
-            m1_hat /= m2_hat
-            w = w - m1_hat
-            _into_ball(w, w, spec.learner_set.radius)
-        if record_objective:
-            trace.append(_stochastic_objective(w, spec, samples))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite weights raise below
+        for _ in range(config.epochs):
+            order = rng.permutation(total)
+            for lo in range(0, total, size):
+                rows = order[lo : lo + size]  # in range: "clip" takes unbuffered
+                batch, batch_state = blocks[len(rows)]
+                samples.take(rows, axis=0, out=batch, mode="clip")
+                g = _stochastic_gradient(w, spec, batch, batch_state)
+                step += 1
+                # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + (1 - b2) g g and the step
+                # lr m1_hat / (sqrt(m2_hat) + eps), each rounded as that formula
+                mom *= decay
+                np.multiply(gain, g, out=hat)
+                m2_hat *= g
+                mom += hat
+                np.divide(m2, 1.0 - _BETA2**step, out=m2_hat)
+                np.sqrt(m2_hat, out=m2_hat)
+                m2_hat += _EPS_HAT
+                np.divide(m1, 1.0 - _BETA1**step, out=m1_hat)
+                m1_hat *= config.learning_rate
+                m1_hat /= m2_hat
+                w = w - m1_hat
+                _into_ball(w, w, spec.learner_set.radius)
+            if record_objective:
+                trace.append(_stochastic_objective(w, spec, samples))
+    if not np.isfinite(w).all():
+        raise SolverError(f"bayes_adam: weights not finite after {step} steps at "
+                          f"learning_rate={config.learning_rate:g}")
     return w, trace
 
 
@@ -291,7 +297,8 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     iteration costs O(S n + n m^2) instead of O(S n m^2).  Where the rounds
     converge they reach the equilibrium of the game with one equally weighted
     atom per sample, not the minimizer of ``stochastic_objective``; they can
-    also cycle, and the round count is fixed, with no stop test.
+    also cycle, and the round count is fixed, with no stop test.  Raises
+    ``SolverError`` if the final weights are not finite.
     """
     if spec.learner_loss is not LossKind.QUADRATIC:
         raise ValueError("bayes_fp requires a quadratic learner loss")
@@ -301,24 +308,27 @@ def bayes_fp(spec: GameSpec, c_d_samples, iterations: int = 20) -> np.ndarray:
     samples = _check_reduction(spec, c_d_samples)
 
     X, y, z, c_l = spec.X, spec.y, spec.z, spec.c_l
-    base_gram = X.T @ (c_l[:, None] * X) + spec.reg_l * np.eye(spec.m)
-    base_rhs = X.T @ (c_l * y)
-    cy = c_l * y
-    damped = np.empty_like(samples)
-    ones = np.ones(samples.shape[0])  # column means as BLAS gemv, as in the Adam gradient
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite weights raise below
+        base_gram = X.T @ (c_l[:, None] * X) + spec.reg_l * np.eye(spec.m)
+        base_rhs = X.T @ (c_l * y)
+        cy = c_l * y
+        damped = np.empty_like(samples)
+        ones = np.ones(samples.shape[0])  # column means as BLAS gemv, as in the Adam gradient
 
-    w = np.zeros(spec.m)
-    for _ in range(iterations):
-        # rows move to X - outer(kappa_s, w), kappa_s = (X w - z) a r
-        gap = X @ w - z
-        np.divide(samples, _damping(samples, w @ w, out=damped), out=damped)
-        kbar = gap * (ones @ damped / len(ones))
-        damped *= damped
-        quad = float((c_l * gap * gap) @ (ones @ damped / len(ones)))
-        u = X.T @ (c_l * kbar)
-        A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w)
-        b = base_rhs - w * float(kbar @ cy)
-        w = np.linalg.solve(A, b)
+        w = np.zeros(spec.m)
+        for _ in range(iterations):
+            # rows move to X - outer(kappa_s, w), kappa_s = (X w - z) a r
+            gap = X @ w - z
+            np.divide(samples, _damping(samples, w @ w, out=damped), out=damped)
+            kbar = gap * (ones @ damped / len(ones))
+            damped *= damped
+            quad = float((c_l * gap * gap) @ (ones @ damped / len(ones)))
+            u = X.T @ (c_l * kbar)
+            A = base_gram - np.outer(u, w) - np.outer(w, u) + quad * np.outer(w, w)
+            b = base_rhs - w * float(kbar @ cy)
+            w = np.linalg.solve(A, b)
+    if not np.isfinite(w).all():
+        raise SolverError(f"bayes_fp: weights not finite after {iterations} rounds")
     return w
 
 

@@ -37,6 +37,7 @@ from .game import (
     ConfigError,
     FinitePrior,
     GameSpec,
+    SolverError,
     StrategyProfile,
     _check_count,
     _check_real,
@@ -50,10 +51,6 @@ from .game import (
     origin_profile,
     project,  # noqa: F401
 )
-
-
-class SolverError(RuntimeError):
-    """A solver failed to produce a usable result."""
 
 
 @dataclass(frozen=True)
@@ -317,29 +314,32 @@ def assumption_probe(
 
     lambda_hat = np.inf
     l_hat = 0.0
-    for _ in range(trials):
-        for i in (0, 1):
-            _draw_feasible_profile(rng, spec, w[i], sigma[i])
-        for s, c in state.chunks:
-            t_sig = maps[:, :c]
+    # an overflow shows as a non-finite quotient, reported below; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
             for i in (0, 1):
-                _gradients(state, w[i], sigma[i, s], state.chunk(s), rows[i, s], t_sig[i])
-            dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
-            dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
-            block_dots(dsig, dsig, sums[0, s])
-            block_dots(dsig, dtsig, sums[1, s])
-            block_dots(dtsig, dtsig, sums[2, s])
-        dw = w[0] - w[1]
-        den = float(dw @ dw + state.probs @ sums[0])
-        if den < 1e-24:
-            continue  # duplicate pair: quotient undefined
-        dtw = state.probs @ rows[0] - state.probs @ rows[1]
-        num = float(dw @ dtw + state.probs @ sums[1])
-        tnorm = float(dtw @ dtw + state.probs @ sums[2])
-        if not (math.isfinite(num / den) and math.isfinite(tnorm / den)):  # min, max skip NaN
-            raise SolverError(f"non-finite quotient of a sampled pair: {num}/{den}, {tnorm}/{den}")
-        lambda_hat = min(lambda_hat, num / den)
-        l_hat = max(l_hat, np.sqrt(tnorm / den))
+                _draw_feasible_profile(rng, spec, w[i], sigma[i])
+            for s, c in state.chunks:
+                t_sig = maps[:, :c]
+                for i in (0, 1):
+                    _gradients(state, w[i], sigma[i, s], state.chunk(s), rows[i, s], t_sig[i])
+                dsig = np.subtract(sigma[0, s], sigma[1, s], out=sigma[0, s])
+                dtsig = np.subtract(t_sig[0], t_sig[1], out=t_sig[0])
+                block_dots(dsig, dsig, sums[0, s])
+                block_dots(dsig, dtsig, sums[1, s])
+                block_dots(dtsig, dtsig, sums[2, s])
+            dw = w[0] - w[1]
+            den = float(dw @ dw + state.probs @ sums[0])
+            if den < 1e-24:
+                continue  # duplicate pair: quotient undefined
+            dtw = state.probs @ rows[0] - state.probs @ rows[1]
+            num = float(dw @ dtw + state.probs @ sums[1])
+            tnorm = float(dtw @ dtw + state.probs @ sums[2])
+            if not (math.isfinite(num / den) and math.isfinite(tnorm / den)):  # min, max skip NaN
+                raise SolverError(f"non-finite quotient of a sampled pair: {num}/{den}, "
+                                  f"{tnorm}/{den}")
+            lambda_hat = min(lambda_hat, num / den)
+            l_hat = max(l_hat, np.sqrt(tnorm / den))
     if not np.isfinite(lambda_hat):
         raise SolverError("all sampled profile pairs were duplicates")
     return AssumptionDiagnostics(

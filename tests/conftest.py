@@ -12,6 +12,7 @@ from bayesgame import game
 from bayesgame.game import (ActionSet, FinitePrior, GameSpec, LossKind, StrategyProfile,
                             _gradients, _loss_slope, _OperatorState)
 from bayesgame.quadratic import stochastic_gradient
+from bayesgame.serialize import game_to_jsonable, prior_to_jsonable
 
 
 def random_quadratic_game(rng, n, m, reg_l=None, bounded=False):
@@ -30,6 +31,30 @@ def random_quadratic_game(rng, n, m, reg_l=None, bounded=False):
         reg_l=reg,
         **kwargs,
     )
+
+
+def small_game(bounded=True):
+    rng = np.random.default_rng(3)
+    kwargs = {}
+    if bounded:
+        kwargs = dict(learner_set=ActionSet.l2_ball(1.0), adversary_set=ActionSet.l2_ball(2.0))
+    spec = GameSpec(
+        X=0.3 * rng.normal(size=(4, 2)), y=0.3 * rng.normal(size=4),
+        z=0.3 * rng.normal(size=4), c_l=np.full(4, 0.2), **kwargs,
+    )
+    prior = FinitePrior(atoms=0.3 * rng.random((2, 4)), probs=np.array([0.5, 0.5]))
+    return spec, prior
+
+
+def solve_doc(bounded=True, algorithm="pg-rbc", solver=None):
+    """A solve or probe config document on ``small_game(bounded)``."""
+    spec, prior = small_game(bounded)
+    return {
+        "game": game_to_jsonable(spec),
+        "prior": prior_to_jsonable(prior),
+        "algorithm": algorithm,
+        "solver": solver or {"max_iters": 500, "gamma": 0.6, "seed": 3, "trace_every": 100},
+    }
 
 
 def with_balls(spec, learner_radius, adversary_radius):

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bayesgame
-from bayesgame import experiments
 from bayesgame.cli import ProbeConfig, main
 from bayesgame.experiments import (
     METHODS,
@@ -33,7 +31,6 @@ from bayesgame.game import (
     GaussianPrior,
     LogNormalPrior,
     LossKind,
-    StrategyProfile,
     discretize_prior,
 )
 from bayesgame.serialize import (
@@ -47,36 +44,15 @@ from bayesgame.serialize import (
 )
 from bayesgame.solvers import (
     SolverConfig,
-    SolverTrace,
-    TraceRecord,
     assumption_probe,
     pg_rbc,
     prg_ie,
-    step_warnings,
 )
-
-
-def small_game(bounded=True):
-    rng = np.random.default_rng(3)
-    kwargs = {}
-    if bounded:
-        kwargs = dict(learner_set=ActionSet.l2_ball(1.0), adversary_set=ActionSet.l2_ball(2.0))
-    spec = GameSpec(
-        X=0.3 * rng.normal(size=(4, 2)), y=0.3 * rng.normal(size=4),
-        z=0.3 * rng.normal(size=4), c_l=np.full(4, 0.2), **kwargs,
-    )
-    prior = FinitePrior(atoms=0.3 * rng.random((2, 4)), probs=np.array([0.5, 0.5]))
-    return spec, prior
+from conftest import small_game, solve_doc
 
 
 def write_solve_config(path, bounded=True, algorithm="pg-rbc", solver=None):
-    spec, prior = small_game(bounded)
-    doc = {
-        "game": game_to_jsonable(spec),
-        "prior": prior_to_jsonable(prior),
-        "algorithm": algorithm,
-        "solver": solver or {"max_iters": 500, "gamma": 0.6, "seed": 3, "trace_every": 100},
-    }
+    doc = solve_doc(bounded, algorithm, solver)
     path.write_text(json.dumps(doc))
     return doc
 
@@ -531,16 +507,6 @@ class TestMalformedConfig:
         assert run.stderr == f"configuration error: {message}\n"  # the one line: no traceback
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "probe"])
-    def test_an_allocation_the_run_cannot_make_exits_2(self, tmp_path, capsys, command):
-        # 3.2e16 bytes of atoms: more than a 47-bit address space holds, so no overcommit
-        # lets the allocation succeed, and less than 2**63, so numpy raises MemoryError
-        self.write(tmp_path, command, None, {"prior": GAUSSIAN, "discretize_k": 10**15})
-        assert main(self.argv(tmp_path, command)) == 2
-        assert capsys.readouterr() == ("", "error: Unable to allocate 28.4 PiB for an array with "
-                                           "shape (1000000000000000, 4) and data type float64\n")
-        assert not (tmp_path / "o").exists()
-
     def check(self, tmp_path, capsys, command, section, update, flags, message, dataset=None,
               env=None):
         """Run the command on the config ``write`` writes, beside ``dataset`` as the file
@@ -620,35 +586,6 @@ class TestSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
         assert meta["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
-
-    def test_divergence_exits_2_without_profile(self, tmp_path, capsys):
-        cfg = tmp_path / "game.json"
-        write_solve_config(cfg, bounded=False,
-                           solver={"max_iters": 500, "gamma": 50.0, "seed": 3, "trace_every": 100})
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an escaped numpy warning fails the run
-            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-        # stderr is the solver's one warning, then the error: no numpy warnings
-        (warning,) = step_warnings(50.0)
-        assert re.fullmatch(rf"warning: {re.escape(warning)}\n"
-                            r"error: diverged at t=\d+: residual (inf|nan), "
-                            r"last finite residual \d[^\n]*\n", capsys.readouterr().err)
-        assert not out.exists()
-
-    def test_non_finite_profile_is_not_written(self, tmp_path, monkeypatch, capsys):
-        def nan_solver(spec, prior, config):
-            w = np.full(spec.m, np.nan)
-            profile = StrategyProfile(w=w, sigma=np.zeros((2, spec.n, spec.m)))
-            return SolverTrace([TraceRecord(1, 0.5, None, 0.0)], profile, False)
-
-        monkeypatch.setattr("bayesgame.cli.pg_rbc", nan_solver)
-        cfg = tmp_path / "game.json"
-        write_solve_config(cfg)
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_algo_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "game.json"
@@ -800,25 +737,6 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["benchmark", "--config", str(cfg), "--out", str(b), "--workers", "2"]) == 0
         assert (a / "results.csv").read_text() == (b / "results.csv").read_text()
-
-    def test_failed_rows_exit_2_after_writing_the_outputs(self, tmp_path, capsys, monkeypatch):
-        def failing_bayes_fp(*args, **kwargs):
-            raise ValueError("bayes_fp failed")
-
-        # the benchmark runs bayes-fp only, so every row fails
-        monkeypatch.setattr(experiments, "bayes_fp", failing_bayes_fp)
-        dataset = self.write_dataset(tmp_path)
-        cfg = self.write_config(tmp_path, dataset, methods=["bayes-fp"])
-        out = tmp_path / "o"
-        assert main(["benchmark", "--config", str(cfg), "--out", str(out)]) == 2
-        for name in ("results.csv", "aggregate.json", "metadata.json"):
-            assert (out / name).is_file()
-        errors = json.loads((out / "aggregate.json").read_text())["errors"]
-        rows = len((out / "results.csv").read_text().strip().splitlines()) - 1
-        assert errors and len(errors) == rows
-        assert {e["error"] for e in errors} == {"bayes_fp failed"}
-        err = capsys.readouterr().err
-        assert f"error: {len(errors)} of {rows} result rows failed" in err
 
     def test_sizes_default_to_the_desk_preset(self, tmp_path):
         doc = {"priors": [{"family": "gaussian", "mean": 1.0, "std": 4.0}], "methods": ["ridge"]}

@@ -11,7 +11,10 @@ cache, and every run sets ``PYTHONDONTWRITEBYTECODE=1``, so that set-up times
 compare like with like.  Each workload of BENCHMARK.json runs 10 times on
 each tree (``perfbench/run.py --trace 0``, seeds 1 to 10, BENCHMARK.json's
 ``run_seconds``), the side that runs first alternating from pair to pair; one
-more pair runs the parent against itself on seed 11, as a placebo.  The
+more pair runs the parent against itself on seed 11, as a placebo.  The file is
+written after every pair, so a run that is stopped leaves one: until the placebo
+pair and ``--suite`` have run, it holds a ``partial`` entry with the pairs done
+and the parts still missing, and its placebo spreads are null.  The
 protocol is fixed, so the files of any two changes compare.  For each workload
 and end-to-end metric the file holds each side's runs, median and quartiles,
 the change's median over the parent's, the BENCHMARK.json bound, the placebo's
@@ -60,9 +63,10 @@ def quartiles(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(runs: dict, placebo: list, end_to_end: list) -> dict:
+def summarize(runs: dict, placebo, end_to_end: list) -> dict:
     """One workload's entry from its parsed runs (``runs["parent"]`` and
-    ``runs["change"]``, in pair order) and its two placebo runs of the parent."""
+    ``runs["change"]``, in pair order) and its two placebo runs of the parent, or
+    None before they ran: the placebo spread is then None and no verdict weighs it."""
     entry = {side: {key: [r[key] for r in runs[side]] for key in ("attempted", "failed")}
              for side in ("parent", "change")}
     entry["correct"] = all(r["correct"] for side in runs.values() for r in side)
@@ -71,12 +75,13 @@ def summarize(runs: dict, placebo: list, end_to_end: list) -> dict:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         parent, change = ([r["metrics"][name] for r in runs[side]] for side in ("parent", "change"))
         ratio = statistics.median(change) / statistics.median(parent)
-        first, second = (r["metrics"][name] for r in placebo)
-        placebo_spread, parent_q = abs(second / first - 1.0), quartiles(parent)
+        placebo_spread = None if placebo is None else abs(
+            placebo[1]["metrics"][name] / placebo[0]["metrics"][name] - 1.0)
+        parent_q = quartiles(parent)
         spread = (parent_q["q3"] - parent_q["q1"]) / parent_q["median"]
         if all(sign * (c - p) < 0 for c in change for p in parent):
             verdict = "within"  # every run of the change reads better
-        elif max(placebo_spread, spread) > metric["bound"]:
+        elif max(placebo_spread or 0.0, spread) > metric["bound"]:
             verdict = "unresolved"
         else:
             verdict = "within" if sign * (ratio - 1.0) <= metric["bound"] else "out"
@@ -162,14 +167,34 @@ def main(argv=None) -> int:
     parent_rev, head = (subprocess.run(["git", "rev-parse", rev], cwd=ROOT, capture_output=True,
                                        text=True, check=True).stdout.strip()
                         for rev in (args.parent, "HEAD"))
+    out = ROOT / f"BENCH_{args.pr}.json"
+    bench = {"pr": args.pr, "parent": parent_rev, "change": f"the working tree on {head}",
+             "protocol": {"pairs": len(seeds), "seconds": seconds, "smoke": args.smoke,
+                          "seeds": list(seeds), "placebo_seed": PLACEBO_SEED, "trace": 0,
+                          "first_side": "parent on even pairs (from 0), change on odd",
+                          "bytecode": "PYTHONDONTWRITEBYTECODE=1, no __pycache__ in either tree"}}
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    placebo = {}
+
+    def write(missing: list) -> None:
+        """The file from the runs so far; while parts are ``missing`` it says so."""
+        env = runs[workloads[0]]["parent"][0]["env"]
+        bench["environment"] = {key: env[key] for key in ("nproc", "cpus_usable", "python",
+                                                          "numpy", "blas")}
+        bench["workloads"] = {w: summarize(runs[w], placebo.get(w), spec["end_to_end"])
+                              for w in workloads}
+        done = len(runs[workloads[0]]["change"])
+        partial = {"partial": {"pairs_done": done, "missing": missing}} if missing else {}
+        out.write_text(json.dumps(bench | partial, indent=1) + "\n")
+
+    suite_part = ["suite"] if args.suite else []
     with tempfile.TemporaryDirectory(prefix="bench-") as work:
         trees = {"parent": Path(work) / "parent", "change": Path(work) / "change"}
         parent_tree(parent_rev, trees["parent"])
         change_tree(trees["change"])
         if any(path for tree in trees.values() for path in tree.rglob("__pycache__")):
             raise SystemExit("bench: a tree holds a bytecode cache")
-        workloads = [w["name"] for w in spec["workloads"]]
-        runs = {w: {"parent": [], "change": []} for w in workloads}
         for i, seed in enumerate(seeds):
             for workload in workloads:
                 for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
@@ -177,24 +202,14 @@ def main(argv=None) -> int:
                         perfbench(trees[side], workload, seed, seconds, args.smoke))
                     print(f"pair {i + 1}/{len(seeds)} {workload} {side}: "
                           f"{runs[workload][side][-1]['metrics']}", flush=True)
-        placebo = {w: [perfbench(trees["parent"], w, PLACEBO_SEED, seconds, args.smoke)
-                       for _ in range(2)] for w in workloads}
-        env = runs[workloads[0]]["parent"][0]["env"]
-        bench = {
-            "pr": args.pr, "parent": parent_rev, "change": f"the working tree on {head}",
-            "protocol": {"pairs": len(seeds), "seconds": seconds, "smoke": args.smoke,
-                         "seeds": list(seeds), "placebo_seed": PLACEBO_SEED, "trace": 0,
-                         "first_side": "parent on even pairs (from 0), change on odd",
-                         "bytecode": "PYTHONDONTWRITEBYTECODE=1, no __pycache__ in either tree"},
-            "environment": {key: env[key] for key in ("nproc", "cpus_usable", "python", "numpy",
-                                                      "blas")},
-            "workloads": {w: summarize(runs[w], placebo[w], spec["end_to_end"])
-                          for w in workloads},
-        }
+            pairs_left = [f"pairs {i + 2}-{len(seeds)}"] if i + 1 < len(seeds) else []
+            write(pairs_left + ["placebo"] + suite_part)
+        placebo.update({w: [perfbench(trees["parent"], w, PLACEBO_SEED, seconds, args.smoke)
+                            for _ in range(2)] for w in workloads})
+        write(suite_part)
         if args.suite:
             bench["suite"] = {side: suite(tree) for side, tree in trees.items()}
-    out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(bench, indent=1) + "\n")
+            write([])
     print(f"wrote {out.name}")
     print_comparison(bench, newest_before(args.pr))
     return 0

@@ -5,12 +5,16 @@ A docstring is a string that opens a module, class or function body; a string
 statement anywhere else is code.
 
 Usage: python scripts/count_code_lines.py src/bayesgame/*.py
+       python scripts/count_code_lines.py src tests
+
+A directory stands for the ``.py`` files under it, in sorted order.
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
             tokenize.ENDMARKER, tokenize.ENCODING}
@@ -33,8 +37,15 @@ def code_lines(path) -> int:
     return len(lines - docstrings)
 
 
+def python_files(args) -> list:
+    """Each argument, with a directory replaced by the ``.py`` files under it, sorted."""
+    return [file for path in map(Path, args)
+            for file in (sorted(path.rglob("*.py")) if path.is_dir() else [path])]
+
+
 if __name__ == "__main__":
-    counts = [code_lines(path) for path in sys.argv[1:]]
-    for count, path in zip(counts, sys.argv[1:]):
+    paths = python_files(sys.argv[1:])
+    counts = [code_lines(path) for path in paths]
+    for count, path in zip(counts, paths):
         print(f"{count:6d} {path}")
     print(f"{sum(counts):6d} total")

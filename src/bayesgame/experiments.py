@@ -19,7 +19,8 @@ from typing import Literal
 import numpy as np
 
 from .game import (FieldError, GameSpec, Prior, _check_count, _check_finite, _check_matrix,
-                   _check_real, _check_shape, _check_weight_rows, _prior_family, sample_prior)
+                   _check_real, _check_shape, _check_w, _check_weight_rows, _prior_family,
+                   sample_prior)
 from .quadratic import AdamConfig, _perturbed_predictions, bayes_adam, bayes_fp, nash_strategy
 
 SPAMBASE_COLUMNS = 58  # 57 features plus the trailing 0/1 label
@@ -159,10 +160,12 @@ def evaluate(
     ``draws`` holds one draw of the generator's weights per row, shape
     (draws, len(test)), such as ``sample_prior(prior, len(test), test_draws, seed)``.
     The transformation anticipates ``adversary_w`` (defaults to the evaluated
-    model itself); predictions always use ``w``.
+    model itself); predictions always use ``w``.  Raises ``FieldError`` if the
+    squared norm of ``w`` or ``adversary_w`` is not finite (a NaN or inf entry, or a
+    square that overflows), where the RMSE would be NaN.
     """
-    w = _check_shape(w, test.features.shape[1:], "w")
-    w_adv = w if adversary_w is None else _check_shape(adversary_w, w.shape, "adversary_w")
+    w = _check_w(w, test.features.shape[1:], "w")
+    w_adv = w if adversary_w is None else _check_w(adversary_w, w.shape, "adversary_w")
     draws = np.asarray(draws, dtype=float)
     _check_weight_rows(draws, len(test), "draws")
     z = z_rule.resolve(test.labels)

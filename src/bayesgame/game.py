@@ -134,6 +134,17 @@ def _check_shape(value, shape: tuple, name: str) -> np.ndarray:
     return value
 
 
+def _check_w(value, shape: tuple, name: str) -> np.ndarray:
+    """``_check_shape`` for a weight vector, then ``FieldError`` unless its squared norm
+    ``value @ value`` is finite.  That one test rejects NaN and inf entries and entries
+    whose squares overflow, which the closed-form response would turn into NaN."""
+    value = _check_shape(value, shape, name)
+    with np.errstate(over="ignore"):  # the overflow is what this rejects
+        if not math.isfinite(value @ value):
+            raise FieldError(name, "must have a finite squared norm")
+    return value
+
+
 def _check_finite(values: np.ndarray, name: str) -> None:
     if not np.isfinite(values).all():
         raise FieldError(name, "must be finite elementwise")

@@ -35,6 +35,7 @@ from .game import (
     _check_matrix,
     _check_real,
     _check_shape,
+    _check_w,
     _check_weight_rows,
     _clamped_draws,
     _into_ball,
@@ -70,9 +71,13 @@ class AdamConfig:
 def best_response(
     w: np.ndarray, X: np.ndarray, z: np.ndarray, c_d: np.ndarray
 ) -> np.ndarray:
-    """Generator's optimal unconstrained perturbation of X against w: the rows xbar_i."""
+    """Generator's optimal unconstrained perturbation of X against w: the rows xbar_i.
+
+    Raises ``FieldError`` if ``w @ w`` is not finite: a NaN or inf entry, or a square
+    that overflows.
+    """
     X = _check_matrix(X, "X")
-    w, z = _check_shape(w, X.shape[1:], "w"), _check_shape(z, X.shape[:1], "z")
+    w, z = _check_w(w, X.shape[1:], "w"), _check_shape(z, X.shape[:1], "z")
     c_d = _check_cd(c_d, X.shape[0])
     return X - np.outer(_response_coef(X @ w, z, w @ w, c_d), w)
 
@@ -127,9 +132,10 @@ def stochastic_objective(
     """Sample-average learner loss at the generator's best responses, plus ridge.
 
     Requires the generator's quadratic loss (the reduction's premise); the
-    learner's loss may be quadratic or logistic.
+    learner's loss may be quadratic or logistic.  Raises ``FieldError`` if
+    ``w @ w`` is not finite, as ``best_response`` does.
     """
-    w, samples = _check_shape(w, (spec.m,), "w"), _check_reduction(spec, c_d_samples)
+    w, samples = _check_w(w, (spec.m,), "w"), _check_reduction(spec, c_d_samples)
     return _stochastic_objective(w, spec, samples)
 
 
@@ -156,8 +162,10 @@ def stochastic_gradient(w: np.ndarray, spec: GameSpec, batch) -> np.ndarray:
     the module docstring has
 
         d pred / d w = r_i x_i + 2 a_i e_i r_i^2 w.
+
+    Raises ``FieldError`` if ``w @ w`` is not finite, as ``best_response`` does.
     """
-    w, samples = _check_shape(w, (spec.m,), "w"), _check_reduction(spec, batch)
+    w, samples = _check_w(w, (spec.m,), "w"), _check_reduction(spec, batch)
     state = _GradientState.build(spec, np.empty((2,) + samples.shape))
     return _stochastic_gradient(w, spec, samples, state)
 

@@ -3,11 +3,14 @@ unchecked kernels."""
 
 import dataclasses
 import math
+import os
+import subprocess
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bayesgame
 from bayesgame import game
 from bayesgame.game import (ActionSet, FinitePrior, GameSpec, LossKind, StrategyProfile,
                             _gradients, _loss_slope, _OperatorState)
@@ -443,6 +446,26 @@ def equivalence_games():
             adversary_loss=LossKind.LOGISTIC), mixed_prior),
         "desk": desk_shaped_game(K=3),
     }
+
+
+def assert_bits(got, expected):
+    """Arrays equal by ``np.array_equal``, tuples part by part, anything else by ``==``."""
+    if isinstance(expected, np.ndarray):
+        assert np.array_equal(got, expected)
+    elif isinstance(expected, tuple):
+        assert len(got) == len(expected)
+        for part, expected_part in zip(got, expected):
+            assert_bits(part, expected_part)
+    else:  # a float, or a list of trace records
+        assert got == expected
+
+
+def run_process(argv, **env):
+    """Run ``argv`` in a process of its own, with the package on its path and ``env`` set;
+    its exit code, stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bayesgame.__file__)), **env)
+    done = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
 
 
 def peak_mib(fn, *args, **kwargs) -> float:

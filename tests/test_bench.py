@@ -1,10 +1,11 @@
 """What the benchmark reads of the package, and the script that compares two trees.
 
-Neither test runs a benchmark.
+No test runs a benchmark.
 """
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -62,3 +63,22 @@ def test_bench_summary_of_two_recorded_runs(monkeypatch):
         assert wide[name]["placebo_spread"] == 1.0
         assert wide[name]["verdict"] == ("within" if ratio < 1.0 else "unresolved")
     assert {m["verdict"] for m in wide.values()} == {"within", "unresolved"}
+
+
+def test_a_stopped_run_leaves_a_partial_file(tmp_path, monkeypatch):
+    bench = load(ROOT / "scripts" / "bench.py", "bench", monkeypatch)
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "--no-gpg-sign", "-m", "t"], check=True)
+    (tmp_path / "BENCHMARK.json").write_bytes((ROOT / "BENCHMARK.json").read_bytes())
+    run = bench.parse_run((ROOT / "tests" / "data" / "perfbench_fixture_parent.txt").read_text())
+    monkeypatch.setattr(bench, "ROOT", tmp_path)  # the one file of both trees is BENCHMARK.json
+    # the smoke pair runs on seed 1; the placebo pair, on seed 11, raises
+    monkeypatch.setattr(bench, "perfbench", lambda tree, workload, seed, *_: {1: run}[seed])
+    with pytest.raises(KeyError, match="11"):
+        bench.main(["--pr", "7", "--parent", "HEAD", "--smoke", "--suite"])
+    partial = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert partial["partial"] == {"pairs_done": 1, "missing": ["placebo", "suite"]}
+    assert set(partial["workloads"]) == {"fixture", "desk_vi", "desk_sweep"}
+    for metric in partial["workloads"]["fixture"]["metrics"].values():
+        assert metric["placebo_spread"] is None and metric["verdict"] == "within"

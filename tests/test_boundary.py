@@ -30,6 +30,7 @@ from conftest import random_quadratic_game
 
 NAN, INF = float("nan"), float("inf")
 SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+ONES = np.ones((2, 4))  # two rows of weights for the n = 4 instances
 GAUSSIAN = GaussianPrior(1.0, 1.0)
 SAMPLES = "c_d samples must be nonnegative and finite elementwise"
 NOT_FINITE = {"c_l": "c_l must be nonnegative and finite elementwise",
@@ -223,6 +224,15 @@ ROWS = [
           ("bayes_fp", lambda spec, s: bayes_fp(spec, s, 2))] for bad in (NAN, INF)],
     ("bayes_adam-nan-draw", lambda g: bayes_adam(g.spec, NanPrior(1.0, 1.0), AdamConfig(
         epochs=1, total_samples=8, batch_size=4)), FieldError, "c_d samples", SAMPLES),
+    # the closed-form response's entries: weights whose squared norm is not finite
+    *[(f"{name}-{field}-{bad:g}", lambda g, call=call, bad=bad: call(g, np.full(3, bad)),
+       FieldError, field, f"{field} must have a finite squared norm") for name, field, bad, call in [
+          ("best_response", "w", INF, lambda g, w: best_response(w, g.X, g.spec.z, np.ones(4))),
+          ("stochastic_objective", "w", 1e200, lambda g, w: stochastic_objective(w, g.spec, ONES)),
+          ("stochastic_gradient", "w", 1e200, lambda g, w: stochastic_gradient(w, g.spec, ONES)),
+          ("evaluate", "w", NAN, lambda g, w: evaluate(w, g.data, ZRule(), ONES)),
+          ("evaluate", "adversary_w", 1e200,
+           lambda g, w: evaluate(np.ones(3), g.data, ZRule(), ONES, adversary_w=w))]],
     ("bayes_fp-empty", lambda g: bayes_fp(g.spec, np.zeros((0, 4))), FieldError, "c_d samples",
      "c_d samples must be a nonempty matrix with 4 columns, got shape (0, 4)"),
     ("bayes_fp-vector", lambda g: bayes_fp(g.spec, np.zeros(4)), FieldError, "c_d samples",

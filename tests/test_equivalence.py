@@ -31,10 +31,11 @@ from bayesgame.quadratic import (AdamConfig, _perturbed_predictions, bayes_adam,
                                  stochastic_gradient, stochastic_objective)
 from bayesgame.solvers import (SolverConfig, assumption_probe, equilibrium_residual,
                                extragradient_reference, pg_rbc, prg_ie, stacked_map)
-from conftest import (desk_shaped_game, equivalence_games, kernel_gradients, random_profile,
-                      reference_extragradient, reference_gradient, reference_gradient_terms,
-                      reference_grad_adversary_X, reference_grad_learner_w, reference_map,
-                      reference_project, reference_residual, set_chunking, small_reduction_game)
+from conftest import (assert_bits, desk_shaped_game, equivalence_games, kernel_gradients,
+                      random_profile, reference_extragradient, reference_gradient,
+                      reference_gradient_terms, reference_grad_adversary_X,
+                      reference_grad_learner_w, reference_map, reference_project,
+                      reference_residual, set_chunking, small_reduction_game)
 
 
 def reference_error(w, sigma, prior, reference):
@@ -324,17 +325,6 @@ ROWS = [
        lambda spec, prior, config: reference_adam(spec, prior, config, per_element_gradient)[0],
        1e-10) for loss in LOSSES],
 ]
-
-
-def assert_bits(got, expected):
-    if isinstance(expected, np.ndarray):
-        assert np.array_equal(got, expected)
-    elif isinstance(expected, tuple):
-        assert len(got) == len(expected)
-        for part, expected_part in zip(got, expected):
-            assert_bits(part, expected_part)
-    else:  # a float, or a list of trace records
-        assert got == expected
 
 
 @pytest.mark.parametrize("game, chunking, call, reference, compare", [row[1:] for row in ROWS],

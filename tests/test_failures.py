@@ -8,19 +8,15 @@ failure is reported once, as the error.
 """
 
 import json
-import os
 import re
-import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-import bayesgame
 from bayesgame.cli import main
 from bayesgame.experiments import BenchmarkConfig, Dataset, run_benchmark, write_dataset_csv
 from bayesgame.game import (ActionSet, FinitePrior, GameSpec, GaussianPrior, SolverError,
@@ -29,7 +25,8 @@ from bayesgame.quadratic import AdamConfig, bayes_adam, bayes_fp, nash_strategy
 from bayesgame.solvers import (SolverConfig, SolverTrace, TraceRecord, _extragradient_on_map,
                                assumption_probe, extragradient_reference, pg_rbc, prg_ie,
                                step_warnings)
-from conftest import monotone_ball_game, random_profile, random_quadratic_game, solve_doc
+from conftest import (monotone_ball_game, random_profile, random_quadratic_game, run_process,
+                      solve_doc)
 
 OUTPUTS = ("profile.json", "trace.csv", "results.csv", "aggregate.json", "metadata.json")
 GAUSSIAN = GaussianPrior(1.0, 1.0)
@@ -198,10 +195,7 @@ def test_cli_run_fails(tmp_path, capsys, monkeypatch, run, code, stderr):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if argv[0] == sys.executable:
-            env = dict(os.environ, PYTHONPATH=str(Path(bayesgame.__file__).parents[1]))
-            done = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True,
-                                  env=env)
-            exit_code, out, err = done.returncode, done.stdout, done.stderr
+            exit_code, out, err = run_process(argv)
         else:
             exit_code, (out, err) = main(argv), capsys.readouterr()
     assert (exit_code, out) == (code, run.stdout)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesgame import game, solvers
+from bayesgame import solvers
 from bayesgame.game import (
     ActionSet,
     FinitePrior,
@@ -121,15 +121,6 @@ class TestPrgIe:
         assert np.all(trace.final_profile.sigma == 0)
         assert all(rec.residual == 0 for rec in trace.iterations)
 
-    def test_deterministic(self):
-        spec, prior = monotone_ball_game()
-        config = SolverConfig(max_iters=400, gamma=2e-3, trace_every=100, lipschitz=2.3)
-        t1 = prg_ie(spec, prior, config)
-        t2 = prg_ie(spec, prior, config)
-        assert np.array_equal(t1.final_profile.w, t2.final_profile.w)
-        assert np.array_equal(t1.final_profile.sigma, t2.final_profile.sigma)
-        assert [r.residual for r in t1.iterations] == [r.residual for r in t2.iterations]
-
     def test_iterates_feasible(self):
         spec, prior = monotone_ball_game()
         config = SolverConfig(max_iters=300, gamma=2e-3, trace_every=50, lipschitz=2.3)
@@ -150,15 +141,6 @@ class TestPgRbc:
         trace = pg_rbc(spec, prior, config)
         assert np.all(trace.final_profile.w == 0)
         assert all(rec.residual == 0 for rec in trace.iterations)
-
-    def test_deterministic(self):
-        spec, prior = monotone_ball_game()
-        config = SolverConfig(max_iters=500, gamma=0.5, seed=7, trace_every=100,
-                              strong_monotonicity=2.0)
-        t1 = pg_rbc(spec, prior, config)
-        t2 = pg_rbc(spec, prior, config)
-        assert np.array_equal(t1.final_profile.w, t2.final_profile.w)
-        assert np.array_equal(t1.final_profile.sigma, t2.final_profile.sigma)
 
     def test_step_size_warning(self):
         spec, prior = monotone_ball_game()
@@ -309,12 +291,6 @@ class TestAssumptionProbe:
         assert diag.lambda_hat == pytest.approx(2.0, abs=1e-9)
         assert diag.lambda_hat >= 1.0
         assert diag.L_hat == pytest.approx(2.0, abs=1e-9)
-
-    def test_deterministic(self):
-        spec, prior = monotone_ball_game()
-        d1 = assumption_probe(spec, prior, trials=40, seed=12)
-        d2 = assumption_probe(spec, prior, trials=40, seed=12)
-        assert d1 == d2
 
 
 class TestTraceSerialization:
